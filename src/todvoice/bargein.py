@@ -38,7 +38,6 @@ class BlockRejected(ValueError):
 @dataclass(frozen=True)
 class BargeInConfig:
     sample_rate: float = 0.25
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:

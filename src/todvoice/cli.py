@@ -27,6 +27,7 @@ from .pipeline import (
     StageToggles,
     build_clients,
     load_config,
+    register_audio,
     run_pipeline,
     split_corpus,
     wer_validation,
@@ -225,16 +226,8 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
     """Goal coverage (GA/SMR), disclosure curve, and optional F1/WER/similarity."""
     dialogues = load_corpus(input_path)
     clients = build_clients(cfg)
-    if clients.directory is not None:
-        for d in dialogues:
-            for t in d.turns:
-                if t.audio_ref:
-                    speaker = d.user_speaker if t.role.value == "user" else d.assistant_speaker
-                    clients.directory.register(
-                        str(Path(cfg.out_dir) / t.audio_ref),
-                        t.text,
-                        speaker.speaker_id if speaker else t.role.value,
-                    )
+    for d in dialogues:
+        register_audio(clients.directory, d, cfg.out_dir)
     states = [evaluate_dialogue_coverage(d, clients.judge) for d in dialogues]
     coverage = ga_smr(states)
     out: dict[str, object] = {

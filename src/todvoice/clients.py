@@ -26,7 +26,7 @@ ENV_TOKEN = "TODVOICE_API_TOKEN"
 
 
 class ClientError(Exception):
-    """A service call failed after exhausting retries."""
+    """A service call failed: at once on a permanent error, or after exhausting retries."""
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,31 @@ class ClientConfig:
         return os.environ.get(f"TODVOICE_{role.upper()}_ENDPOINT", self.endpoint)
 
 
+def _is_transient(exc: BaseException) -> bool:
+    """Connection errors, timeouts, HTTP 429 and HTTP 5xx: failures worth retrying."""
+    if isinstance(exc, (ConnectionError, TimeoutError)):
+        return True
+    import requests  # only on a failed call, so stub runs never import it
+
+    if isinstance(exc, (requests.ConnectionError, requests.Timeout)):
+        return True
+    status = getattr(exc.response, "status_code", None) if isinstance(exc, requests.HTTPError) else None
+    return status is not None and (status == 429 or status >= 500)
+
+
 def with_retries(fn: Callable[[], Any], max_retries: int, backoff_s: float = 0.5) -> Any:
-    """Shared retry policy: max_retries re-attempts with linear backoff."""
-    last: Exception | None = None
+    """Shared retry policy: up to max_retries re-attempts with linear backoff,
+    for transient failures only. Any other error fails after one attempt."""
     for attempt in range(max_retries + 1):
         try:
             return fn()
         except Exception as exc:  # noqa: BLE001 - transport errors vary by backend
-            last = exc
-            if attempt < max_retries and backoff_s > 0:
+            if not _is_transient(exc):
+                raise ClientError(f"call failed: {type(exc).__name__}: {exc}") from exc
+            if attempt == max_retries:
+                raise ClientError(f"call failed after {max_retries + 1} attempts: {exc}") from exc
+            if backoff_s > 0:
                 time.sleep(backoff_s * (attempt + 1))
-    raise ClientError(f"call failed after {max_retries + 1} attempts: {last}") from last
 
 
 def _auth_headers() -> dict[str, str]:
@@ -77,9 +91,10 @@ class ChatClient:
 
 
 class HTTPChatClient(ChatClient):
-    def __init__(self, config: ClientConfig) -> None:
+    def __init__(self, config: ClientConfig, role: str) -> None:
+        """`role` ("generator" or "judge") picks the TODVOICE_<ROLE>_ENDPOINT override."""
         self.config = config
-        self.endpoint = config.resolved_endpoint("chat")
+        self.endpoint = config.resolved_endpoint(role)
 
     def chat(self, messages: Sequence[Mapping[str, str]]) -> str:
         import requests

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 BARGEIN_TOKEN = "<bargein>"
 
@@ -580,10 +580,6 @@ def load_corpus(path: str | Path) -> list[Dialogue]:
     if path.suffix == ".json" and stripped.startswith("{") and "\n{" not in text.strip():
         return [dialogue_from_dict(json.loads(text))]
     return [loads_dialogue(line) for line in text.splitlines() if line.strip()]
-
-
-def iter_corpus(path: str | Path) -> Iterator[Dialogue]:
-    yield from load_corpus(path)
 
 
 def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:

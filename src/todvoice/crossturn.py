@@ -23,10 +23,6 @@ class CrossTurnConfig:
     p_error: float = 0.20
     min_digits: int = 7
     min_code_len: int = 5
-    # Self-corrections on categorical (non-segmentable) slot values are not
-    # quantified by the source material; off unless explicitly enabled.
-    categorical_corrections: bool = False
-    p_categorical: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_error <= 1.0:

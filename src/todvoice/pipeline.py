@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -33,13 +35,14 @@ from .clients import (
     StubTTSClient,
     TTSClient,
 )
-from .corpus import Dialogue, Violation, validate_dialogue
+from .corpus import Dialogue, Role, SpeakerProfile, validate_dialogue
 from .crossturn import CrossTurnConfig, apply_crossturn_stage
 from .disfluency import DisfluencyConfig, apply_disfluency_stage
 from .emotion import annotate_dialogue
 from .metrics import WerCell, build_wer_report
-from .seeding import rng_for, stable_seed
+from .seeding import rng_for
 from .speakers import (
+    ConfigError,
     Pool,
     PoolWeights,
     assign_assistant_speaker,
@@ -51,13 +54,6 @@ from .synthesis import ManifestRow, synthesize_dialogue
 from .turntaking import StrategyConfig
 
 log = logging.getLogger(__name__)
-
-STAGE_ORDER = ("crossturn", "bargein", "disfluency", "emotion", "synthesis", "validate")
-
-
-class ConfigError(ValueError):
-    pass
-
 
 @dataclass(frozen=True)
 class StageToggles:
@@ -171,8 +167,8 @@ def build_clients(cfg: PipelineConfig) -> Clients:
         return cfg.clients[role]
 
     return Clients(
-        generator=HTTPChatClient(cc("generator")),
-        judge=HTTPChatClient(cc("judge")),
+        generator=HTTPChatClient(cc("generator"), "generator"),
+        judge=HTTPChatClient(cc("judge"), "judge"),
         tts=HTTPTTSClient(cc("tts")),
         asr=HTTPASRClient(cc("asr")),
         embed=HTTPEmbedClient(cc("embed")),
@@ -196,105 +192,129 @@ class RunResult:
     manifest: list[ManifestRow]
 
 
-class _StageFailure(Exception):
-    def __init__(self, stage: str, reason: str) -> None:
-        super().__init__(reason)
-        self.stage = stage
-        self.reason = reason
+@dataclass(frozen=True)
+class RunContext:
+    """What the stages of one run share: config, clients and speaker pools."""
+
+    cfg: PipelineConfig
+    clients: Clients
+    pool: Pool | None = None
+    assistant_profiles: Sequence[SpeakerProfile] | None = None
+
+    @classmethod
+    def build(cls, cfg: PipelineConfig) -> RunContext:
+        assistant_profiles = None
+        assistant_ids: set[str] = set()
+        if cfg.assistant_manifest:
+            assistant_profiles = load_speaker_manifest(cfg.assistant_manifest)
+            assistant_ids = {sp.speaker_id for sp in assistant_profiles}
+        pool = None
+        if cfg.speaker_manifest:
+            pool = build_pool(load_speaker_manifest(cfg.speaker_manifest), assistant_ids)
+        return cls(cfg, build_clients(cfg), pool, assistant_profiles)
+
+    def rng(self, d: Dialogue, label: str) -> random.Random:
+        return rng_for(self.cfg.global_seed, d.dialogue_id, label)
 
 
-def _load_pools(cfg: PipelineConfig) -> tuple[Pool | None, list | None]:
-    assistant_profiles = None
-    assistant_ids: set[str] = set()
-    if cfg.assistant_manifest:
-        assistant_profiles = load_speaker_manifest(cfg.assistant_manifest)
-        assistant_ids = {sp.speaker_id for sp in assistant_profiles}
-    pool = None
-    if cfg.speaker_manifest:
-        pool = build_pool(load_speaker_manifest(cfg.speaker_manifest), assistant_ids)
-    return pool, assistant_profiles
+def register_audio(directory: StubDirectory | None, d: Dialogue, out_dir: str | Path) -> None:
+    """Record each rendered turn's text and speaker for the stub ASR and embed clients."""
+    if directory is None:
+        return
+    for t in d.turns:
+        if t.audio_ref:
+            speaker = d.user_speaker if t.role is Role.USER else d.assistant_speaker
+            directory.register(
+                str(Path(out_dir) / t.audio_ref), t.text, speaker.speaker_id if speaker else t.role.value
+            )
+
+
+class _InvalidDialogue(Exception):
+    """The finished dialogue breaks a schema invariant; the message lists the violations."""
+
+
+# Each stage maps (dialogue, context) to (dialogue, the manifest rows it produced).
+StageResult = tuple[Dialogue, Sequence[ManifestRow]]
+Stage = tuple[str, Callable[[RunContext], bool], Callable[[Dialogue, RunContext], StageResult]]
+
+
+def _crossturn(d: Dialogue, ctx: RunContext) -> StageResult:
+    return apply_crossturn_stage(d, ctx.cfg.crossturn, ctx.rng(d, "crossturn")), ()
+
+
+def _bargein(d: Dialogue, ctx: RunContext) -> StageResult:
+    judge, generator = ctx.clients.judge, ctx.clients.generator
+    return apply_bargein_stage(d, ctx.cfg.bargein, judge, generator, ctx.rng(d, "bargein")), ()
+
+
+def _disfluency(d: Dialogue, ctx: RunContext) -> StageResult:
+    rng = ctx.rng(d, "disfluency")
+    return d.with_turns(apply_disfluency_stage(d.turns, ctx.cfg.disfluency, ctx.clients.generator, rng)), ()
+
+
+def _emotion(d: Dialogue, ctx: RunContext) -> StageResult:
+    return annotate_dialogue(d, ctx.clients.judge, skip_labeled=d.source == "emowoz"), ()
+
+
+def _speakers(d: Dialogue, ctx: RunContext) -> StageResult:
+    rng = ctx.rng(d, "speaker")
+    user_sp = sample_user_speaker(ctx.pool, ctx.cfg.pool_weights, rng)
+    assistant_sp = assign_assistant_speaker(ctx.assistant_profiles, rng) if ctx.assistant_profiles else None
+    return dataclasses.replace(d, user_speaker=user_sp, assistant_speaker=assistant_sp), ()
+
+
+def _synthesis(d: Dialogue, ctx: RunContext) -> StageResult:
+    d, rows = synthesize_dialogue(d, ctx.clients.tts, ctx.cfg.out_dir, ctx.rng(d, "style"))
+    register_audio(ctx.clients.directory, d, ctx.cfg.out_dir)
+    return d, rows
+
+
+def _validate(d: Dialogue, ctx: RunContext) -> StageResult:
+    violations = validate_dialogue(d)
+    if violations:
+        raise _InvalidDialogue("; ".join(f"{v.rule}@{v.turn_index}" for v in violations[:5]))
+    return d, ()
+
+
+# The augment stages in run order: (name, enabled(ctx), apply). A dialogue
+# whose stage raises is quarantined under that stage's name.
+STAGES: tuple[Stage, ...] = (
+    ("crossturn", lambda ctx: ctx.cfg.stages.crossturn, _crossturn),
+    ("bargein", lambda ctx: ctx.cfg.stages.bargein, _bargein),
+    ("disfluency", lambda ctx: ctx.cfg.stages.disfluency, _disfluency),
+    ("emotion", lambda ctx: ctx.cfg.stages.emotion, _emotion),
+    ("speakers", lambda ctx: ctx.pool is not None, _speakers),
+    ("synthesis", lambda ctx: ctx.cfg.stages.synthesis, _synthesis),
+    ("validate", lambda ctx: True, _validate),
+)
 
 
 def process_dialogue(
-    d: Dialogue,
-    cfg: PipelineConfig,
-    clients: Clients,
-    pool: Pool | None = None,
-    assistant_profiles: Sequence | None = None,
-) -> tuple[Dialogue, list[ManifestRow]]:
-    """Apply the enabled stages to one dialogue; raises _StageFailure."""
-    seed = cfg.global_seed
-    stage = "crossturn"
-    try:
-        if cfg.stages.crossturn:
-            d = apply_crossturn_stage(d, cfg.crossturn, rng_for(seed, d.dialogue_id, "crossturn"))
-        stage = "bargein"
-        if cfg.stages.bargein:
-            d = apply_bargein_stage(
-                d, cfg.bargein, clients.judge, clients.generator, rng_for(seed, d.dialogue_id, "bargein")
-            )
-        stage = "disfluency"
-        if cfg.stages.disfluency:
-            turns = apply_disfluency_stage(
-                d.turns, cfg.disfluency, clients.generator, rng_for(seed, d.dialogue_id, "disfluency")
-            )
-            d = d.with_turns(turns)
-        stage = "emotion"
-        if cfg.stages.emotion:
-            d = annotate_dialogue(d, clients.judge, skip_labeled=d.source == "emowoz")
-        stage = "speakers"
-        if pool is not None:
-            rng = rng_for(seed, d.dialogue_id, "speaker")
-            user_sp = sample_user_speaker(pool, cfg.pool_weights, rng)
-            assistant_sp = (
-                assign_assistant_speaker(assistant_profiles, rng) if assistant_profiles else None
-            )
-            d = dataclasses.replace(d, user_speaker=user_sp, assistant_speaker=assistant_sp)
-        stage = "synthesis"
-        rows: list[ManifestRow] = []
-        if cfg.stages.synthesis:
-            d, rows = synthesize_dialogue(
-                d, clients.tts, cfg.out_dir, rng_for(seed, d.dialogue_id, "style")
-            )
-            if clients.directory is not None:
-                speaker_for = {
-                    True: d.user_speaker.speaker_id if d.user_speaker else "user",
-                    False: d.assistant_speaker.speaker_id if d.assistant_speaker else "assistant",
-                }
-                for t in d.turns:
-                    if t.audio_ref:
-                        clients.directory.register(
-                            str(Path(cfg.out_dir) / t.audio_ref), t.text, speaker_for[t.role.value == "user"]
-                        )
-        stage = "validate"
-        violations = validate_dialogue(d)
-        if violations:
-            summary = "; ".join(f"{v.rule}@{v.turn_index}" for v in violations[:5])
-            raise _StageFailure("validate", summary)
-        return d, rows
-    except _StageFailure:
-        raise
-    except Exception as exc:
-        raise _StageFailure(stage, f"{type(exc).__name__}: {exc}") from exc
+    d: Dialogue, ctx: RunContext
+) -> tuple[Dialogue | None, list[ManifestRow], QuarantineRow | None]:
+    """Run the enabled STAGES over one dialogue: (dialogue, manifest rows, None),
+    or (None, [], QuarantineRow) for the first stage that raises."""
+    rows: list[ManifestRow] = []
+    for name, enabled, apply in STAGES:
+        if not enabled(ctx):
+            continue
+        try:
+            d, stage_rows = apply(d, ctx)
+        except Exception as exc:  # noqa: BLE001 - any stage failure quarantines the dialogue
+            reason = str(exc) if isinstance(exc, _InvalidDialogue) else f"{type(exc).__name__}: {exc}"
+            log.warning("%s quarantined at %s: %s", d.dialogue_id, name, reason)
+            return None, [], QuarantineRow(d.dialogue_id, name, reason)
+        rows.extend(stage_rows)
+    return d, rows, None
 
 
 def run_pipeline(dialogues: Sequence[Dialogue], cfg: PipelineConfig) -> RunResult:
-    clients = build_clients(cfg)
-    pool, assistant_profiles = _load_pools(cfg)
-
-    def one(d: Dialogue) -> tuple[Dialogue | None, list[ManifestRow], QuarantineRow | None]:
-        try:
-            out, rows = process_dialogue(d, cfg, clients, pool, assistant_profiles)
-            return out, rows, None
-        except _StageFailure as exc:
-            log.warning("%s quarantined at %s: %s", d.dialogue_id, exc.stage, exc.reason)
-            return None, [], QuarantineRow(d.dialogue_id, exc.stage, exc.reason)
-
+    ctx = RunContext.build(cfg)
     if cfg.workers <= 1:
-        results = [one(d) for d in dialogues]
+        results = [process_dialogue(d, ctx) for d in dialogues]
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool_exec:
-            results = list(pool_exec.map(one, dialogues))
+            results = list(pool_exec.map(process_dialogue, dialogues, repeat(ctx)))
 
     out: list[Dialogue] = []
     quarantined: list[QuarantineRow] = []
@@ -302,7 +322,7 @@ def run_pipeline(dialogues: Sequence[Dialogue], cfg: PipelineConfig) -> RunResul
     for processed, rows, bad in results:
         if bad is not None:
             quarantined.append(bad)
-        elif processed is not None:
+        else:
             out.append(processed)
             manifest.extend(rows)
     manifest.sort(key=lambda r: (r.dialogue_id, r.turn))
@@ -379,7 +399,3 @@ def wer_validation(
             rows.append((accent, t.text, hyp))
     return WerValidation(build_wer_report(rows), len(ordered), failed)
 
-
-def seed_for(global_seed: int, dialogue_id: str, stage: str) -> int:
-    """Exposed for reproducing a single dialogue's stream outside a run."""
-    return stable_seed(global_seed, dialogue_id, stage)

@@ -27,7 +27,7 @@ MAX_REF_DURATION_S = 25.0
 _COUNTRY_RETRIES = 1000
 
 
-class ConfigError(CorpusError):
+class ConfigError(ValueError):
     pass
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -126,34 +125,6 @@ def synthesize_dialogue(
             t = t.with_(audio_ref=job.out_path, duration_s=row.duration_s)
         turns.append(t)
     return d.with_turns(tuple(turns)), rows
-
-
-def synthesize_corpus(
-    dialogues: Sequence[Dialogue],
-    tts: TTSClient,
-    root: str | Path,
-    rng_for_dialogue,
-    workers: int = 1,
-    keyword_map: Mapping[Emotion, Sequence[str]] | None = None,
-) -> tuple[list[Dialogue], list[ManifestRow]]:
-    """Render many dialogues with bounded parallelism.
-
-    rng_for_dialogue maps a dialogue_id to its own seeded Random, so output is
-    independent of worker count and completion order.
-    """
-
-    def one(d: Dialogue) -> tuple[Dialogue, list[ManifestRow]]:
-        return synthesize_dialogue(d, tts, root, rng_for_dialogue(d.dialogue_id), keyword_map)
-
-    if workers <= 1:
-        results = [one(d) for d in dialogues]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, dialogues))
-    out_dialogues = [d for d, _ in results]
-    rows = [row for _, rs in results for row in rs]
-    rows.sort(key=lambda r: (r.dialogue_id, r.turn))
-    return out_dialogues, rows
 
 
 @dataclass(frozen=True)

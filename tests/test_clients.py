@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from todvoice import prompts
 from todvoice.clients import (
@@ -21,6 +22,9 @@ from todvoice.clients import (
 )
 from todvoice.corpus import BargeInStyle, BargeInType
 from todvoice.metrics import cosine, edit_distance, wer
+from todvoice.pipeline import PipelineConfig, build_clients
+
+_ROLES = ("generator", "judge", "tts", "asr", "embed")
 
 
 class TestClientConfig:
@@ -36,6 +40,28 @@ class TestClientConfig:
         assert cfg.resolved_endpoint("asr") == "http://special"
         assert cfg.resolved_endpoint("tts") == "http://default"
 
+    @pytest.mark.parametrize("role", _ROLES)
+    def test_every_role_env_override_reaches_its_client(self, role, monkeypatch):
+        cfg = PipelineConfig(stub=False, clients={r: ClientConfig(endpoint=f"http://{r}") for r in _ROLES})
+        monkeypatch.setenv(f"TODVOICE_{role.upper()}_ENDPOINT", "http://special")
+        clients = build_clients(cfg)
+        for r in _ROLES:
+            assert getattr(clients, r).endpoint == ("http://special" if r == role else f"http://{r}")
+
+
+def _http_error(status: int) -> requests.HTTPError:
+    resp = requests.Response()
+    resp.status_code = status
+    return requests.HTTPError(f"{status} error", response=resp)
+
+
+def _failing(exc: Exception, calls: list):
+    def fn():
+        calls.append(1)
+        raise exc
+
+    return fn
+
 
 class TestWithRetries:
     def test_succeeds_after_transient_failures(self):
@@ -44,7 +70,7 @@ class TestWithRetries:
         def flaky():
             calls.append(1)
             if len(calls) < 3:
-                raise RuntimeError("transient")
+                raise ConnectionError("transient")
             return "ok"
 
         assert with_retries(flaky, max_retries=2, backoff_s=0) == "ok"
@@ -67,6 +93,45 @@ class TestWithRetries:
         with pytest.raises(ClientError):
             with_retries(broken, max_retries=0, backoff_s=0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            ConnectionError("reset"),
+            TimeoutError("slow"),
+            requests.ConnectionError("refused"),
+            requests.Timeout("read timed out"),
+            _http_error(429),
+            _http_error(500),
+            _http_error(503),
+        ],
+        ids=repr,
+    )
+    def test_transient_failures_retried(self, exc):
+        calls = []
+        with pytest.raises(ClientError, match="after 3 attempts"):
+            with_retries(_failing(exc, calls), max_retries=2, backoff_s=0)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            _http_error(400),
+            _http_error(401),
+            _http_error(404),
+            requests.HTTPError("no response attached"),
+            KeyError("choices"),
+            ValueError("Expecting value: line 1 column 1"),
+            RuntimeError("bug"),
+        ],
+        ids=repr,
+    )
+    def test_other_failures_not_retried(self, exc):
+        calls = []
+        with pytest.raises(ClientError) as info:
+            with_retries(_failing(exc, calls), max_retries=2, backoff_s=0)
+        assert len(calls) == 1
+        assert info.value.__cause__ is exc
 
 
 class TestPlausibleWrong:

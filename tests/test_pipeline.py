@@ -9,23 +9,25 @@ from pathlib import Path
 import pytest
 
 from conftest import assistant_pool_profiles, make_dialogue, user_pool_profiles
+from todvoice import pipeline, speakers
 from todvoice.corpus import BARGEIN_TOKEN, Dialogue, Role, dumps_dialogue
 from todvoice.clients import StubASRClient, StubChatClient, StubDirectory, StubEmbedClient, StubTTSClient
 from todvoice.metrics import WerCell, format_wer_report
 from todvoice.pipeline import (
+    STAGES,
     ConfigError,
     PipelineConfig,
+    RunContext,
     StageToggles,
     build_clients,
     config_from_dict,
     largest_remainder_sizes,
     load_config,
+    process_dialogue,
     run_pipeline,
-    seed_for,
     split_corpus,
     wer_validation,
 )
-from todvoice.seeding import stable_seed
 from todvoice.speakers import save_speaker_manifest
 
 _DATA = Path(__file__).parent / "data"
@@ -113,6 +115,19 @@ class TestConfig:
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="unknown keys in stages"):
             config_from_dict({"stages": {"bogus": True}})
+        # Fields that were once accepted but never read are unknown keys too.
+        for data in (
+            {"bargein": {"seed": 1}},
+            {"crossturn": {"p_categorical": 0.1}},
+            {"crossturn": {"categorical_corrections": True}},
+        ):
+            (section,) = data
+            with pytest.raises(ConfigError, match=f"unknown keys in {section}"):
+                config_from_dict(data)
+
+    def test_one_config_error_type(self):
+        assert pipeline.ConfigError is speakers.ConfigError
+        assert issubclass(ConfigError, ValueError)
 
     def test_workers_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -128,9 +143,6 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.global_seed == 9
         assert not cfg.stages.emotion
-
-    def test_seed_for_matches_stable_seed(self):
-        assert seed_for(3, "dlg-1", "bargein") == stable_seed(3, "dlg-1", "bargein")
 
 
 class TestBuildClients:
@@ -264,6 +276,19 @@ class TestQuarantine:
         assert result.quarantined[0].stage == "validate"
         assert "turns.alternation" in result.quarantined[0].reason
 
+    def test_validate_reason_is_the_bare_violation_summary(self, tmp_path):
+        bad = make_dialogue(
+            [(Role.USER, "One."), (Role.USER, "Two."), (Role.USER, "Three."), (Role.ASSISTANT, "Noted.")],
+            dialogue_id="bad-0003",
+        )
+        off = StageToggles(crossturn=False, bargein=False, disfluency=False, emotion=False, synthesis=False)
+        (row,) = run_pipeline([bad], PipelineConfig(out_dir=str(tmp_path / "out"), stages=off)).quarantined
+        assert row.to_dict() == {
+            "dialogue_id": "bad-0003",
+            "stage": "validate",
+            "reason": "turns.alternation@1; turns.alternation@2",
+        }
+
     def test_stage_exception_recorded_with_stage_name(self, tmp_path):
         dialogues = _pipeline_corpus(2)
         user_m, _ = _manifests(tmp_path)
@@ -279,6 +304,32 @@ class TestQuarantine:
         assert len(result.quarantined) == 2
         assert all(q.stage == "speakers" for q in result.quarantined)
         assert "10 speakers" in result.quarantined[0].reason
+
+    # The public function each STAGES row calls into.
+    _CALLEES = {
+        "crossturn": "apply_crossturn_stage",
+        "bargein": "apply_bargein_stage",
+        "disfluency": "apply_disfluency_stage",
+        "emotion": "annotate_dialogue",
+        "speakers": "sample_user_speaker",
+        "synthesis": "synthesize_dialogue",
+        "validate": "validate_dialogue",
+    }
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in STAGES])
+    def test_quarantine_stage_named_by_table_row(self, name, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError(f"{name} broke")
+
+        monkeypatch.setattr(pipeline, self._CALLEES[name], boom)
+        user_m, asst_m = _manifests(tmp_path)
+        cfg = PipelineConfig(
+            out_dir=str(tmp_path / "out"), speaker_manifest=user_m, assistant_manifest=asst_m
+        )
+        d = _pipeline_corpus(1)[0]
+        out, rows, bad = process_dialogue(d, RunContext.build(cfg))
+        assert (out, rows) == (None, [])
+        assert (bad.dialogue_id, bad.stage, bad.reason) == (d.dialogue_id, name, f"RuntimeError: {name} broke")
 
 
 class TestLargestRemainder:

@@ -16,7 +16,6 @@ from todvoice.synthesis import (
     build_job,
     style_instruction,
     synthesize,
-    synthesize_corpus,
     synthesize_dialogue,
     turn_out_path,
     verify_durations,
@@ -95,22 +94,17 @@ class TestSynthesize:
 
     def test_synthesize_dialogue_attaches_audio(self, tmp_path):
         d = _labeled_dialogue()
-        out, rows = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "ok"))
+        out, rows = synthesize_dialogue(d, StubTTSClient(), tmp_path / "r1", rng_for(0, "ok"))
         assert [r.status for r in rows] == ["ok"] * len(d.turns)
         for t in out.turns:
             assert t.audio_ref == turn_out_path(d.dialogue_id, t.index)
             assert t.duration_s is not None
-            assert (tmp_path / t.audio_ref).exists()
-
-    def test_corpus_rows_sorted_and_deterministic(self, tmp_path):
-        ds = [_labeled_dialogue("dlg-b"), _labeled_dialogue("dlg-a")]
-        out1, rows1 = synthesize_corpus(ds, StubTTSClient(), tmp_path / "r1",
-                                        lambda did: rng_for(0, did, "style"), workers=2)
-        out2, rows2 = synthesize_corpus(ds, StubTTSClient(), tmp_path / "r2",
-                                        lambda did: rng_for(0, did, "style"), workers=1)
-        assert [r.to_dict() for r in rows1] == [r.to_dict() for r in rows2]
-        ids = [(r.dialogue_id, r.turn) for r in rows1]
-        assert ids == sorted(ids)
+            assert (tmp_path / "r1" / t.audio_ref).exists()
+        again, rows_again = synthesize_dialogue(d, StubTTSClient(), tmp_path / "r2", rng_for(0, "ok"))
+        assert again == out
+        assert [r.to_dict() for r in rows_again] == [r.to_dict() for r in rows]
+        for t in out.turns:
+            assert (tmp_path / "r2" / t.audio_ref).read_bytes() == (tmp_path / "r1" / t.audio_ref).read_bytes()
 
 
 class TestVerifyDurations:
