@@ -25,7 +25,7 @@ from .corpus import (
     Dialogue,
     Role,
     Turn,
-    renumber,
+    splice_turns,
 )
 
 log = logging.getLogger(__name__)
@@ -155,42 +155,11 @@ def generate_insertion(
 
 def apply_insertion(d: Dialogue, at: int, block: InsertionBlock) -> Dialogue:
     """Splice the block immediately before the assistant response to turn `at`."""
-    splice = at + 1
-    width = len(block.turns)
-    new: list[Turn] = list(d.turns[:splice])
-    for i, (role, text) in enumerate(block.turns):
-        meta = block.meta if i < 2 else None
-        new.append(Turn(index=0, role=role, text=text, bargein=meta))
-    new.extend(d.turns[splice:])
-
-    # Cross-turn correction pointers and per-turn states past the splice move down.
-    shifted: list[Turn] = []
-    for t in new:
-        ct = t.crossturn
-        if ct is not None and ct.corrected_in_turn is not None and ct.corrected_in_turn >= splice:
-            ct = type(ct)(
-                slot_name=ct.slot_name,
-                chunk_index=ct.chunk_index,
-                chunk_text=ct.chunk_text,
-                is_error=ct.is_error,
-                corrected_in_turn=ct.corrected_in_turn + width,
-            )
-            t = t.with_(crossturn=ct)
-        shifted.append(t)
-
-    state = None
-    if d.state_per_turn is not None:
-        state = {(k + width if k >= splice else k): v for k, v in d.state_per_turn.items()}
-
-    return Dialogue(
-        dialogue_id=d.dialogue_id,
-        source=d.source,
-        goal=d.goal,
-        turns=renumber(shifted),
-        user_speaker=d.user_speaker,
-        assistant_speaker=d.assistant_speaker,
-        state_per_turn=state,
-    )
+    new_turns = [
+        Turn(index=0, role=role, text=text, bargein=block.meta if i < 2 else None)
+        for i, (role, text) in enumerate(block.turns)
+    ]
+    return splice_turns(d, at + 1, at + 1, new_turns)
 
 
 def apply_bargein_stage(

@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 
 from .clients import ClientError
-from .corpus import CorpusError, load_corpus, save_corpus, validate_dialogue
+from .corpus import CorpusError, iter_records, load_corpus, save_corpus, validate_dialogue
 from .ingest import SOURCES, SourceRecord, adapt
 from .metrics import (
     aggregate_similarity,
@@ -75,25 +75,13 @@ def main(ctx: click.Context, seed: int | None, stub: bool | None, config_path: s
     ctx.obj = cfg
 
 
-def _read_records(path: str) -> list[dict]:
-    text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        data = json.loads(text)
-        return list(data)
-    if stripped.startswith("{") and "\n{" not in text:
-        return [json.loads(text)]
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
 @main.command()
 @click.option("--source", type=click.Choice(SOURCES), required=True, help="Source corpus format.")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_path", type=click.Path(dir_okay=False))
 def ingest(source: str, input_path: str, output_path: str) -> None:
     """Convert source-corpus records into the unified schema."""
-    records = _read_records(input_path)
-    dialogues = [adapt(SourceRecord(source, raw)) for raw in records]
+    dialogues = [adapt(SourceRecord(source, raw)) for raw in iter_records(input_path)]
     save_corpus(dialogues, output_path)
     click.echo(f"ingested {len(dialogues)} dialogues -> {output_path}")
 

@@ -20,7 +20,6 @@ from . import prompts
 from .seeding import rng_for, stable_seed
 
 DEFAULT_SAMPLE_RATE = 24_000
-STUB_SECONDS_PER_CHAR = 0.06
 
 ENV_TOKEN = "TODVOICE_API_TOKEN"
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 BARGEIN_TOKEN = "<bargein>"
 
@@ -252,6 +252,75 @@ class Violation:
 def renumber(turns: Iterable[Turn]) -> tuple[Turn, ...]:
     """Reassign dense indices from 0 preserving order."""
     return tuple(t.with_(index=i) for i, t in enumerate(turns))
+
+
+# --- dialogue edits ------------------------------------------------------------
+
+def splice_turns(d: Dialogue, start: int, stop: int, block: Sequence[Turn]) -> Dialogue:
+    """Replace d.turns[start:stop] with block and renumber.
+
+    Kept turns past the edit move by the change in length, and so do their
+    cross-turn correction pointers and per-turn states; a state keyed inside
+    [start, stop) is keyed at start. Block turns are taken as already final
+    (their pointers are absolute), apart from their indices.
+    """
+    delta = len(block) - (stop - start)
+
+    def moved(t: Turn) -> Turn:
+        ct = t.crossturn
+        if ct is None or ct.corrected_in_turn is None or ct.corrected_in_turn < stop:
+            return t
+        return replace(t, crossturn=replace(ct, corrected_in_turn=ct.corrected_in_turn + delta))
+
+    kept = [moved(t) for t in d.turns]
+    turns = renumber(kept[:start] + list(block) + kept[stop:])
+    state = None
+    if d.state_per_turn is not None:
+        state = {
+            (k + delta if k >= stop else start if k >= start else k): v
+            for k, v in d.state_per_turn.items()
+        }
+    return replace(d, turns=turns, state_per_turn=state)
+
+
+def shift_spans(
+    spans: Iterable[tuple[str, int, int]], at: int, delta: int
+) -> tuple[tuple[str, int, int], ...]:
+    """Move the spans that start at or after character `at` by delta."""
+    return tuple((name, s + delta, e + delta) if s >= at else (name, s, e) for name, s, e in spans)
+
+
+@dataclass(frozen=True)
+class SpanReport:
+    matched: tuple[tuple[str, int, int], ...]
+    unmatched: tuple[tuple[str, str], ...]
+
+
+def locate_slot_spans(utterance: str, values: Sequence[tuple[str, str]]) -> SpanReport:
+    """Leftmost non-overlapping exact matches; misses are reported, not guessed."""
+    matched: list[tuple[str, int, int]] = []
+    unmatched: list[tuple[str, str]] = []
+    taken: list[tuple[int, int]] = []
+    for name, value in values:
+        if not value:
+            unmatched.append((name, value))
+            continue
+        at = 0
+        placed = False
+        while True:
+            i = utterance.find(value, at)
+            if i < 0:
+                break
+            j = i + len(value)
+            if all(not (i < e and s < j) for s, e in taken):
+                matched.append((name, i, j))
+                taken.append((i, j))
+                placed = True
+                break
+            at = i + 1
+        if not placed:
+            unmatched.append((name, value))
+    return SpanReport(tuple(matched), tuple(unmatched))
 
 
 def validate_dialogue(d: Dialogue) -> list[Violation]:
@@ -570,16 +639,25 @@ def loads_dialogue(s: str) -> Dialogue:
     return dialogue_from_dict(json.loads(s))
 
 
+def iter_records(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Raw JSON records of a file holding a JSON array, one JSON object, or NDJSON.
+
+    A file that opens with "{" is one object unless a later line also opens
+    with "{" at its first column, which makes it NDJSON.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    head = text.lstrip()
+    if head.startswith("["):
+        yield from json.loads(text)
+    elif head.startswith("{") and "\n{" not in head:
+        yield json.loads(text)
+    else:
+        yield from (json.loads(line) for line in text.splitlines() if line.strip())
+
+
 def load_corpus(path: str | Path) -> list[Dialogue]:
     """Read a corpus file: NDJSON (one dialogue per line) or a JSON array/object."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return [dialogue_from_dict(x) for x in json.loads(text)]
-    if path.suffix == ".json" and stripped.startswith("{") and "\n{" not in text.strip():
-        return [dialogue_from_dict(json.loads(text))]
-    return [loads_dialogue(line) for line in text.splitlines() if line.strip()]
+    return [dialogue_from_dict(x) for x in iter_records(path)]
 
 
 def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .corpus import CrossTurnMeta, Dialogue, Role, Turn, renumber
+from .corpus import CrossTurnMeta, Dialogue, Role, Turn, shift_spans, splice_turns
 
 _DIGIT_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
 
@@ -116,20 +116,6 @@ def corrupt_chunk(chunk: str, rng: random.Random) -> str:
     return chunk[:i] + repl + chunk[i + 1 :]
 
 
-def _shift_spans(
-    spans: tuple[tuple[str, int, int], ...], drop: str, at: int, delta: int
-) -> tuple[tuple[str, int, int], ...]:
-    out = []
-    for name, s, e in spans:
-        if name == drop and s <= at < e:
-            continue
-        if s >= at:
-            out.append((name, s + delta, e + delta))
-        else:
-            out.append((name, s, e))
-    return tuple(out)
-
-
 def expand_turn(
     d: Dialogue,
     turn_idx: int,
@@ -160,12 +146,13 @@ def expand_turn(
         meta = CrossTurnMeta(slot_name=slot, chunk_index=i, chunk_text=chunk, is_error=(i == error_at))
         if i == 0:
             first_text = turn.text[:start] + dictated + turn.text[end:]
+            kept = [sp for sp in turn.slot_spans if not (sp[0] == slot and sp[1] <= start < sp[2])]
             delta = len(dictated) - (end - start)
             block.append(
                 turn.with_(
                     text=first_text,
                     tagged=None,
-                    slot_spans=_shift_spans(turn.slot_spans, slot, start, delta),
+                    slot_spans=shift_spans(kept, start, delta),
                     crossturn=meta,
                 )
             )
@@ -184,34 +171,12 @@ def expand_turn(
             i for i, t in enumerate(block)
             if t.crossturn and t.crossturn.chunk_index == error_at and t.crossturn.is_error and t.role is Role.USER
         )
-        corrected_abs = turn_idx + err_pos + 2
         err_turn = block[err_pos]
         block[err_pos] = err_turn.with_(
-            crossturn=CrossTurnMeta(
-                slot_name=slot,
-                chunk_index=error_at,
-                chunk_text=err_turn.crossturn.chunk_text,
-                is_error=True,
-                corrected_in_turn=corrected_abs,
-            )
+            crossturn=replace(err_turn.crossturn, corrected_in_turn=turn_idx + err_pos + 2)
         )
 
-    added = len(block) - 1
-    new_turns = renumber(list(d.turns[:turn_idx]) + block + list(d.turns[turn_idx + 1 :]))
-
-    state = None
-    if d.state_per_turn is not None:
-        state = {(k + added if k > turn_idx else k): v for k, v in d.state_per_turn.items()}
-
-    return Dialogue(
-        dialogue_id=d.dialogue_id,
-        source=d.source,
-        goal=d.goal,
-        turns=new_turns,
-        user_speaker=d.user_speaker,
-        assistant_speaker=d.assistant_speaker,
-        state_per_turn=state,
-    )
+    return splice_turns(d, turn_idx, turn_idx + 1, block)
 
 
 def reconstruct_value(d: Dialogue, slot: str) -> str:
@@ -252,26 +217,13 @@ def _merge_into_next_assistant(d: Dialogue, j: int) -> Dialogue:
     conf, nxt = d.turns[j], d.turns[j + 1]
     if conf.role is not Role.ASSISTANT or nxt.role is not Role.ASSISTANT:
         return d
-    shift = len(conf.text) + 1
     merged = nxt.with_(
         text=f"{conf.text} {nxt.text}",
         tagged=f"{conf.text} {nxt.tagged}" if nxt.tagged is not None else None,
-        slot_spans=tuple((n, s + shift, e + shift) for n, s, e in nxt.slot_spans),
+        slot_spans=shift_spans(nxt.slot_spans, 0, len(conf.text) + 1),
         crossturn=conf.crossturn,
     )
-    turns = renumber(list(d.turns[:j]) + [merged] + list(d.turns[j + 2 :]))
-    state = None
-    if d.state_per_turn is not None:
-        state = {(k if k <= j else k - 1): v for k, v in d.state_per_turn.items()}
-    return Dialogue(
-        dialogue_id=d.dialogue_id,
-        source=d.source,
-        goal=d.goal,
-        turns=turns,
-        user_speaker=d.user_speaker,
-        assistant_speaker=d.assistant_speaker,
-        state_per_turn=state,
-    )
+    return splice_turns(d, j, j + 2, [merged])
 
 
 def apply_crossturn_stage(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .clients import ChatClient, ClientError
 from . import prompts
-from .corpus import DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn
+from .corpus import DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn, locate_slot_spans, shift_spans
 
 log = logging.getLogger(__name__)
 
@@ -114,36 +114,14 @@ def choose_position(
     return dtype, rng.choice(candidates)
 
 
-def _shift_spans_after(
-    spans: tuple[tuple[str, int, int], ...], k: int, delta: int
-) -> tuple[tuple[str, int, int], ...]:
-    return tuple((name, s + delta, e + delta) if s >= k else (name, s, e) for name, s, e in spans)
-
-
 def relocate_spans(
     new_text: str, spans: tuple[tuple[str, int, int], ...], old_text: str
 ) -> tuple[tuple[str, int, int], ...]:
     """Re-find span values in rewritten text; values that vanished are dropped."""
-    out: list[tuple[str, int, int]] = []
-    taken: list[tuple[int, int]] = []
-    for name, s, e in spans:
-        value = old_text[s:e]
-        at = 0
-        placed = False
-        while True:
-            i = new_text.find(value, at)
-            if i < 0:
-                break
-            j = i + len(value)
-            if all(not (i < e0 and s0 < j) for s0, e0 in taken):
-                out.append((name, i, j))
-                taken.append((i, j))
-                placed = True
-                break
-            at = i + 1
-        if not placed:
-            log.warning("slot %r lost during disfluency rewrite; span dropped", name)
-    return tuple(out)
+    report = locate_slot_spans(new_text, [(name, old_text[s:e]) for name, s, e in spans])
+    for name, _ in report.unmatched:
+        log.warning("slot %r lost during disfluency rewrite; span dropped", name)
+    return report.matched
 
 
 def _inject_insertion(t: Turn, dtype: str, position: int, rng: random.Random) -> Turn:
@@ -177,7 +155,7 @@ def _inject_insertion(t: Turn, dtype: str, position: int, rng: random.Random) ->
     return t.with_(
         text=new_text,
         tagged=new_tagged,
-        slot_spans=_shift_spans_after(t.slot_spans, k, len(plain)),
+        slot_spans=shift_spans(t.slot_spans, k, len(plain)),
         disfluency=t.disfluency + (meta,),
     )
 

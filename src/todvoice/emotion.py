@@ -47,18 +47,19 @@ def context_string(d: Dialogue, turn_index: int, window: int = 6) -> str:
 
 def annotate_turn(ctx: str, t: Turn, judge: ChatClient) -> Emotion:
     """Label one non-segment user turn; malformed output retries once then
-    falls back to neutral with a warning."""
+    falls back to neutral with a warning. A client failure, already retried
+    by the client if it was transient, falls back to neutral at once."""
     if t.role is not Role.USER:
         raise ValueError("emotion annotation applies to user turns only")
     if is_segment(t):
         raise ValueError("cross-turn segments inherit labels; do not annotate them")
     prompt = prompts.emotion_prompt(ctx, t.text)
-    for attempt in (1, 2):
+    for _ in (1, 2):
         try:
             label = parse_label(judge.complete(prompt))
         except ClientError as exc:
-            log.warning("emotion judge failed (%s), attempt %d", exc, attempt)
-            label = None
+            log.warning("emotion judge failed (%s); turn %d defaults to neutral", exc, t.index)
+            return Emotion.NEUTRAL
         if label is not None:
             return label
     log.warning("emotion judge gave no usable label for turn %d; defaulting to neutral", t.index)

@@ -19,10 +19,13 @@ from .corpus import (
     Emotion,
     Goal,
     Role,
+    SpanReport,
     SubGoal,
     Turn,
     dialogue_from_dict,
+    locate_slot_spans,
     renumber,
+    shift_spans,
 )
 
 log = logging.getLogger(__name__)
@@ -42,39 +45,6 @@ class SourceRecord:
     def __post_init__(self) -> None:
         if self.source not in SOURCES:
             raise AdaptError(f"unknown source {self.source!r}")
-
-
-@dataclass(frozen=True)
-class SpanReport:
-    matched: tuple[tuple[str, int, int], ...]
-    unmatched: tuple[tuple[str, str], ...]
-
-
-def locate_slot_spans(utterance: str, values: Sequence[tuple[str, str]]) -> SpanReport:
-    """Leftmost non-overlapping exact matches; misses are reported, not guessed."""
-    matched: list[tuple[str, int, int]] = []
-    unmatched: list[tuple[str, str]] = []
-    taken: list[tuple[int, int]] = []
-    for name, value in values:
-        if not value:
-            unmatched.append((name, value))
-            continue
-        at = 0
-        placed = False
-        while True:
-            i = utterance.find(value, at)
-            if i < 0:
-                break
-            j = i + len(value)
-            if all(not (i < e and s < j) for s, e in taken):
-                matched.append((name, i, j))
-                taken.append((i, j))
-                placed = True
-                break
-            at = i + 1
-        if not placed:
-            unmatched.append((name, value))
-    return SpanReport(tuple(matched), tuple(unmatched))
 
 
 def template_goal_text(goal_struct: Sequence[SubGoal]) -> str:
@@ -257,8 +227,7 @@ def _merge_consecutive(rows: list[tuple[Role, str, tuple[tuple[str, int, int], .
     for role, text, spans in rows:
         if turns and turns[-1].role is role:
             prev = turns[-1]
-            offset = len(prev.text) + 1
-            shifted = tuple((n, s + offset, e + offset) for n, s, e in spans)
+            shifted = shift_spans(spans, 0, len(prev.text) + 1)
             turns[-1] = prev.with_(text=f"{prev.text} {text}", slot_spans=prev.slot_spans + shifted)
         else:
             turns.append(Turn(index=len(turns), role=role, text=text, slot_spans=spans))

@@ -115,7 +115,8 @@ def judge_turn_coverage(
 ) -> GoalCoverageState:
     """Ask the judge which remaining items this user turn mentions.
 
-    Unparseable output retries once, then counts as an empty selection.
+    Unparseable output retries once, then counts as an empty selection; a
+    client failure counts as an empty selection at once.
     """
     turn_ordinal = state.turns_seen + 1
     remaining = state.remaining()
@@ -123,12 +124,12 @@ def judge_turn_coverage(
         return replace(state, turns_seen=turn_ordinal)
     prompt = prompts.coverage_prompt([item.render() for item in remaining], history, utterance)
     selection: list[int] | None = None
-    for attempt in (1, 2):
+    for _ in (1, 2):
         try:
             selection = parse_selection(judge.complete(prompt))
         except ClientError as exc:
-            log.warning("coverage judge failed (%s), attempt %d", exc, attempt)
-            selection = None
+            log.warning("coverage judge failed (%s); treating as empty selection", exc)
+            selection = []
         if selection is not None:
             break
     if selection is None:

@@ -110,23 +110,45 @@ _SCALAR_KEYS = (
     "asr_corruption",
 )
 
+_CLIENT_ROLES = ("generator", "judge", "tts", "asr", "embed")
+
+
+def _object(name: str, value: Any, known: Sequence[str]) -> Mapping[str, Any]:
+    """A JSON object whose keys are all in known, or a ConfigError."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be an object, not {type(value).__name__}")
+    bad = set(value) - set(known)
+    if bad:
+        raise ConfigError(f"unknown keys in {name}: {sorted(bad)}")
+    return value
+
+
+def _section(name: str, section_type: type, value: Any) -> Any:
+    fields = _object(name, value, [f.name for f in dataclasses.fields(section_type)])
+    try:
+        return section_type(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
 
 def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"config must be an object, not {type(data).__name__}")
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key in _SCALAR_KEYS:
             kwargs[key] = value
         elif key == "split_ratios":
+            if not isinstance(value, list):
+                raise ConfigError("split_ratios must be a list of three numbers")
             kwargs[key] = tuple(value)
         elif key in _SECTION_TYPES:
-            section_type = _SECTION_TYPES[key]
-            known = {f.name for f in dataclasses.fields(section_type)}
-            bad = set(value) - known
-            if bad:
-                raise ConfigError(f"unknown keys in {key}: {sorted(bad)}")
-            kwargs[key] = section_type(**value)
+            kwargs[key] = _section(key, _SECTION_TYPES[key], value)
         elif key == "clients":
-            kwargs[key] = {role: ClientConfig(**cc) for role, cc in value.items()}
+            kwargs[key] = {
+                role: _section(f"clients.{role}", ClientConfig, cc)
+                for role, cc in _object(key, value, _CLIENT_ROLES).items()
+            }
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-CLASSES = ("listen", "turnend", "bargein")
 FIRE_CLASSES = ("turnend", "bargein")
 STRATEGY_NAMES = ("argmax", "prob_threshold", "tail_threshold", "listen_relative", "linear_weighted")
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import pytest
+import requests
 
+from todvoice.clients import ChatClient, with_retries
 from todvoice.corpus import Dialogue, Goal, Role, SubGoal, Turn
 from todvoice.speakers import ACCENT_POOLS, AGE_BINS, GENDERS, SpeakerProfile
 
@@ -35,6 +37,22 @@ def make_dialogue(texts=None, dialogue_id="dlg-0001", spans=None, source="generi
         for i, (role, text) in enumerate(texts)
     )
     return Dialogue(dialogue_id=dialogue_id, source=source, goal=make_goal(), turns=turns)
+
+
+class RejectingChat(ChatClient):
+    """A chat service that answers every request with HTTP 400; counts the requests."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def chat(self, messages):
+        def call():
+            self.calls += 1
+            resp = requests.Response()
+            resp.status_code = 400
+            raise requests.HTTPError("400 Bad Request", response=resp)
+
+        return with_retries(call, max_retries=2, backoff_s=0)
 
 
 def user_pool_profiles(countries=("US", "NG"), duration=12.0) -> list[SpeakerProfile]:

@@ -17,6 +17,7 @@ from todvoice.bargein import (
     sample_candidates,
 )
 from todvoice.clients import StubChatClient
+from todvoice.crossturn import CrossTurnConfig, expand_turn, reconstruct_value
 from todvoice.corpus import (
     BargeInStyle,
     BargeInType,
@@ -183,6 +184,24 @@ class TestApplyInsertion:
         d = dataclasses.replace(d, state_per_turn={3: {"k": "v"}})
         out = apply_insertion(d, 2, self._block())
         assert out.state_per_turn == {6: {"k": "v"}}
+
+    @pytest.mark.parametrize("seed", range(3))  # the erroneous chunk is 1, 0, 2
+    def test_insertion_inside_a_dictation_block_keeps_the_correction(self, seed):
+        value = "0123456789"
+        text = f"My number is {value} thanks."
+        start = text.index(value)
+        d = make_dialogue(
+            texts=[(Role.USER, text), (Role.ASSISTANT, "Noted.")],
+            spans={0: (("phone", start, start + len(value)),)},
+        )
+        d = expand_turn(d, 0, "phone", ["012", "345", "6789"], rng_for(seed, "err"),
+                        CrossTurnConfig(p_error=1.0))
+        (err,) = [t.index for t in d.turns if t.crossturn and t.crossturn.is_error and t.role is Role.USER]
+        out = apply_insertion(d, err, self._block())
+        pointer = out.turns[err].crossturn.corrected_in_turn
+        assert pointer == err + 5
+        assert out.turns[pointer].text.startswith("Wait, I meant")
+        assert reconstruct_value(out, "phone") == value
 
 
 class TestStage:

@@ -57,6 +57,35 @@ class TestIngest:
         assert result.exit_code != 0
 
 
+class TestCorpusFileLayouts:
+    """ingest and the corpus-reading commands share one reader."""
+
+    @staticmethod
+    def _write(path: Path, layout: str) -> int:
+        records = [dialogue_to_dict(make_dialogue(dialogue_id=f"l-{i}")) for i in range(2)]
+        if layout == "array":
+            path.write_text(json.dumps(records, indent=2))
+            return 2
+        if layout == "object":
+            path.write_text("\n" + json.dumps(records[0], indent=2) + "\n")
+            return 1
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return 2
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    @pytest.mark.parametrize("layout", ["array", "object", "ndjson"])
+    def test_ingest_and_stats_accept_every_layout(self, runner, tmp_path, layout, suffix):
+        src = tmp_path / f"corpus{suffix}"
+        n = self._write(src, layout)
+        out = tmp_path / "out.jsonl"
+        result = runner.invoke(main, ["ingest", "--source", "generic", str(src), str(out)])
+        assert result.exit_code == 0, result.output
+        assert f"ingested {n} dialogues" in result.output
+        result = runner.invoke(main, ["stats", str(src)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["dialogues"] == n
+
+
 class TestAugment:
     def test_stub_run_writes_everything(self, runner, tmp_path):
         src = _corpus_file(tmp_path)
@@ -190,6 +219,21 @@ class TestCleanErrorBoundary:
         assert result.exit_code != 0
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "unknown config key 'speling'" in result.output
+
+    @pytest.mark.parametrize("config", [
+        '{"clients": {"tts": {"endpont": "x"}}}',
+        '{"stages": ["crossturn"]}',
+    ])
+    def test_bad_config_shape_is_one_line(self, runner, tmp_path, config):
+        src = _corpus_file(tmp_path, n=2)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        result = runner.invoke(main, ["--config", str(cfg), "validate", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
 
     def test_malformed_corpus_is_one_line(self, runner, tmp_path):
         src = tmp_path / "bad.jsonl"

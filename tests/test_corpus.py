@@ -11,6 +11,7 @@ from todvoice.corpus import (
     BargeInStyle,
     BargeInType,
     CorpusError,
+    CrossTurnMeta,
     Dialogue,
     DisfluencyMeta,
     Emotion,
@@ -27,6 +28,8 @@ from todvoice.corpus import (
     loads_dialogue,
     renumber,
     save_corpus,
+    shift_spans,
+    splice_turns,
     validate_dialogue,
 )
 
@@ -61,6 +64,44 @@ class TestModel:
     def test_renumber_makes_indices_dense(self):
         turns = [Turn(index=9, role=Role.USER, text="a"), Turn(index=9, role=Role.ASSISTANT, text="b")]
         assert [t.index for t in renumber(turns)] == [0, 1]
+
+
+class TestSpliceTurns:
+    def _dialogue(self):
+        d = make_dialogue(texts=[(Role.USER if i % 2 == 0 else Role.ASSISTANT, f"t{i}") for i in range(6)])
+        meta = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="012", is_error=True)
+        turns = list(d.turns)
+        turns[0] = turns[0].with_(crossturn=dataclasses.replace(meta, corrected_in_turn=4))
+        turns[1] = turns[1].with_(crossturn=dataclasses.replace(meta, corrected_in_turn=0))
+        return dataclasses.replace(d, turns=turns, state_per_turn={0: {"a": "0"}, 2: {"a": "2"}, 4: {"a": "4"}})
+
+    def test_block_replaces_range_and_indices_are_dense(self):
+        d = self._dialogue()
+        out = splice_turns(d, 1, 3, [Turn(index=99, role=Role.ASSISTANT, text="new")])
+        assert [t.text for t in out.turns] == ["t0", "new", "t3", "t4", "t5"]
+        assert [t.index for t in out.turns] == list(range(5))
+        assert (out.dialogue_id, out.goal) == (d.dialogue_id, d.goal)
+
+    def test_state_inside_the_range_is_keyed_at_start(self):
+        out = splice_turns(self._dialogue(), 1, 3, [Turn(index=0, role=Role.ASSISTANT, text="new")])
+        assert out.state_per_turn == {0: {"a": "0"}, 1: {"a": "2"}, 3: {"a": "4"}}
+
+    def test_pointers_at_or_past_stop_move_by_the_length_change(self):
+        block = [Turn(index=0, role=Role.ASSISTANT, text=f"n{i}") for i in range(3)]
+        out = splice_turns(self._dialogue(), 2, 2, block)
+        assert out.turns[0].crossturn.corrected_in_turn == 7
+        assert out.turns[1].crossturn.corrected_in_turn == 0
+        assert out.turns[7].text == "t4"
+        assert out.state_per_turn == {0: {"a": "0"}, 5: {"a": "2"}, 7: {"a": "4"}}
+
+
+class TestShiftSpans:
+    def test_span_starting_at_the_edit_moves(self):
+        spans = (("a", 0, 3), ("b", 4, 7), ("c", 9, 12))
+        assert shift_spans(spans, 4, 5) == (("a", 0, 3), ("b", 9, 12), ("c", 14, 17))
+
+    def test_span_across_the_edit_stays(self):
+        assert shift_spans((("a", 2, 6),), 4, -1) == (("a", 2, 6),)
 
 
 class TestValidator:

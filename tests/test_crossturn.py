@@ -204,6 +204,22 @@ class TestStage:
         assert "Saved. Anything else?" in last.text
         assert last.crossturn is not None
 
+    def test_stage_moves_the_pointers_of_a_later_dictation_block(self):
+        d = make_dialogue(
+            texts=[
+                (Role.USER, "Call me at 0123456789 please."),
+                (Role.ASSISTANT, "Saved."),
+                (Role.USER, "My code is AB12345."),
+                (Role.ASSISTANT, "Thanks."),
+            ],
+            spans={2: (("code", 11, 18),)},
+        )
+        d = apply_crossturn_stage(d, CrossTurnConfig(p_error=1.0), rng_for(0, "code", "xt"))
+        d = d.with_turns([d.turns[0].with_(slot_spans=(("phone", 11, 21),))] + list(d.turns[1:]))
+        out = apply_crossturn_stage(d, CrossTurnConfig(p_error=0.0), rng_for(0, "phone", "xt"))
+        (err,) = [t for t in out.user_turns() if t.crossturn and t.crossturn.is_error]
+        assert out.turns[err.crossturn.corrected_in_turn].text.startswith("Wait, I meant")
+
     def test_stage_ignores_dialogues_without_segmentable_slots(self, dialogue):
         out = apply_crossturn_stage(dialogue, CrossTurnConfig(), rng_for(0, "none", "xt"))
         assert out == dialogue

@@ -19,7 +19,7 @@ from todvoice.emotion import (
 )
 from todvoice.seeding import rng_for
 
-from conftest import make_dialogue
+from conftest import RejectingChat, make_dialogue
 
 
 def _seg_meta(i=0):
@@ -66,6 +66,12 @@ class TestAnnotateTurn:
 
         t = Turn(index=0, role=Role.USER, text="whatever")
         assert annotate_turn("", t, Garbled()) is Emotion.NEUTRAL
+
+    def test_permanent_client_error_is_sent_once(self):
+        judge = RejectingChat()
+        t = Turn(index=0, role=Role.USER, text="Thank you so much, that was great!")
+        assert annotate_turn("", t, judge) is Emotion.NEUTRAL
+        assert judge.calls == 1
 
 
 class TestInheritance:

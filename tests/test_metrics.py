@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from todvoice.clients import ChatClient, ClientError
+from todvoice.clients import ChatClient
 from todvoice.corpus import (
     BargeInMeta,
     BargeInStyle,
@@ -43,7 +43,7 @@ from todvoice.metrics import (
     wer,
 )
 
-from conftest import make_dialogue, make_goal
+from conftest import RejectingChat, make_dialogue, make_goal
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,11 +167,12 @@ class TestJudgeTurnCoverage:
         out = judge_turn_coverage(state, "", "u", _ScriptedJudge(["??", "[2]"]))
         assert len(out.covered) == 1
 
-    def test_client_error_treated_as_unparseable(self):
-        state = _state(2)
-        judge = _ScriptedJudge([ClientError("down"), "[1]"])
-        out = judge_turn_coverage(state, "", "u", judge)
-        assert len(out.covered) == 1
+    def test_permanent_client_error_is_sent_once(self):
+        judge = RejectingChat()
+        out = judge_turn_coverage(_state(2), "", "u", judge)
+        assert out.covered == ()
+        assert out.turns_seen == 1
+        assert judge.calls == 1
 
     def test_covered_item_not_reofferable(self):
         state = _state(2)

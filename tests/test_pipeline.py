@@ -124,6 +124,29 @@ class TestConfig:
             (section,) = data
             with pytest.raises(ConfigError, match=f"unknown keys in {section}"):
                 config_from_dict(data)
+        # Client sections are checked the same way, and so are their roles.
+        with pytest.raises(ConfigError, match=r"unknown keys in clients\.tts: \['endpont'\]"):
+            config_from_dict({"clients": {"tts": {"endpont": "x"}}})
+        with pytest.raises(ConfigError, match=r"unknown keys in clients: \['speech'\]"):
+            config_from_dict({"clients": {"speech": {"endpoint": "x"}}})
+
+    @pytest.mark.parametrize("data,where", [
+        ([], "config"),
+        ("stages", "config"),
+        ({"stages": ["crossturn"]}, "stages"),
+        ({"turn_taking": "argmax"}, "turn_taking"),
+        ({"clients": ["tts"]}, "clients"),
+        ({"clients": {"tts": "http://tts"}}, "clients.tts"),
+    ])
+    def test_non_object_section(self, data, where):
+        with pytest.raises(ConfigError, match=f"^{where} must be an object"):
+            config_from_dict(data)
+
+    def test_bad_section_values_are_config_errors(self):
+        with pytest.raises(ConfigError, match="turn_taking: .*strategy"):
+            config_from_dict({"turn_taking": {}})
+        with pytest.raises(ConfigError, match="clients.tts: timeout_s must be positive"):
+            config_from_dict({"clients": {"tts": {"timeout_s": 0}}})
 
     def test_one_config_error_type(self):
         assert pipeline.ConfigError is speakers.ConfigError
@@ -136,6 +159,8 @@ class TestConfig:
     def test_split_ratios_must_sum_to_one(self):
         with pytest.raises(ConfigError):
             config_from_dict({"split_ratios": [0.5, 0.5, 0.5]})
+        with pytest.raises(ConfigError, match="split_ratios must be a list"):
+            config_from_dict({"split_ratios": 5})
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
