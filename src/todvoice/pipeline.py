@@ -100,15 +100,25 @@ _SECTION_TYPES: dict[str, type] = {
     "turn_taking": StrategyConfig,
 }
 
-_SCALAR_KEYS = (
-    "global_seed",
-    "stub",
-    "workers",
-    "out_dir",
-    "speaker_manifest",
-    "assistant_manifest",
-    "asr_corruption",
-)
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str_or_null(v: Any) -> bool:
+    return v is None or isinstance(v, str)
+
+
+# key -> (what the value must be, check)
+_SCALARS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "global_seed": ("an integer", _is_int),
+    "stub": ("true or false", lambda v: isinstance(v, bool)),
+    "workers": ("an integer", _is_int),
+    "out_dir": ("a string", lambda v: isinstance(v, str)),
+    "speaker_manifest": ("a string or null", _is_str_or_null),
+    "assistant_manifest": ("a string or null", _is_str_or_null),
+    "asr_corruption": ("a number in [0, 1]", lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1),
+}
 
 _CLIENT_ROLES = ("generator", "judge", "tts", "asr", "embed")
 
@@ -136,7 +146,10 @@ def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
         raise ConfigError(f"config must be an object, not {type(data).__name__}")
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        if key in _SCALAR_KEYS:
+        if key in _SCALARS:
+            what, ok = _SCALARS[key]
+            if not ok(value):
+                raise ConfigError(f"{key} must be {what}, not {value!r}")
             kwargs[key] = value
         elif key == "split_ratios":
             if not isinstance(value, list):

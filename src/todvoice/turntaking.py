@@ -10,6 +10,7 @@ collapse merges correct with confused.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,8 @@ DEFAULT_THRESHOLDS: dict[str, tuple[float, float]] = {
 }
 
 _SUM_TOL = 1e-6
+
+_FIELD_OF = {"listen": "p_listen", "turnend": "p_turnend", "bargein": "p_bargein"}
 
 
 class ContractViolation(RuntimeError):
@@ -49,7 +52,7 @@ class ProbFrame:
             raise ValueError(f"frame probabilities sum to {total}, not 1")
 
     def p(self, cls: str) -> float:
-        return {"listen": self.p_listen, "turnend": self.p_turnend, "bargein": self.p_bargein}[cls]
+        return getattr(self, _FIELD_OF[cls])
 
 
 def frame_argmax(f: ProbFrame) -> str:
@@ -158,7 +161,7 @@ class StrategyState:
         if self.fired is not None:
             raise ContractViolation("stream already fired; no further frames accepted")
         self._window.append(frame)
-        decision = _decide(self.cfg, list(self._window), self._n)
+        decision = _decide(self.cfg, self._window, self._n)
         self._n += 1
         if decision.fired:
             self.fired = decision
@@ -241,32 +244,77 @@ class OutcomeReport:
         return {truth: counts.as_percentages() for truth, counts in self.per_truth.items()}
 
 
-def evaluate_set(
-    streams: Iterable[tuple[Sequence[ProbFrame], str]], cfg: StrategyConfig
-) -> OutcomeReport:
+def _tally(outcomes: Iterable[tuple[str, str]]) -> OutcomeReport:
+    """Count (truth, outcome) pairs; truths keep their first-seen order."""
     tallies: dict[str, dict[str, int]] = {}
-    for frames, truth in streams:
-        fire = run_stream(frames, cfg)
-        outcome = classify_outcome(fire, truth, trigger_window_of(len(frames)))
+    for truth, outcome in outcomes:
         tallies.setdefault(truth, {name: 0 for name in OUTCOME_CLASSES})[outcome] += 1
     return OutcomeReport({truth: OutcomeCounts(**counts) for truth, counts in tallies.items()})
 
 
+def evaluate_set(
+    streams: Iterable[tuple[Sequence[ProbFrame], str]], cfg: StrategyConfig
+) -> OutcomeReport:
+    return _tally(
+        (truth, classify_outcome(run_stream(frames, cfg), truth, trigger_window_of(len(frames))))
+        for frames, truth in streams
+    )
+
+
+def _score_maxima(
+    frames: Sequence[ProbFrame], strategy: str, window: int
+) -> tuple[list[float], list[float]]:
+    """Running maxima of the turn-end and barge-in window scores, one per frame.
+
+    Every score is a fresh window_score over the window StrategyState would
+    hold at that frame, so a threshold t is first exceeded at frame
+    bisect_right(maxima, t), exactly where the streaming replay fires.
+    """
+    max_te: list[float] = []
+    max_bi: list[float] = []
+    te = bi = float("-inf")
+    for i in range(len(frames)):
+        win = frames[max(0, i - window + 1): i + 1]
+        te = max(te, window_score(strategy, win, "turnend"))
+        bi = max(bi, window_score(strategy, win, "bargein"))
+        max_te.append(te)
+        max_bi.append(bi)
+    return max_te, max_bi
+
+
 def sweep_thresholds(
-    streams: Sequence[tuple[Sequence[ProbFrame], str]],
+    streams: Iterable[tuple[Sequence[ProbFrame], str]],
     strategy: str,
     te_values: Sequence[float],
     bi_values: Sequence[float],
     window: int = TRIGGER_WINDOW,
 ) -> list[dict[str, object]]:
+    """evaluate_set's table for every pair with 0 < t_bargein < t_turnend.
+
+    Each stream is scored once, in O(frames * window); a pair then costs two
+    bisections per stream. Inverted pairs are skipped.
+    """
+    cfgs = [
+        StrategyConfig(strategy, window=window, t_turnend=te, t_bargein=bi)
+        for te in te_values
+        for bi in bi_values
+        if 0 < bi < te
+    ]
+    if not cfgs:
+        return []
+    traces = [(*_score_maxima(frames, strategy, window), truth) for frames, truth in streams]
     rows: list[dict[str, object]] = []
-    for te in te_values:
-        for bi in bi_values:
-            if not 0 < bi < te:
-                continue
-            cfg = StrategyConfig(strategy, window=window, t_turnend=te, t_bargein=bi)
-            report = evaluate_set(streams, cfg)
-            rows.append({"t_turnend": te, "t_bargein": bi, "table": report.as_table()})
+    for cfg in cfgs:
+        outcomes = []
+        for max_te, max_bi, truth in traces:
+            i_te = bisect_right(max_te, cfg.t_turnend)
+            i_bi = bisect_right(max_bi, cfg.t_bargein)
+            i, n = min(i_te, i_bi), len(max_te)
+            # turn-end first: on a frame where both cross, the replay fires turn-end
+            fire = NO_FIRE if i == n else FireDecision(True, "turnend" if i_te <= i_bi else "bargein", i)
+            outcomes.append((truth, classify_outcome(fire, truth, trigger_window_of(n))))
+        table = _tally(outcomes).as_table()
+        rows.append({"t_turnend": cfg.t_turnend, "t_bargein": cfg.t_bargein, "table": table})
     return rows
 
 

@@ -223,6 +223,7 @@ class TestCleanErrorBoundary:
     @pytest.mark.parametrize("config", [
         '{"clients": {"tts": {"endpont": "x"}}}',
         '{"stages": ["crossturn"]}',
+        '{"stub": "no"}',
     ])
     def test_bad_config_shape_is_one_line(self, runner, tmp_path, config):
         src = _corpus_file(tmp_path, n=2)

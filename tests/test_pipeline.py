@@ -130,6 +130,34 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown keys in clients: \['speech'\]"):
             config_from_dict({"clients": {"speech": {"endpoint": "x"}}})
 
+    @pytest.mark.parametrize("data,message", [
+        ({"workers": 1.5}, "workers must be an integer, not 1.5"),
+        ({"workers": True}, "workers must be an integer, not True"),
+        ({"global_seed": [1]}, r"global_seed must be an integer, not \[1\]"),
+        ({"global_seed": "7"}, "global_seed must be an integer"),
+        ({"out_dir": 3}, "out_dir must be a string, not 3"),
+        ({"stub": "no"}, "stub must be true or false, not 'no'"),
+        ({"stub": 0}, "stub must be true or false"),
+        ({"speaker_manifest": 1}, r"speaker_manifest must be a string or null"),
+        ({"assistant_manifest": ["a.json"]}, r"assistant_manifest must be a string or null"),
+        ({"asr_corruption": 1.5}, r"asr_corruption must be a number in \[0, 1\]"),
+        ({"asr_corruption": -0.1}, r"asr_corruption must be a number in \[0, 1\]"),
+        ({"asr_corruption": float("nan")}, r"asr_corruption must be a number in \[0, 1\]"),
+        ({"asr_corruption": "0.1"}, r"asr_corruption must be a number in \[0, 1\]"),
+        ({"asr_corruption": True}, r"asr_corruption must be a number in \[0, 1\]"),
+    ])
+    def test_scalar_key_types(self, data, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            config_from_dict(data)
+
+    def test_scalar_keys_accept_their_types(self):
+        cfg = config_from_dict({
+            "global_seed": 3, "stub": False, "workers": 2, "out_dir": "o",
+            "speaker_manifest": None, "assistant_manifest": "a.json", "asr_corruption": 1,
+        })
+        assert (cfg.global_seed, cfg.stub, cfg.workers, cfg.out_dir) == (3, False, 2, "o")
+        assert (cfg.speaker_manifest, cfg.assistant_manifest, cfg.asr_corruption) == (None, "a.json", 1)
+
     @pytest.mark.parametrize("data,where", [
         ([], "config"),
         ("stages", "config"),

@@ -261,6 +261,64 @@ class TestEvaluateSet:
         assert combos == {(1.0, 0.5), (2.0, 0.5), (2.0, 1.5)}
 
 
+class TestSweep:
+    """sweep_thresholds against one evaluate_set replay per config."""
+
+    TE = [0.25, 0.5, 1.0, 1.5, 2.7, 3.0, 5.0, 6.0]
+    BI = [0.05, 0.25, 0.5, 1.0, 2.0, 5.0]
+
+    @staticmethod
+    def _streams(rng: random.Random):
+        # dyadic probabilities keep window sums exact, so scores land on the
+        # grid's thresholds; (0, 0.5, 0.5) frames cross both classes at once
+        te, bi, both = F(0.0, 1.0, 0.0), F(0.0, 0.0, 1.0), F(0.0, 0.5, 0.5)
+        pool = [LISTEN, te, bi, both, F(0.5, 0.5, 0.0), F(0.25, 0.25, 0.5), UNIFORM]
+        streams = [
+            ([LISTEN] * 12, "turnend"),  # never fires
+            ([LISTEN] * 3 + [te] * 6, "turnend"),  # 5.0 met exactly on frame 7
+            ([LISTEN] * 2 + [both] * 8, "bargein"),
+            ([te], "bargein"),
+        ]
+        for _ in range(24):
+            n = rng.randint(1, 16)
+            if rng.random() < 0.5:
+                frames = [rng.choice(pool) for _ in range(n)]
+            else:
+                frames = [_random_frame(rng) for _ in range(n)]
+            streams.append((frames, rng.choice(("turnend", "bargein"))))
+        return streams
+
+    def test_rows_equal_evaluate_set(self):
+        streams = self._streams(random.Random(20261018))
+        for strategy in DEFAULT_THRESHOLDS:
+            for window in range(1, 9):
+                rows = sweep_thresholds(streams, strategy, self.TE, self.BI, window=window)
+                pairs = [(te, bi) for te in self.TE for bi in self.BI if bi < te]
+                assert [(r["t_turnend"], r["t_bargein"]) for r in rows] == pairs
+                for row in rows:
+                    cfg = StrategyConfig(strategy, window, row["t_turnend"], row["t_bargein"])
+                    assert row["table"] == evaluate_set(streams, cfg).as_table(), (strategy, window, row)
+
+    def test_reads_a_generator_once(self):
+        streams = self._streams(random.Random(3))
+        rows = sweep_thresholds(iter(streams), "prob_threshold", [4.0, 5.0], [0.5])
+        assert len(rows) == 2
+        for row in rows:
+            cfg = StrategyConfig("prob_threshold", t_turnend=row["t_turnend"], t_bargein=0.5)
+            assert row["table"] == evaluate_set(streams, cfg).as_table() != {}
+
+    def test_empty_grid_and_empty_streams(self):
+        streams = self._streams(random.Random(4))
+        assert sweep_thresholds(streams, "prob_threshold", [], [0.5]) == []
+        assert sweep_thresholds(streams, "prob_threshold", [0.5], [1.0]) == []
+        rows = sweep_thresholds([], "tail_threshold", [2.7], [0.3])
+        assert rows == [{"t_turnend": 2.7, "t_bargein": 0.3, "table": {}}]
+
+    def test_argmax_takes_no_thresholds(self):
+        with pytest.raises(ValueError, match="argmax takes no thresholds"):
+            sweep_thresholds(self._streams(random.Random(5)), "argmax", [1.0], [0.5])
+
+
 class TestOracle:
     """Replay every strategy against an independent recomputation."""
 
