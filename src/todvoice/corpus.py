@@ -182,6 +182,14 @@ class SpeakerProfile:
 
 @dataclass(frozen=True)
 class Turn:
+    """One utterance with its spoken-behaviour metadata.
+
+    Fields are typed where untyped data enters (turn_from_dict and the ingest
+    adapters); the constructor and with_ take them as given and coerce
+    nothing: role is a Role, slot_spans a tuple of (name, start, end) tuples,
+    disfluency a tuple of DisfluencyMeta.
+    """
+
     index: int
     role: Role
     text: str
@@ -193,11 +201,6 @@ class Turn:
     crossturn: CrossTurnMeta | None = None
     audio_ref: str | None = None
     duration_s: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "role", Role(self.role))
-        object.__setattr__(self, "slot_spans", tuple(tuple(s) for s in self.slot_spans))
-        object.__setattr__(self, "disfluency", tuple(self.disfluency))
 
     @property
     def tagged_text(self) -> str:
@@ -216,9 +219,6 @@ class Dialogue:
     user_speaker: SpeakerProfile | None = None
     assistant_speaker: SpeakerProfile | None = None
     state_per_turn: dict[int, dict[str, str]] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", tuple(self.turns))
 
     def with_turns(self, turns: Iterable[Turn]) -> "Dialogue":
         return replace(self, turns=tuple(turns))
@@ -250,8 +250,9 @@ class Violation:
 
 
 def renumber(turns: Iterable[Turn]) -> tuple[Turn, ...]:
-    """Reassign dense indices from 0 preserving order."""
-    return tuple(t.with_(index=i) for i, t in enumerate(turns))
+    """Reassign dense indices from 0 preserving order; a turn already at its
+    index is kept as it is."""
+    return tuple(t if t.index == i else t.with_(index=i) for i, t in enumerate(turns))
 
 
 # --- dialogue edits ------------------------------------------------------------

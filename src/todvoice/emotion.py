@@ -9,7 +9,6 @@ phrase the synthesis style instruction.
 from __future__ import annotations
 
 import logging
-import random
 import re
 
 from .clients import ChatClient, ClientError
@@ -67,15 +66,15 @@ def annotate_turn(ctx: str, t: Turn, judge: ChatClient) -> Emotion:
 
 
 def inherit_labels(d: Dialogue) -> Dialogue:
-    """Propagate labels: segments copy their anchor turn, assistants go neutral."""
+    """Propagate labels: segments copy their anchor turn, assistants go neutral.
+
+    A turn whose label is already right is kept as it is."""
     last_user_label = Emotion.NEUTRAL
     out: list[Turn] = []
     for t in d.turns:
-        if t.role is Role.ASSISTANT:
-            out.append(t.with_(emotion=Emotion.NEUTRAL))
-            continue
-        if is_segment(t):
-            out.append(t.with_(emotion=last_user_label))
+        if t.role is Role.ASSISTANT or is_segment(t):
+            label = Emotion.NEUTRAL if t.role is Role.ASSISTANT else last_user_label
+            out.append(t if t.emotion is label else t.with_(emotion=label))
             continue
         if t.emotion is None:
             log.warning("unlabeled user turn %d in %s; defaulting to neutral", t.index, d.dialogue_id)
@@ -101,7 +100,3 @@ def annotate_dialogue(d: Dialogue, judge: ChatClient, skip_labeled: bool = False
             t = t.with_(emotion=annotate_turn(context_string(d, t.index), t, judge))
         turns.append(t)
     return inherit_labels(d.with_turns(tuple(turns)))
-
-
-def keyword_for(label: Emotion, rng: random.Random) -> str:
-    return rng.choice(KEYWORDS[label])

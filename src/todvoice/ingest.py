@@ -24,7 +24,6 @@ from .corpus import (
     Turn,
     dialogue_from_dict,
     locate_slot_spans,
-    renumber,
     shift_spans,
 )
 
@@ -134,7 +133,7 @@ def _adapt_sgd(raw: Mapping[str, Any]) -> Dialogue:
         dialogue_id=str(raw["dialogue_id"]),
         source="sgd",
         goal=goal,
-        turns=renumber(tuple(turns)),
+        turns=tuple(turns),
         state_per_turn=state_per_turn,
     )
 
@@ -182,7 +181,7 @@ def _adapt_tm2(raw: Mapping[str, Any]) -> Dialogue:
         dialogue_id=str(raw.get("conversation_id") or raw["dialogue_id"]),
         source="tm2",
         goal=goal,
-        turns=renumber(tuple(turns)),
+        turns=tuple(turns),
     )
 
 
@@ -283,7 +282,7 @@ def _adapt_abcd(raw: Mapping[str, Any]) -> Dialogue:
         dialogue_id=str(raw.get("convo_id") or raw["dialogue_id"]),
         source="abcd",
         goal=Goal(text=text, sub_goals=sub_goals),
-        turns=renumber(tuple(out_turns)),
+        turns=tuple(out_turns),
     )
 
 
@@ -374,6 +373,6 @@ def _adapt_woz(raw: Mapping[str, Any], source: str) -> Dialogue:
         dialogue_id=str(raw.get("dialogue_id") or raw.get("id")),
         source=source,
         goal=goal,
-        turns=renumber(tuple(turns)),
+        turns=tuple(turns),
         state_per_turn=state_per_turn,
     )

@@ -66,22 +66,16 @@ def turn_out_path(dialogue_id: str, turn_index: int) -> str:
     return f"{AUDIO_SUBDIR}/{dialogue_id}/turn{turn_index:02d}.wav"
 
 
-def build_job(
-    d: Dialogue,
-    turn_idx: int,
-    keyword_map: Mapping[Emotion, Sequence[str]] | None = None,
-    rng: random.Random | None = None,
-) -> SynthesisJob:
+def build_job(d: Dialogue, turn_idx: int, rng: random.Random) -> SynthesisJob:
     t = d.turns[turn_idx]
     if t.emotion is None:
         raise ValueError(f"turn {turn_idx} is unlabeled; run emotion annotation first")
-    rng = rng or random.Random(0)
     speaker = d.user_speaker if t.role is Role.USER else d.assistant_speaker
     return SynthesisJob(
         dialogue_id=d.dialogue_id,
         turn_index=turn_idx,
         normalized_text=normalize_text(t.text),
-        style_instruction=style_instruction(t.emotion, keyword_map or KEYWORDS, rng),
+        style_instruction=style_instruction(t.emotion, KEYWORDS, rng),
         speaker_ref=speaker.ref_audio if speaker is not None else None,
         out_path=turn_out_path(d.dialogue_id, turn_idx),
     )
@@ -108,7 +102,6 @@ def synthesize_dialogue(
     tts: TTSClient,
     root: str | Path,
     rng: random.Random,
-    keyword_map: Mapping[Emotion, Sequence[str]] | None = None,
 ) -> tuple[Dialogue, list[ManifestRow]]:
     rows: list[ManifestRow] = []
     turns: list[Turn] = []
@@ -118,7 +111,7 @@ def synthesize_dialogue(
             rows.append(ManifestRow(d.dialogue_id, t.index, "failed"))
             turns.append(t)
             continue
-        job = build_job(d, t.index, keyword_map, rng)
+        job = build_job(d, t.index, rng)
         row = synthesize(job, tts, root)
         rows.append(row)
         if row.status == "ok":

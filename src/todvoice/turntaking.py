@@ -45,8 +45,12 @@ class ProbFrame:
 
     def __post_init__(self) -> None:
         for p in (self.p_listen, self.p_turnend, self.p_bargein):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
+            try:
+                in_range = 0.0 <= p <= 1.0
+            except TypeError:
+                in_range = False
+            if not in_range:
+                raise ValueError(f"probability {p!r} is not a number in [0, 1]")
         total = self.p_listen + self.p_turnend + self.p_bargein
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"frame probabilities sum to {total}, not 1")
@@ -175,15 +179,6 @@ def run_stream(frames: Iterable[ProbFrame], cfg: StrategyConfig) -> FireDecision
         if decision.fired:
             return decision
     return NO_FIRE
-
-
-def label_frames(n_tokens: int, turn_type: str) -> list[str]:
-    if n_tokens < 1:
-        raise ValueError("a stream holds at least one frame")
-    if turn_type not in FIRE_CLASSES:
-        raise ValueError(f"terminal label must be one of {FIRE_CLASSES}")
-    tail = min(n_tokens, TRIGGER_WINDOW)
-    return ["listen"] * (n_tokens - tail) + [turn_type] * tail
 
 
 def trigger_window_of(n_frames: int) -> tuple[int, int]:
@@ -329,7 +324,9 @@ class LabeledStream:
 
 
 def read_streams(path: str | Path) -> list[LabeledStream]:
-    """Newline-delimited records {stream_id, t, truth, p_listen, p_turnend, p_bargein}."""
+    """Newline-delimited records {stream_id, t, truth, p_listen, p_turnend, p_bargein}.
+
+    A bad record raises ValueError naming the file and its line."""
     grouped: dict[str, list[tuple[int, ProbFrame]]] = {}
     truths: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -337,14 +334,19 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            sid = str(rec.get("stream_id", "0"))
-            frame = ProbFrame(rec["p_listen"], rec["p_turnend"], rec["p_bargein"])
-            grouped.setdefault(sid, []).append((int(rec.get("t", line_no)), frame))
-            if "truth" in rec:
-                prev = truths.setdefault(sid, rec["truth"])
-                if prev != rec["truth"]:
-                    raise ValueError(f"stream {sid} carries conflicting truth labels")
+            try:
+                rec = json.loads(line)
+                frame = ProbFrame(rec["p_listen"], rec["p_turnend"], rec["p_bargein"])
+                sid = str(rec.get("stream_id", "0"))
+                grouped.setdefault(sid, []).append((int(rec.get("t", line_no)), frame))
+                if "truth" in rec:
+                    prev = truths.setdefault(sid, rec["truth"])
+                    if prev != rec["truth"]:
+                        raise ValueError(f"stream {sid} carries conflicting truth labels")
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: missing {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     out: list[LabeledStream] = []
     for sid, rows in grouped.items():
         if sid not in truths:

@@ -467,6 +467,33 @@ class TestPipelineDeterminism:
         _report("PASS split sizes: 1000 dialogues -> exactly 750/100/150")
 
 
+class TestProductPathTypes:
+    def test_stage_output_keeps_turn_field_types(self, tmp_path):
+        # Turn and Dialogue constructors coerce nothing, so every stage must
+        # build its turns with the types the JSON boundary produces.
+        user_m = tmp_path / "speakers.json"
+        asst_m = tmp_path / "assistants.json"
+        save_speaker_manifest(user_pool_profiles(), user_m)
+        save_speaker_manifest(assistant_pool_profiles(), asst_m)
+        cfg = PipelineConfig(global_seed=7, out_dir=str(tmp_path / "run"),
+                             speaker_manifest=str(user_m), assistant_manifest=str(asst_m))
+        result = run_pipeline(_fixture_corpus(20), cfg)
+        assert not result.quarantined
+        turns = [t for d in result.dialogues for t in d.turns]
+        for d in result.dialogues:
+            assert type(d.turns) is tuple
+        for t in turns:
+            assert type(t.role) is Role
+            assert type(t.slot_spans) is tuple and all(type(sp) is tuple for sp in t.slot_spans)
+            assert type(t.disfluency) is tuple
+            assert t.emotion is not None and t.audio_ref is not None
+        # every editing stage ran on this corpus
+        assert any(t.crossturn for t in turns)
+        assert any(t.bargein for t in turns)
+        assert any(t.disfluency for t in turns)
+        _report(f"PASS product-path types: {len(turns)} turns of 20 dialogues after every stage")
+
+
 class TestFluentRoundTrip:
     def test_projection_recovers_original_text(self):
         rng = random.Random(909)

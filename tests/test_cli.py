@@ -281,6 +281,24 @@ class TestEvalTurnTaking:
         assert report["thresholds"] == {"turnend": 0.5, "bargein": 0.25}
         assert report["rows"]["turnend"]["correct"] == 100.0
 
+    @pytest.mark.parametrize("record", [
+        '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 1.0, "p_turnend": 0.0}',
+        '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 1.0, "p_turnend": "x", "p_bargein": 0.0}',
+        '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 2.0, "p_turnend": 0.0, "p_bargein": 0.0}',
+    ])
+    def test_bad_stream_record_is_one_line(self, runner, tmp_path, record):
+        src = tmp_path / "streams.jsonl"
+        src.write_text(
+            '{"stream_id": "s1", "t": 0, "truth": "turnend", "p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0}\n'
+            + record + "\n"
+        )
+        result = runner.invoke(main, ["eval-turn-taking", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"Error: {src}:2: "), result.output
+
 
 class TestEvalDialogue:
     def test_coverage_summary(self, runner, tmp_path):

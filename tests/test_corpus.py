@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -37,9 +38,23 @@ from conftest import make_dialogue, make_goal
 
 
 class TestModel:
-    def test_turn_role_coerced_from_string(self):
-        t = Turn(index=0, role="user", text="hi")
+    def test_json_boundary_types_turn_fields(self):
+        d = loads_dialogue(json.dumps({
+            "dialogue_id": "b",
+            "goal": {"text": "g", "structured": {"sub_goals": [{"domain": "d", "intent": "i"}]}},
+            "turns": [{
+                "role": "user",
+                "text": "uh, to Paris",
+                "tagged": "[FP] uh, to Paris",
+                "slot_spans": [["city", 7, 12]],
+                "disfluency": [{"type": "FP", "position": 0, "inserted_span": "uh,"}],
+            }],
+        }))
+        assert type(d.turns) is tuple
+        t = d.turns[0]
         assert t.role is Role.USER
+        assert t.slot_spans == (("city", 7, 12),) and type(t.slot_spans[0]) is tuple
+        assert type(t.disfluency) is tuple and t.disfluency[0].type == "FP"
 
     def test_subgoal_rejects_constraint_request_overlap(self):
         with pytest.raises(CorpusError):
@@ -64,6 +79,10 @@ class TestModel:
     def test_renumber_makes_indices_dense(self):
         turns = [Turn(index=9, role=Role.USER, text="a"), Turn(index=9, role=Role.ASSISTANT, text="b")]
         assert [t.index for t in renumber(turns)] == [0, 1]
+
+    def test_renumber_keeps_turns_already_in_place(self):
+        turns = make_dialogue().turns
+        assert all(a is b for a, b in zip(renumber(turns), turns, strict=True))
 
 
 class TestSpliceTurns:

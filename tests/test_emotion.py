@@ -1,4 +1,4 @@
-"""Emotion labeling: judging, inheritance, keyword sampling."""
+"""Emotion labeling: judging, inheritance, keyword sampling for style instructions."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ from todvoice.emotion import (
     annotate_turn,
     context_string,
     inherit_labels,
-    keyword_for,
     parse_label,
 )
 from todvoice.seeding import rng_for
+from todvoice.synthesis import style_instruction
 
 from conftest import RejectingChat, make_dialogue
 
@@ -120,6 +120,18 @@ class TestInheritance:
             if t.role is Role.USER:
                 assert t.emotion is Emotion.DISSATISFIED
 
+    def test_labelled_turns_kept_as_they_are(self):
+        turns = (
+            Turn(index=0, role=Role.USER, text="My number is 012.", emotion=Emotion.EXCITED),
+            Turn(index=1, role=Role.ASSISTANT, text="Got it."),
+            Turn(index=2, role=Role.USER, text="Then 345.", crossturn=_seg_meta(1)),
+            Turn(index=3, role=Role.ASSISTANT, text="Noted."),
+        )
+        d = inherit_labels(dataclasses.replace(make_dialogue(), turns=turns))
+        assert [t.emotion for t in d.turns] == [Emotion.EXCITED, Emotion.NEUTRAL] * 2
+        out = inherit_labels(d)
+        assert all(a is b for a, b in zip(out.turns, d.turns, strict=True))
+
     def test_every_turn_labeled_after_inherit(self):
         d = make_dialogue()
         out = annotate_dialogue(d, StubChatClient())
@@ -143,22 +155,27 @@ class TestAnnotateDialogue:
         assert out.turns[0].emotion is Emotion.SATISFIED
 
 
+def _keyword(label, rng):
+    """The keyword synthesis puts in a turn's style instruction."""
+    return style_instruction(label, KEYWORDS, rng).removeprefix("Please speak in a ").removesuffix(" tone.")
+
+
 class TestKeywords:
     def test_label_set_matches_rubric(self):
         assert set(KEYWORDS) == set(Emotion)
         assert KEYWORDS[Emotion.DISSATISFIED] == ("angry", "contempt", "disgusted", "defiant")
 
-    def test_keyword_for_draws_from_label_set(self):
+    def test_style_instruction_draws_from_label_set(self):
         rng = rng_for(0, "kw")
         for _ in range(50):
-            assert keyword_for(Emotion.DISSATISFIED, rng) in KEYWORDS[Emotion.DISSATISFIED]
+            assert _keyword(Emotion.DISSATISFIED, rng) in KEYWORDS[Emotion.DISSATISFIED]
 
     def test_excited_keywords_roughly_uniform(self):
         rng = rng_for(1, "kwfreq")
         counts: dict[str, int] = {}
         n = 10_000
         for _ in range(n):
-            kw = keyword_for(Emotion.EXCITED, rng)
+            kw = _keyword(Emotion.EXCITED, rng)
             counts[kw] = counts.get(kw, 0) + 1
         assert set(counts) == set(KEYWORDS[Emotion.EXCITED])
         for c in counts.values():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -22,7 +23,6 @@ from todvoice.turntaking import (
     evaluate_set,
     format_report,
     frame_argmax,
-    label_frames,
     read_streams,
     run_stream,
     sweep_thresholds,
@@ -165,17 +165,6 @@ class TestSingleFire:
 
 
 class TestLabelsAndOutcomes:
-    def test_label_frames_examples(self):
-        assert label_frames(10, "turnend") == ["listen"] * 4 + ["turnend"] * 6
-        assert label_frames(6, "bargein") == ["bargein"] * 6
-        assert label_frames(3, "turnend") == ["turnend"] * 3
-
-    def test_label_frames_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            label_frames(0, "turnend")
-        with pytest.raises(ValueError):
-            label_frames(5, "listen")
-
     def test_trigger_window(self):
         assert trigger_window_of(10) == (4, 9)
         assert trigger_window_of(6) == (0, 5)
@@ -418,6 +407,22 @@ class TestStreamIO:
             {"stream_id": "s", "t": 0, "p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0},
         ])
         with pytest.raises(ValueError):
+            read_streams(p)
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"p_listen": 1.0, "p_turnend": 0.0}, "missing 'p_bargein'"),
+        ({"p_listen": 1.0, "p_turnend": "0", "p_bargein": 0.0}, "probability '0' is not a number"),
+        ({"p_listen": 1.0, "p_turnend": None, "p_bargein": 0.0}, "probability None is not a number"),
+        ({"p_listen": 1.5, "p_turnend": 0.0, "p_bargein": 0.0}, "probability 1.5 is not a number in [0, 1]"),
+        ({"p_listen": 0.5, "p_turnend": 0.0, "p_bargein": 0.0}, "sum to"),
+        ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": "late"}, "invalid literal"),
+    ])
+    def test_bad_record_names_file_and_line(self, tmp_path, bad, message):
+        p = tmp_path / "bad.jsonl"
+        good = {"stream_id": "s", "t": 0, "truth": "turnend",
+                "p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0}
+        self._write(p, [good, {"stream_id": "s", "t": 1, "truth": "turnend", **bad}])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: .*{re.escape(message)}"):
             read_streams(p)
 
     def test_round_trip_through_evaluate(self, tmp_path):
