@@ -24,6 +24,7 @@ from .metrics import (
 )
 from .pipeline import (
     PipelineConfig,
+    RunResult,
     StageToggles,
     build_clients,
     load_config,
@@ -86,6 +87,19 @@ def ingest(source: str, input_path: str, output_path: str) -> None:
     click.echo(f"ingested {len(dialogues)} dialogues -> {output_path}")
 
 
+def _write_run(verb: str, result: RunResult, output_path: str, out_dir: str) -> None:
+    """Save the corpus, then out_dir's synthesis manifest (if it has rows) and quarantine.jsonl."""
+    save_corpus(result.dialogues, output_path)
+    root = Path(out_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    if result.manifest:
+        write_manifest(result.manifest, root / "synthesis_manifest.jsonl")
+    with open(root / "quarantine.jsonl", "w", encoding="utf-8") as fh:
+        for row in result.quarantined:
+            fh.write(json.dumps(row.to_dict()) + "\n")
+    click.echo(f"{verb} {len(result.dialogues)} dialogues ({len(result.quarantined)} quarantined) -> {output_path}")
+
+
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_path", type=click.Path(dir_okay=False))
@@ -103,20 +117,7 @@ def augment(cfg: PipelineConfig, input_path: str, output_path: str,
         cfg = dataclasses.replace(cfg, workers=workers)
     if no_synthesis:
         cfg = dataclasses.replace(cfg, stages=dataclasses.replace(cfg.stages, synthesis=False))
-    dialogues = load_corpus(input_path)
-    result = run_pipeline(dialogues, cfg)
-    save_corpus(result.dialogues, output_path)
-    root = Path(cfg.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    if result.manifest:
-        write_manifest(result.manifest, root / "synthesis_manifest.jsonl")
-    with open(root / "quarantine.jsonl", "w", encoding="utf-8") as fh:
-        for row in result.quarantined:
-            fh.write(json.dumps(row.to_dict()) + "\n")
-    click.echo(
-        f"augmented {len(result.dialogues)} dialogues "
-        f"({len(result.quarantined)} quarantined) -> {output_path}"
-    )
+    _write_run("augmented", run_pipeline(load_corpus(input_path), cfg), output_path, cfg.out_dir)
 
 
 @main.command()
@@ -133,11 +134,7 @@ def synthesize(cfg: PipelineConfig, input_path: str, output_path: str, out_dir: 
         stages=StageToggles(crossturn=False, bargein=False, disfluency=False,
                             emotion=False, synthesis=True),
     )
-    dialogues = load_corpus(input_path)
-    result = run_pipeline(dialogues, cfg)
-    save_corpus(result.dialogues, output_path)
-    write_manifest(result.manifest, Path(cfg.out_dir) / "synthesis_manifest.jsonl")
-    click.echo(f"synthesized {len(result.dialogues)} dialogues -> {cfg.out_dir}")
+    _write_run("synthesized", run_pipeline(load_corpus(input_path), cfg), output_path, cfg.out_dir)
 
 
 @main.command()

@@ -1,12 +1,14 @@
 """Service clients: chat generation/judging, TTS, ASR, speaker embeddings.
 
-Every role has a real HTTP implementation and an offline stub. Stubs are pure
+Every role has a real HTTP implementation and an offline stub. The HTTP clients
+add only a payload and a reply reader to `_HTTPClient._post`. Stubs are pure
 functions of their inputs plus fixed seeds, so a stub-mode pipeline run is
 byte-identical across runs and worker counts and never touches the network.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -78,6 +80,35 @@ def _auth_headers() -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"} if token else {}
 
 
+class _HTTPClient:
+    """How a live call is sent: the role's endpoint, the bearer token, the timeout,
+    the status check and the shared retry policy."""
+
+    def __init__(self, config: ClientConfig, role: str) -> None:
+        """`role` picks the TODVOICE_<ROLE>_ENDPOINT override."""
+        self.config = config
+        self.endpoint = config.resolved_endpoint(role)
+
+    def _post(self, read: Callable[[Any], Any], audio_path: str | None = None, **body: Any) -> Any:
+        """POST `body` and return read(response); a malformed reply, like a 4xx, fails at once.
+        `audio_path` goes as the multipart file "audio", reopened so a retry resends all of it."""
+        import requests  # only on a live call, so stub runs never import it
+
+        def call() -> Any:
+            with open(audio_path, "rb") if audio_path is not None else contextlib.nullcontext() as fh:
+                resp = requests.post(
+                    self.endpoint,
+                    files=None if fh is None else {"audio": fh},
+                    headers=_auth_headers(),
+                    timeout=self.config.timeout_s,
+                    **body,
+                )
+            resp.raise_for_status()
+            return read(resp)
+
+        return with_retries(call, self.config.max_retries)
+
+
 # --- chat ---------------------------------------------------------------------
 
 
@@ -89,26 +120,12 @@ class ChatClient:
         return self.chat([{"role": "user", "content": prompt}])
 
 
-class HTTPChatClient(ChatClient):
-    def __init__(self, config: ClientConfig, role: str) -> None:
-        """`role` ("generator" or "judge") picks the TODVOICE_<ROLE>_ENDPOINT override."""
-        self.config = config
-        self.endpoint = config.resolved_endpoint(role)
-
+class HTTPChatClient(_HTTPClient, ChatClient):
     def chat(self, messages: Sequence[Mapping[str, str]]) -> str:
-        import requests
-
-        def call() -> str:
-            payload: dict[str, Any] = {"model": self.config.model, "messages": list(messages)}
-            if self.config.temperature is not None:
-                payload["temperature"] = self.config.temperature
-            resp = requests.post(
-                self.endpoint, json=payload, headers=_auth_headers(), timeout=self.config.timeout_s
-            )
-            resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
-
-        return with_retries(call, self.config.max_retries)
+        payload: dict[str, Any] = {"model": self.config.model, "messages": list(messages)}
+        if self.config.temperature is not None:
+            payload["temperature"] = self.config.temperature
+        return self._post(lambda resp: resp.json()["choices"][0]["message"]["content"], json=payload)
 
 
 _WEEKDAYS = ["monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"]
@@ -404,31 +421,20 @@ class StubTTSClient(TTSClient):
         return _silence_wav(duration, self.sample_rate), duration
 
 
-class HTTPTTSClient(TTSClient):
+class HTTPTTSClient(_HTTPClient, TTSClient):
     def __init__(self, config: ClientConfig, sample_rate: int = DEFAULT_SAMPLE_RATE) -> None:
-        self.config = config
+        super().__init__(config, "tts")
         self.sample_rate = sample_rate
-        self.endpoint = config.resolved_endpoint("tts")
 
     def synthesize(self, text: str, speaker_ref: str | None = None, style: str | None = None) -> tuple[bytes, float]:
-        import requests
-
-        def call() -> tuple[bytes, float]:
-            payload = {
-                "model": self.config.model,
-                "text": text,
-                "speaker_ref": speaker_ref,
-                "style": style,
-                "sample_rate": self.sample_rate,
-            }
-            resp = requests.post(
-                self.endpoint, json=payload, headers=_auth_headers(), timeout=self.config.timeout_s
-            )
-            resp.raise_for_status()
-            data = resp.content
-            return data, wav_duration_s(data)
-
-        return with_retries(call, self.config.max_retries)
+        payload = {
+            "model": self.config.model,
+            "text": text,
+            "speaker_ref": speaker_ref,
+            "style": style,
+            "sample_rate": self.sample_rate,
+        }
+        return self._post(lambda resp: (resp.content, wav_duration_s(resp.content)), json=payload)
 
 
 # --- ASR / embeddings ---------------------------------------------------------
@@ -485,27 +491,12 @@ class StubASRClient(ASRClient):
         return " ".join(words)
 
 
-class HTTPASRClient(ASRClient):
+class HTTPASRClient(_HTTPClient, ASRClient):
     def __init__(self, config: ClientConfig) -> None:
-        self.config = config
-        self.endpoint = config.resolved_endpoint("asr")
+        super().__init__(config, "asr")
 
     def transcribe(self, audio_path: str) -> str:
-        import requests
-
-        def call() -> str:
-            with open(audio_path, "rb") as fh:
-                resp = requests.post(
-                    self.endpoint,
-                    files={"audio": fh},
-                    data={"model": self.config.model},
-                    headers=_auth_headers(),
-                    timeout=self.config.timeout_s,
-                )
-            resp.raise_for_status()
-            return resp.json()["text"]
-
-        return with_retries(call, self.config.max_retries)
+        return self._post(lambda resp: resp.json()["text"], audio_path, data={"model": self.config.model})
 
 
 class EmbedClient:
@@ -526,24 +517,11 @@ class StubEmbedClient(EmbedClient):
         return [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
 
 
-class HTTPEmbedClient(EmbedClient):
+class HTTPEmbedClient(_HTTPClient, EmbedClient):
     def __init__(self, config: ClientConfig) -> None:
-        self.config = config
-        self.endpoint = config.resolved_endpoint("embed")
+        super().__init__(config, "embed")
 
     def embed(self, audio_path: str) -> list[float]:
-        import requests
-
-        def call() -> list[float]:
-            with open(audio_path, "rb") as fh:
-                resp = requests.post(
-                    self.endpoint,
-                    files={"audio": fh},
-                    data={"model": self.config.model},
-                    headers=_auth_headers(),
-                    timeout=self.config.timeout_s,
-                )
-            resp.raise_for_status()
-            return [float(x) for x in resp.json()["embedding"]]
-
-        return with_retries(call, self.config.max_retries)
+        return self._post(
+            lambda resp: [float(x) for x in resp.json()["embedding"]], audio_path, data={"model": self.config.model}
+        )

@@ -51,7 +51,6 @@ from .speakers import (
     sample_user_speaker,
 )
 from .synthesis import ManifestRow, synthesize_dialogue
-from .turntaking import StrategyConfig
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +74,6 @@ class PipelineConfig:
     bargein: BargeInConfig = BargeInConfig()
     disfluency: DisfluencyConfig = DisfluencyConfig()
     pool_weights: PoolWeights = PoolWeights()
-    turn_taking: StrategyConfig = StrategyConfig("linear_weighted")
-    split_ratios: tuple[float, float, float] = (0.75, 0.10, 0.15)
     speaker_manifest: str | None = None
     assistant_manifest: str | None = None
     asr_corruption: float = 0.0
@@ -85,10 +82,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if len(self.split_ratios) != 3 or any(r < 0 for r in self.split_ratios):
-            raise ConfigError("split_ratios must be three non-negative numbers")
-        if abs(sum(self.split_ratios) - 1.0) > 1e-9:
-            raise ConfigError("split_ratios must sum to 1")
 
 
 _SECTION_TYPES: dict[str, type] = {
@@ -97,7 +90,6 @@ _SECTION_TYPES: dict[str, type] = {
     "bargein": BargeInConfig,
     "disfluency": DisfluencyConfig,
     "pool_weights": PoolWeights,
-    "turn_taking": StrategyConfig,
 }
 
 
@@ -151,10 +143,6 @@ def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
             if not ok(value):
                 raise ConfigError(f"{key} must be {what}, not {value!r}")
             kwargs[key] = value
-        elif key == "split_ratios":
-            if not isinstance(value, list):
-                raise ConfigError("split_ratios must be a list of three numbers")
-            kwargs[key] = tuple(value)
         elif key in _SECTION_TYPES:
             kwargs[key] = _section(key, _SECTION_TYPES[key], value)
         elif key == "clients":
@@ -299,9 +287,7 @@ def _speakers(d: Dialogue, ctx: RunContext) -> StageResult:
 
 
 def _synthesis(d: Dialogue, ctx: RunContext) -> StageResult:
-    d, rows = synthesize_dialogue(d, ctx.clients.tts, ctx.cfg.out_dir, ctx.rng(d, "style"))
-    register_audio(ctx.clients.directory, d, ctx.cfg.out_dir)
-    return d, rows
+    return synthesize_dialogue(d, ctx.clients.tts, ctx.cfg.out_dir, ctx.rng(d, "style"))
 
 
 def _validate(d: Dialogue, ctx: RunContext) -> StageResult:

@@ -10,6 +10,7 @@ collapse merges correct with confused.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -327,7 +328,7 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
     """Newline-delimited records {stream_id, t, truth, p_listen, p_turnend, p_bargein}.
 
     A bad record raises ValueError naming the file and its line."""
-    grouped: dict[str, list[tuple[int, ProbFrame]]] = {}
+    grouped: dict[str, list[tuple[float, ProbFrame]]] = {}
     truths: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -338,7 +339,10 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
                 rec = json.loads(line)
                 frame = ProbFrame(rec["p_listen"], rec["p_turnend"], rec["p_bargein"])
                 sid = str(rec.get("stream_id", "0"))
-                grouped.setdefault(sid, []).append((int(rec.get("t", line_no)), frame))
+                t = rec.get("t", line_no)
+                if not isinstance(t, (int, float)) or not math.isfinite(t):
+                    raise ValueError(f"t {t!r} is not a finite number")
+                grouped.setdefault(sid, []).append((t, frame))
                 if "truth" in rec:
                     prev = truths.setdefault(sid, rec["truth"])
                     if prev != rec["truth"]:

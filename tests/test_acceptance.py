@@ -52,7 +52,6 @@ from todvoice.turntaking import (
     evaluate_set,
     run_stream,
 )
-from todvoice.pipeline import config_from_dict
 
 
 def _report(line: str) -> None:
@@ -285,9 +284,7 @@ class TestTurnTakingEngine:
         for name, (te, bi) in expected.items():
             direct = StrategyConfig(name)
             assert (direct.t_turnend, direct.t_bargein) == (te, bi)
-            loaded = config_from_dict({"turn_taking": {"strategy": name}}).turn_taking
-            assert (loaded.t_turnend, loaded.t_bargein) == (te, bi)
-        argmax = config_from_dict({"turn_taking": {"strategy": "argmax"}}).turn_taking
+        argmax = StrategyConfig("argmax")
         assert (argmax.t_turnend, argmax.t_bargein) == (None, None)
         assert len(STRATEGY_NAMES) == 5
         _report("PASS threshold defaults: all five strategies load published values verbatim")

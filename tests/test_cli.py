@@ -25,14 +25,14 @@ def _corpus_file(tmp_path: Path, n: int = 2, name: str = "in.jsonl") -> Path:
     return path
 
 
+def _labeled_dialogue(dialogue_id: str, texts=None):
+    d = make_dialogue(texts, dialogue_id=dialogue_id)
+    return d.with_turns(tuple(t.with_(emotion=Emotion.NEUTRAL) for t in d.turns))
+
+
 def _labeled_corpus_file(tmp_path: Path, n: int = 2) -> Path:
-    dialogues = []
-    for i in range(n):
-        d = make_dialogue(dialogue_id=f"cli-{i:04d}")
-        turns = tuple(t.with_(emotion=Emotion.NEUTRAL) for t in d.turns)
-        dialogues.append(d.with_turns(turns))
     path = tmp_path / "labeled.jsonl"
-    save_corpus(dialogues, path)
+    save_corpus([_labeled_dialogue(f"cli-{i:04d}") for i in range(n)], path)
     return path
 
 
@@ -144,6 +144,33 @@ class TestSynthesize:
         first = json.loads(manifest[0])
         assert (out_dir / dialogues[0].turns[0].audio_ref).exists()
         assert first["status"] == "ok"
+
+    def test_quarantine_written_like_augment(self, runner, tmp_path):
+        good = _labeled_dialogue("cli-good")
+        bad = _labeled_dialogue("cli-bad", [(Role.USER, "One."), (Role.USER, "Two in a row.")])
+        src = tmp_path / "mixed.jsonl"
+        save_corpus([good, bad], src)
+        out = tmp_path / "with_audio.jsonl"
+        out_dir = tmp_path / "fresh" / "audio_root"
+        result = runner.invoke(main, ["synthesize", str(src), str(out), "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        assert "synthesized 1 dialogues (1 quarantined)" in result.output
+        assert [d.dialogue_id for d in load_corpus(out)] == ["cli-good"]
+        (row,) = [json.loads(line) for line in (out_dir / "quarantine.jsonl").read_text().splitlines()]
+        assert (row["dialogue_id"], row["stage"]) == ("cli-bad", "validate")
+        manifest = [json.loads(line) for line in (out_dir / "synthesis_manifest.jsonl").read_text().splitlines()]
+        assert {r["dialogue_id"] for r in manifest} == {"cli-good"}
+        assert len(manifest) == len(good.turns)
+
+    def test_all_quarantined_into_fresh_out_dir(self, runner, tmp_path):
+        src = tmp_path / "bad.jsonl"
+        save_corpus([_labeled_dialogue("cli-bad", [(Role.USER, "One."), (Role.USER, "Two.")])], src)
+        out_dir = tmp_path / "fresh"
+        result = runner.invoke(main, ["synthesize", str(src), str(tmp_path / "o.jsonl"), "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        assert "synthesized 0 dialogues (1 quarantined)" in result.output
+        assert not (out_dir / "synthesis_manifest.jsonl").exists()
+        assert len((out_dir / "quarantine.jsonl").read_text().splitlines()) == 1
 
 
 class TestValidate:

@@ -1,26 +1,44 @@
-"""Offline stub clients: chat rules, TTS, ASR corruption, embeddings."""
+"""Offline stub clients (chat rules, TTS, ASR corruption, embeddings), and the
+live HTTP clients against a loopback server."""
 
 from __future__ import annotations
 
+import email.message
+import email.parser
+import email.policy
 import json
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from typing import Callable
 
 import pytest
 import requests
 
-from todvoice import prompts
+from todvoice import clients, prompts
 from todvoice.clients import (
     ClientConfig,
     ClientError,
+    HTTPASRClient,
+    HTTPChatClient,
+    HTTPEmbedClient,
+    HTTPTTSClient,
     StubASRClient,
     StubChatClient,
     StubDirectory,
     StubEmbedClient,
     StubTTSClient,
+    _silence_wav,
     plausible_wrong,
     wav_duration_s,
     with_retries,
 )
-from todvoice.corpus import BargeInStyle, BargeInType
+from conftest import make_dialogue
+from todvoice.corpus import BargeInStyle, BargeInType, save_corpus
 from todvoice.metrics import cosine, edit_distance, wer
 from todvoice.pipeline import PipelineConfig, build_clients
 
@@ -132,6 +150,220 @@ class TestWithRetries:
             with_retries(_failing(exc, calls), max_retries=2, backoff_s=0)
         assert len(calls) == 1
         assert info.value.__cause__ is exc
+
+
+# --- live clients against a loopback server ---------------------------------
+
+
+@dataclass
+class _Request:
+    path: str
+    headers: email.message.Message
+    body: bytes
+
+    def json(self) -> object:
+        assert self.headers["Content-Type"] == "application/json"
+        return json.loads(self.body)
+
+    def form(self) -> dict[str, tuple[str | None, bytes]]:
+        """Multipart fields as name -> (filename, bytes)."""
+        head = f"Content-Type: {self.headers['Content-Type']}\r\n\r\n".encode()
+        msg = email.parser.BytesParser(policy=email.policy.HTTP).parsebytes(head + self.body)
+        assert msg.get_content_type() == "multipart/form-data"
+        return {
+            part.get_param("name", header="content-disposition"): (part.get_filename(), part.get_payload(decode=True))
+            for part in msg.iter_parts()
+        }
+
+
+class _Handler(BaseHTTPRequestHandler):
+    def do_POST(self) -> None:
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(_Request(self.path, self.headers, body))
+        status, content_type, payload = self.server.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class _Loopback(ThreadingHTTPServer):
+    """Records each POST and answers it with the next scripted (status, content type, body)."""
+
+    daemon_threads = True
+
+    def __init__(self) -> None:
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.replies: list[tuple[int, str, bytes]] = []
+        self.requests: list[_Request] = []
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1/call"
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setattr(clients.time, "sleep", lambda s: None)  # no backoff waits
+    monkeypatch.delenv(clients.ENV_TOKEN, raising=False)
+    for role in _ROLES:
+        monkeypatch.delenv(f"TODVOICE_{role.upper()}_ENDPOINT", raising=False)
+    server = _Loopback()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _json(obj: object) -> tuple[int, str, bytes]:
+    return 200, "application/json", json.dumps(obj).encode()
+
+
+_MESSAGES = [{"role": "system", "content": "Be brief."}, {"role": "user", "content": "Hi."}]
+_AUDIO = bytes(range(256)) * 40  # the uploaded file; clients do not parse it
+_WAV = _silence_wav(0.5, 8000)
+
+
+@dataclass(frozen=True)
+class _Live:
+    """One live client: how to call it, a good reply and what it parses to, a malformed
+    200 reply, and the request it must send (JSON, or multipart fields for an upload)."""
+
+    call: Callable[[ClientConfig, str], object]
+    reply: tuple[int, str, bytes]
+    parsed: object
+    malformed: tuple[int, str, bytes]
+    sent: object
+    upload: bool = False
+
+
+_LIVE = {
+    "chat": _Live(
+        lambda cfg, audio: HTTPChatClient(cfg, "generator").chat(_MESSAGES),
+        _json({"choices": [{"message": {"role": "assistant", "content": "Hello."}}]}),
+        "Hello.",
+        _json({"choices": [{"message": {}}]}),
+        {"model": "m1", "messages": _MESSAGES},
+    ),
+    "tts": _Live(
+        lambda cfg, audio: HTTPTTSClient(cfg, sample_rate=8000).synthesize("Hi there.", "ref/a.wav", "calm"),
+        (200, "audio/wav", _WAV),
+        (_WAV, 0.5),
+        (200, "audio/wav", b"not a wav file"),
+        {"model": "m1", "text": "Hi there.", "speaker_ref": "ref/a.wav", "style": "calm", "sample_rate": 8000},
+    ),
+    "asr": _Live(
+        lambda cfg, audio: HTTPASRClient(cfg).transcribe(audio),
+        _json({"text": "book a table"}),
+        "book a table",
+        _json({"transcript": "book a table"}),
+        {"audio": ("turn.wav", _AUDIO), "model": (None, b"m1")},
+        upload=True,
+    ),
+    "embed": _Live(
+        lambda cfg, audio: HTTPEmbedClient(cfg).embed(audio),
+        _json({"embedding": [1, 0.5, -2]}),
+        [1.0, 0.5, -2.0],
+        _json({"vector": [1, 0.5, -2]}),
+        {"audio": ("turn.wav", _AUDIO), "model": (None, b"m1")},
+        upload=True,
+    ),
+}
+
+
+_STUB_RUN = """
+import sys
+import todvoice.cli
+from todvoice.corpus import load_corpus
+from todvoice.pipeline import PipelineConfig, build_clients, run_pipeline
+
+cfg = PipelineConfig(out_dir=sys.argv[2], workers=2)
+build_clients(cfg)
+result = run_pipeline(load_corpus(sys.argv[1]), cfg)
+assert len(result.dialogues) == 2 and result.manifest, result.quarantined
+print("requests" in sys.modules)
+"""
+
+
+def test_stub_run_never_imports_requests(tmp_path):
+    corpus = tmp_path / "in.jsonl"
+    save_corpus([make_dialogue(dialogue_id=f"lazy-{i}") for i in range(2)], corpus)
+    src = Path(clients.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _STUB_RUN, str(corpus), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+class TestLiveClientsOnTheWire:
+    """The exact requests, attempt counts and parsed replies of the four HTTP clients."""
+
+    def _run(self, loopback, tmp_path, live: _Live, *replies, **config):
+        audio = tmp_path / "turn.wav"
+        audio.write_bytes(_AUDIO)
+        loopback.replies[:] = replies
+        return live.call(ClientConfig(endpoint=loopback.url, model="m1", **config), str(audio))
+
+    @staticmethod
+    def _assert_sent(live: _Live, req: _Request) -> None:
+        assert req.path == "/v1/call"
+        assert (req.form() if live.upload else req.json()) == live.sent
+
+    @pytest.mark.parametrize("name", _LIVE)
+    def test_request_and_parsed_reply(self, name, loopback, tmp_path):
+        live = _LIVE[name]
+        assert self._run(loopback, tmp_path, live, live.reply) == live.parsed
+        (req,) = loopback.requests
+        self._assert_sent(live, req)
+        assert req.headers["Authorization"] is None
+
+    @pytest.mark.parametrize("name", _LIVE)
+    def test_bearer_token_from_env(self, name, loopback, tmp_path, monkeypatch):
+        monkeypatch.setenv(clients.ENV_TOKEN, "s3cret")
+        live = _LIVE[name]
+        self._run(loopback, tmp_path, live, live.reply)
+        (req,) = loopback.requests
+        assert req.headers["Authorization"] == "Bearer s3cret"
+
+    def test_chat_temperature_sent_only_when_set(self, loopback, tmp_path):
+        live = _LIVE["chat"]
+        self._run(loopback, tmp_path, live, live.reply, temperature=0.7)
+        assert loopback.requests[0].json() == {"model": "m1", "messages": _MESSAGES, "temperature": 0.7}
+
+    @pytest.mark.parametrize("status", [500, 429, 503])
+    @pytest.mark.parametrize("name", _LIVE)
+    def test_transient_status_retried_with_the_same_request(self, name, status, loopback, tmp_path):
+        live = _LIVE[name]
+        busy = (status, "application/json", b'{"error": "busy"}')
+        assert self._run(loopback, tmp_path, live, busy, live.reply) == live.parsed
+        assert len(loopback.requests) == 2
+        for req in loopback.requests:  # an upload resends the whole file
+            self._assert_sent(live, req)
+
+    @pytest.mark.parametrize("name", _LIVE)
+    def test_transient_failures_exhaust_max_retries(self, name, loopback, tmp_path):
+        busy = (503, "application/json", b"{}")
+        with pytest.raises(ClientError, match="after 2 attempts"):
+            self._run(loopback, tmp_path, _LIVE[name], busy, busy, max_retries=1)
+        assert len(loopback.requests) == 2
+
+    @pytest.mark.parametrize("name", _LIVE)
+    def test_client_error_status_sent_once(self, name, loopback, tmp_path):
+        with pytest.raises(ClientError, match="400"):
+            self._run(loopback, tmp_path, _LIVE[name], (400, "application/json", b'{"error": "bad"}'))
+        assert len(loopback.requests) == 1
+
+    @pytest.mark.parametrize("name", _LIVE)
+    def test_malformed_reply_sent_once(self, name, loopback, tmp_path):
+        live = _LIVE[name]
+        with pytest.raises(ClientError):
+            self._run(loopback, tmp_path, live, live.malformed, live.reply)
+        assert len(loopback.requests) == 1
 
 
 class TestPlausibleWrong:

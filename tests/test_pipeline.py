@@ -82,7 +82,6 @@ class TestConfig:
         cfg = config_from_dict({})
         assert cfg == PipelineConfig()
         assert cfg.stages.crossturn and cfg.stages.synthesis
-        assert cfg.split_ratios == (0.75, 0.10, 0.15)
 
     def test_sections_and_scalars(self):
         cfg = config_from_dict(
@@ -90,16 +89,13 @@ class TestConfig:
                 "global_seed": 5,
                 "workers": 2,
                 "stages": {"bargein": False},
-                "split_ratios": [0.8, 0.1, 0.1],
-                "turn_taking": {"strategy": "tail_threshold"},
+                "disfluency": {"b": 0.9},
             }
         )
         assert cfg.global_seed == 5
         assert cfg.workers == 2
         assert cfg.stages == StageToggles(bargein=False)
-        assert cfg.split_ratios == (0.8, 0.1, 0.1)
-        assert cfg.turn_taking.strategy == "tail_threshold"
-        assert cfg.turn_taking.t_turnend == pytest.approx(2.7)
+        assert cfg.disfluency.b == 0.9
 
     def test_client_sections(self):
         cfg = config_from_dict(
@@ -111,6 +107,11 @@ class TestConfig:
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             config_from_dict({"banana": 1})
+        # Sections that were once accepted but never read are unknown keys too.
+        for data in ({"turn_taking": {"strategy": "argmax"}}, {"split_ratios": [0.75, 0.1, 0.15]}):
+            (key,) = data
+            with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+                config_from_dict(data)
 
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="unknown keys in stages"):
@@ -162,7 +163,7 @@ class TestConfig:
         ([], "config"),
         ("stages", "config"),
         ({"stages": ["crossturn"]}, "stages"),
-        ({"turn_taking": "argmax"}, "turn_taking"),
+        ({"pool_weights": "census"}, "pool_weights"),
         ({"clients": ["tts"]}, "clients"),
         ({"clients": {"tts": "http://tts"}}, "clients.tts"),
     ])
@@ -171,8 +172,8 @@ class TestConfig:
             config_from_dict(data)
 
     def test_bad_section_values_are_config_errors(self):
-        with pytest.raises(ConfigError, match="turn_taking: .*strategy"):
-            config_from_dict({"turn_taking": {}})
+        with pytest.raises(ConfigError, match=r"disfluency: b must be in \(0, 1\)"):
+            config_from_dict({"disfluency": {"b": 1.5}})
         with pytest.raises(ConfigError, match="clients.tts: timeout_s must be positive"):
             config_from_dict({"clients": {"tts": {"timeout_s": 0}}})
 
@@ -183,12 +184,6 @@ class TestConfig:
     def test_workers_must_be_positive(self):
         with pytest.raises(ConfigError):
             config_from_dict({"workers": 0})
-
-    def test_split_ratios_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"split_ratios": [0.5, 0.5, 0.5]})
-        with pytest.raises(ConfigError, match="split_ratios must be a list"):
-            config_from_dict({"split_ratios": 5})
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"

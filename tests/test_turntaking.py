@@ -392,6 +392,17 @@ class TestStreamIO:
         assert streams["s1"].frames[0].p_turnend == 1.0  # t=0 sorts first
         assert len(streams["s2"].frames) == 1
 
+    def test_fractional_t_sorts_by_value(self, tmp_path):
+        p = tmp_path / "streams.jsonl"
+        self._write(p, [
+            {"stream_id": "s", "t": 0.9, "truth": "turnend", "p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0},
+            {"stream_id": "s", "t": 0.1, "truth": "turnend", "p_listen": 0.0, "p_turnend": 1.0, "p_bargein": 0.0},
+            {"stream_id": "s", "t": 0.5, "truth": "turnend", "p_listen": 0.0, "p_turnend": 0.0, "p_bargein": 1.0},
+        ])
+        (stream,) = read_streams(p)
+        assert [f.p_turnend for f in stream.frames] == [1.0, 0.0, 0.0]  # t 0.1, 0.5, 0.9
+        assert stream.frames[1].p_bargein == 1.0
+
     def test_conflicting_truth_rejected(self, tmp_path):
         p = tmp_path / "bad.jsonl"
         self._write(p, [
@@ -415,7 +426,8 @@ class TestStreamIO:
         ({"p_listen": 1.0, "p_turnend": None, "p_bargein": 0.0}, "probability None is not a number"),
         ({"p_listen": 1.5, "p_turnend": 0.0, "p_bargein": 0.0}, "probability 1.5 is not a number in [0, 1]"),
         ({"p_listen": 0.5, "p_turnend": 0.0, "p_bargein": 0.0}, "sum to"),
-        ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": "late"}, "invalid literal"),
+        ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": "late"}, "t 'late' is not"),
+        ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": float("nan")}, "t nan is not"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, bad, message):
         p = tmp_path / "bad.jsonl"
