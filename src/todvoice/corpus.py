@@ -4,7 +4,8 @@ A dialogue is a finalized, strictly-alternating sequence of user/assistant
 turns. Spoken-behavior augmentations (cross-turn dictation, barge-ins,
 disfluencies, emotion labels) attach as per-turn metadata rather than
 restructuring the schema, so every downstream consumer can ignore the ones
-it does not care about.
+it does not care about. The belief state a source records after a turn lives
+on that turn too, so an edit that moves turns moves their states with them.
 """
 
 from __future__ import annotations
@@ -187,7 +188,9 @@ class Turn:
     Fields are typed where untyped data enters (turn_from_dict and the ingest
     adapters); the constructor and with_ take them as given and coerce
     nothing: role is a Role, slot_spans a tuple of (name, start, end) tuples,
-    disfluency a tuple of DisfluencyMeta.
+    disfluency a tuple of DisfluencyMeta. state is the source's belief state
+    after this turn (slot -> value), or None where the source records none;
+    with_ copies keep it, and turns that augmentation inserts carry none.
     """
 
     index: int
@@ -201,6 +204,7 @@ class Turn:
     crossturn: CrossTurnMeta | None = None
     audio_ref: str | None = None
     duration_s: float | None = None
+    state: dict[str, str] | None = None
 
     @property
     def tagged_text(self) -> str:
@@ -218,7 +222,6 @@ class Dialogue:
     turns: tuple[Turn, ...]
     user_speaker: SpeakerProfile | None = None
     assistant_speaker: SpeakerProfile | None = None
-    state_per_turn: dict[int, dict[str, str]] | None = None
 
     def with_turns(self, turns: Iterable[Turn]) -> "Dialogue":
         return replace(self, turns=tuple(turns))
@@ -227,15 +230,11 @@ class Dialogue:
         return [t for t in self.turns if t.role is Role.USER]
 
     def state_at(self, turn_index: int) -> dict[str, str] | None:
-        """Latest belief state at or before turn_index, if states were ingested."""
-        if not self.state_per_turn:
-            return None
-        best: dict[str, str] | None = None
-        for idx in sorted(self.state_per_turn):
-            if idx > turn_index:
-                break
-            best = self.state_per_turn[idx]
-        return best
+        """State of the nearest turn at or before turn_index that carries one."""
+        for t in reversed(self.turns[: turn_index + 1]):
+            if t.state is not None:
+                return t.state
+        return None
 
 
 @dataclass(frozen=True)
@@ -261,8 +260,7 @@ def splice_turns(d: Dialogue, start: int, stop: int, block: Sequence[Turn]) -> D
     """Replace d.turns[start:stop] with block and renumber.
 
     Kept turns past the edit move by the change in length, and so do their
-    cross-turn correction pointers and per-turn states; a state keyed inside
-    [start, stop) is keyed at start. Block turns are taken as already final
+    cross-turn correction pointers. Block turns are taken as already final
     (their pointers are absolute), apart from their indices.
     """
     delta = len(block) - (stop - start)
@@ -274,14 +272,7 @@ def splice_turns(d: Dialogue, start: int, stop: int, block: Sequence[Turn]) -> D
         return replace(t, crossturn=replace(ct, corrected_in_turn=ct.corrected_in_turn + delta))
 
     kept = [moved(t) for t in d.turns]
-    turns = renumber(kept[:start] + list(block) + kept[stop:])
-    state = None
-    if d.state_per_turn is not None:
-        state = {
-            (k + delta if k >= stop else start if k >= start else k): v
-            for k, v in d.state_per_turn.items()
-        }
-    return replace(d, turns=turns, state_per_turn=state)
+    return d.with_turns(renumber(kept[:start] + list(block) + kept[stop:]))
 
 
 def shift_spans(
@@ -379,6 +370,19 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
                 out.append(Violation("turn.truncation", "truncation token not at end of turn", t.index))
             if t.text.endswith(BARGEIN_TOKEN) and t.bargein is None:
                 out.append(Violation("turn.truncation_meta", "truncated turn lacks barge-in metadata", t.index))
+
+        # A correction pointer leads from an erroneous user chunk to the later
+        # user turn that re-dictates the same chunk correctly.
+        ct = t.crossturn
+        if ct is not None and ct.corrected_in_turn is not None:
+            j = ct.corrected_in_turn
+            fix = d.turns[j].crossturn if t.index < j < len(d.turns) and d.turns[j].role is Role.USER else None
+            if t.role is not Role.USER or not ct.is_error:
+                detail = "pointer from a turn that is not an erroneous user chunk"
+                out.append(Violation("turn.crossturn_pointer", detail, t.index))
+            elif fix is None or (fix.slot_name, fix.chunk_index, fix.is_error) != (ct.slot_name, ct.chunk_index, False):
+                detail = f"turn {j} is not a later user turn correcting chunk {ct.chunk_index}"
+                out.append(Violation("turn.crossturn_pointer", detail, t.index))
 
         if t.bargein is not None and t.bargein.type is BargeInType.ERROR_RECOVERY:
             state = d.state_at(t.index)
@@ -483,7 +487,7 @@ def _speaker_from_dict(d: dict[str, Any]) -> SpeakerProfile:
     )
 
 
-def turn_to_dict(t: Turn, state: dict[str, str] | None = None) -> dict[str, Any]:
+def turn_to_dict(t: Turn) -> dict[str, Any]:
     out: dict[str, Any] = {"role": t.role.value, "text": t.text}
     if t.tagged is not None and t.tagged != t.text:
         out["tagged"] = t.tagged
@@ -521,8 +525,8 @@ def turn_to_dict(t: Turn, state: dict[str, str] | None = None) -> dict[str, Any]
         out["audio_path"] = t.audio_ref
     if t.duration_s is not None:
         out["duration_s"] = t.duration_s
-    if state is not None:
-        out["state"] = state
+    if t.state is not None:
+        out["state"] = t.state
     return out
 
 
@@ -553,13 +557,19 @@ def turn_from_dict(d: dict[str, Any], index: int) -> Turn:
     crossturn = None
     if "crossturn" in d and d["crossturn"] is not None:
         c = d["crossturn"]
+        pointer = c.get("corrected_in_turn")
+        if pointer is not None and (not isinstance(pointer, int) or isinstance(pointer, bool)):
+            raise CorpusError(f"turn {index}: corrected_in_turn must be an integer or null, not {pointer!r}")
         crossturn = CrossTurnMeta(
             slot_name=c["slot_name"],
             chunk_index=int(c["chunk_index"]),
             chunk_text=c["chunk_text"],
             is_error=bool(c.get("is_error", False)),
-            corrected_in_turn=c.get("corrected_in_turn"),
+            corrected_in_turn=pointer,
         )
+    state = d.get("state")
+    if state is not None and not (isinstance(state, dict) and all(isinstance(v, str) for v in state.values())):
+        raise CorpusError(f"turn {index}: state must be an object of string values or null, not {state!r}")
     return Turn(
         index=index,
         role=Role(d["role"]),
@@ -572,6 +582,7 @@ def turn_from_dict(d: dict[str, Any], index: int) -> Turn:
         crossturn=crossturn,
         audio_ref=d.get("audio_path"),
         duration_s=d.get("duration_s"),
+        state=None if state is None else dict(state),
     )
 
 
@@ -593,10 +604,7 @@ def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
         "dialogue_id": d.dialogue_id,
         "source": d.source,
         "goal": {"text": d.goal.text, "structured": structured},
-        "turns": [
-            turn_to_dict(t, state=(d.state_per_turn or {}).get(t.index))
-            for t in d.turns
-        ],
+        "turns": [turn_to_dict(t) for t in d.turns],
     }
     if d.user_speaker is not None:
         out["speaker"] = _speaker_to_dict(d.user_speaker)
@@ -618,9 +626,6 @@ def dialogue_from_dict(data: dict[str, Any]) -> Dialogue:
     )
     goal = Goal(text=goal_d.get("text", ""), sub_goals=sub_goals)
     turns = tuple(turn_from_dict(t, i) for i, t in enumerate(data["turns"]))
-    state_per_turn: dict[int, dict[str, str]] = {
-        i: dict(t["state"]) for i, t in enumerate(data["turns"]) if t.get("state") is not None
-    }
     return Dialogue(
         dialogue_id=data["dialogue_id"],
         source=data.get("source", "generic"),
@@ -628,7 +633,6 @@ def dialogue_from_dict(data: dict[str, Any]) -> Dialogue:
         turns=turns,
         user_speaker=_speaker_from_dict(data["speaker"]) if data.get("speaker") else None,
         assistant_speaker=_speaker_from_dict(data["assistant_speaker"]) if data.get("assistant_speaker") else None,
-        state_per_turn=state_per_turn or None,
     )
 
 

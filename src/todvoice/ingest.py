@@ -85,7 +85,6 @@ def _adapt_sgd(raw: Mapping[str, Any]) -> Dialogue:
     final_state: dict[str, dict[str, str]] = {}
     requested: dict[str, set[str]] = {}
     intents: dict[str, str] = {}
-    state_per_turn: dict[int, dict[str, str]] = {}
 
     for i, t in enumerate(raw["turns"]):
         role = Role.USER if t["speaker"].upper() == "USER" else Role.ASSISTANT
@@ -114,9 +113,8 @@ def _adapt_sgd(raw: Mapping[str, Any]) -> Dialogue:
             intent = state.get("active_intent")
             if intent and intent != "NONE":
                 intents[service] = intent
-        if flat_state and role is Role.USER:
-            state_per_turn[i] = flat_state
-        turns.append(Turn(index=i, role=role, text=text, slot_spans=tuple(spans)))
+        user_state = flat_state if flat_state and role is Role.USER else None
+        turns.append(Turn(index=i, role=role, text=text, slot_spans=tuple(spans), state=user_state))
 
     services = sorted(set(final_state) | set(requested) | set(intents))
     sub_goals = tuple(
@@ -134,7 +132,6 @@ def _adapt_sgd(raw: Mapping[str, Any]) -> Dialogue:
         source="sgd",
         goal=goal,
         turns=tuple(turns),
-        state_per_turn=state_per_turn,
     )
 
 
@@ -348,17 +345,16 @@ def _emotion_of(entry: Mapping[str, Any]) -> Emotion | None:
 def _adapt_woz(raw: Mapping[str, Any], source: str) -> Dialogue:
     goal = _woz_goal(raw.get("goal") or {})
     turns: list[Turn] = []
-    state_per_turn: dict[int, dict[str, str]] = {}
     prev_state: dict[str, str] = {}
     for i, entry in enumerate(raw["log"]):
         role = Role.USER if i % 2 == 0 else Role.ASSISTANT
         text = str(entry["text"]).strip()
         spans: tuple[tuple[str, int, int], ...] = ()
         emotion = _emotion_of(entry) if role is Role.USER else None
+        state: dict[str, str] | None = None
         if role is Role.ASSISTANT:
-            state = _flatten_metadata(entry.get("metadata") or {})
+            state = _flatten_metadata(entry.get("metadata") or {}) or None
             if state:
-                state_per_turn[i] = state
                 new_values = [(k, v) for k, v in state.items() if prev_state.get(k) != v]
                 prev_state = state
                 if new_values and turns:
@@ -368,11 +364,10 @@ def _adapt_woz(raw: Mapping[str, Any], source: str) -> Dialogue:
                         log.debug("state value %s=%r not in user turn; no span", name, value)
                     if report.matched:
                         turns[-1] = user_turn.with_(slot_spans=user_turn.slot_spans + report.matched)
-        turns.append(Turn(index=i, role=role, text=text, slot_spans=spans, emotion=emotion))
+        turns.append(Turn(index=i, role=role, text=text, slot_spans=spans, emotion=emotion, state=state))
     return Dialogue(
         dialogue_id=str(raw.get("dialogue_id") or raw.get("id")),
         source=source,
         goal=goal,
         turns=tuple(turns),
-        state_per_turn=state_per_turn,
     )

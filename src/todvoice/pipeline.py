@@ -97,19 +97,37 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_str_or_null(v: Any) -> bool:
-    return v is None or isinstance(v, str)
+def _is_number(v: Any) -> bool:
+    return _is_int(v) or isinstance(v, float)
 
 
-# key -> (what the value must be, check)
-_SCALARS: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "global_seed": ("an integer", _is_int),
-    "stub": ("true or false", lambda v: isinstance(v, bool)),
-    "workers": ("an integer", _is_int),
-    "out_dir": ("a string", lambda v: isinstance(v, str)),
-    "speaker_manifest": ("a string or null", _is_str_or_null),
-    "assistant_manifest": ("a string or null", _is_str_or_null),
-    "asr_corruption": ("a number in [0, 1]", lambda v: (_is_int(v) or isinstance(v, float)) and 0 <= v <= 1),
+# (what the value must be, check)
+Check = tuple[str, Callable[[Any], bool]]
+_BOOL: Check = ("true or false", lambda v: isinstance(v, bool))
+_INT: Check = ("an integer", _is_int)
+_STR: Check = ("a string", lambda v: isinstance(v, str))
+_STR_OR_NULL: Check = ("a string or null", lambda v: v is None or isinstance(v, str))
+
+_SCALARS: dict[str, Check] = {
+    "global_seed": _INT,
+    "stub": _BOOL,
+    "workers": _INT,
+    "out_dir": _STR,
+    "speaker_manifest": _STR_OR_NULL,
+    "assistant_manifest": _STR_OR_NULL,
+    "asr_corruption": ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
+}
+
+# Section fields whose types are checked at load, as the scalar keys are.
+_FIELDS: dict[type, dict[str, Check]] = {
+    StageToggles: {f.name: _BOOL for f in dataclasses.fields(StageToggles)},
+    ClientConfig: {
+        "endpoint": _STR,
+        "model": _STR,
+        "timeout_s": ("a number", _is_number),
+        "max_retries": _INT,
+        "temperature": ("a number or null", lambda v: v is None or _is_number(v)),
+    },
 }
 
 _CLIENT_ROLES = ("generator", "judge", "tts", "asr", "embed")
@@ -125,8 +143,18 @@ def _object(name: str, value: Any, known: Sequence[str]) -> Mapping[str, Any]:
     return value
 
 
+def _checked(name: str, value: Any, check: Check) -> Any:
+    what, ok = check
+    if not ok(value):
+        raise ConfigError(f"{name} must be {what}, not {value!r}")
+    return value
+
+
 def _section(name: str, section_type: type, value: Any) -> Any:
     fields = _object(name, value, [f.name for f in dataclasses.fields(section_type)])
+    for key, check in _FIELDS.get(section_type, {}).items():
+        if key in fields:
+            _checked(f"{name}.{key}", fields[key], check)
     try:
         return section_type(**fields)
     except (TypeError, ValueError) as exc:
@@ -139,10 +167,7 @@ def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
         if key in _SCALARS:
-            what, ok = _SCALARS[key]
-            if not ok(value):
-                raise ConfigError(f"{key} must be {what}, not {value!r}")
-            kwargs[key] = value
+            kwargs[key] = _checked(key, value, _SCALARS[key])
         elif key in _SECTION_TYPES:
             kwargs[key] = _section(key, _SECTION_TYPES[key], value)
         elif key == "clients":

@@ -39,6 +39,16 @@ def make_dialogue(texts=None, dialogue_id="dlg-0001", spans=None, source="generi
     return Dialogue(dialogue_id=dialogue_id, source=source, goal=make_goal(), turns=turns)
 
 
+def with_states(d: Dialogue, states: dict[int, dict[str, str]]) -> Dialogue:
+    """d with states[i] as the belief state of turn i."""
+    return d.with_turns(t.with_(state=states[t.index]) if t.index in states else t for t in d.turns)
+
+
+def states_of(d: Dialogue) -> dict[int, dict[str, str]]:
+    """Turn index -> belief state, for the turns that carry one."""
+    return {t.index: t.state for t in d.turns if t.state is not None}
+
+
 class RejectingChat(ChatClient):
     """A chat service that answers every request with HTTP 400; counts the requests."""
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from todvoice.bargein import (
@@ -26,7 +24,7 @@ from todvoice.corpus import (
 )
 from todvoice.seeding import rng_for
 
-from conftest import make_dialogue
+from conftest import make_dialogue, states_of, with_states
 
 
 def _chat():
@@ -180,10 +178,9 @@ class TestApplyInsertion:
             remaining = remaining[remaining.index(text) + 1:]
 
     def test_state_indices_shift(self):
-        d = _six_turn_dialogue()
-        d = dataclasses.replace(d, state_per_turn={3: {"k": "v"}})
+        d = with_states(_six_turn_dialogue(), {3: {"k": "v"}})
         out = apply_insertion(d, 2, self._block())
-        assert out.state_per_turn == {6: {"k": "v"}}
+        assert states_of(out) == {6: {"k": "v"}}
 
     @pytest.mark.parametrize("seed", range(3))  # the erroneous chunk is 1, 0, 2
     def test_insertion_inside_a_dictation_block_keeps_the_correction(self, seed):
@@ -206,10 +203,7 @@ class TestApplyInsertion:
 
 class TestStage:
     def _stateful(self):
-        return dataclasses.replace(
-            _six_turn_dialogue(),
-            state_per_turn={0: {"destination": "Paris", "day": "Friday"}},
-        )
+        return with_states(_six_turn_dialogue(), {0: {"destination": "Paris", "day": "Friday"}})
 
     def test_stage_output_validates_and_is_deterministic(self):
         d = self._stateful()
@@ -219,6 +213,19 @@ class TestStage:
         assert a == b
         assert validate_dialogue(a) == []
         assert any(t.bargein is not None for t in a.turns)
+
+    def test_state_at_each_original_turn_is_kept(self):
+        d = with_states(_six_turn_dialogue(), {
+            0: {"destination": "Paris", "day": "Friday"},
+            3: {"destination": "Paris", "day": "Friday", "class": "economy"},
+        })
+        out = apply_bargein_stage(d, BargeInConfig(sample_rate=1.0),
+                                  _chat(), _chat(), rng_for(3, d.dialogue_id, "bi"))
+        assert len(out.turns) > len(d.turns)
+        at = 0
+        for t in d.turns:
+            at = next(p for p in range(at, len(out.turns)) if out.turns[p].with_(index=t.index) == t)
+            assert out.state_at(at) == d.state_at(t.index)
 
     def test_unjudgeable_candidates_skipped_without_failing(self):
         # no belief state, so error-recovery candidates can never be validated

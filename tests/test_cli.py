@@ -251,6 +251,8 @@ class TestCleanErrorBoundary:
         '{"clients": {"tts": {"endpont": "x"}}}',
         '{"stages": ["crossturn"]}',
         '{"stub": "no"}',
+        '{"stages": {"bargein": "no"}}',
+        '{"clients": {"tts": {"max_retries": 1.5, "endpoint": 5, "temperature": "hot"}}}',
     ])
     def test_bad_config_shape_is_one_line(self, runner, tmp_path, config):
         src = _corpus_file(tmp_path, n=2)
@@ -262,6 +264,19 @@ class TestCleanErrorBoundary:
         assert "Traceback" not in result.output
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+
+    @pytest.mark.parametrize("state", [5, ["ab"], {"a": 1}])
+    def test_bad_turn_state_is_one_line(self, runner, tmp_path, state):
+        doc = dialogue_to_dict(make_dialogue(dialogue_id="st"))
+        doc["turns"][2]["state"] = state
+        src = tmp_path / "bad.jsonl"
+        src.write_text(json.dumps(doc) + "\n")
+        result = runner.invoke(main, ["validate", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1, result.output
+        assert lines[0].startswith("Error: turn 2: state must be an object of string values or null")
 
     def test_malformed_corpus_is_one_line(self, runner, tmp_path):
         src = tmp_path / "bad.jsonl"

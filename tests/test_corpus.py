@@ -31,10 +31,11 @@ from todvoice.corpus import (
     save_corpus,
     shift_spans,
     splice_turns,
+    turn_from_dict,
     validate_dialogue,
 )
 
-from conftest import make_dialogue, make_goal
+from conftest import make_dialogue, make_goal, states_of, with_states
 
 
 class TestModel:
@@ -70,8 +71,7 @@ class TestModel:
         assert Emotion.SATISFIED.value == 6
 
     def test_state_at_looks_back(self):
-        d = make_dialogue()
-        d = dataclasses.replace(d, state_per_turn={1: {"food": "italian"}})
+        d = with_states(make_dialogue(), {1: {"food": "italian"}})
         assert d.state_at(0) is None
         assert d.state_at(1) == {"food": "italian"}
         assert d.state_at(3) == {"food": "italian"}
@@ -92,7 +92,7 @@ class TestSpliceTurns:
         turns = list(d.turns)
         turns[0] = turns[0].with_(crossturn=dataclasses.replace(meta, corrected_in_turn=4))
         turns[1] = turns[1].with_(crossturn=dataclasses.replace(meta, corrected_in_turn=0))
-        return dataclasses.replace(d, turns=turns, state_per_turn={0: {"a": "0"}, 2: {"a": "2"}, 4: {"a": "4"}})
+        return with_states(d.with_turns(turns), {0: {"a": "0"}, 2: {"a": "2"}, 4: {"a": "4"}})
 
     def test_block_replaces_range_and_indices_are_dense(self):
         d = self._dialogue()
@@ -101,17 +101,13 @@ class TestSpliceTurns:
         assert [t.index for t in out.turns] == list(range(5))
         assert (out.dialogue_id, out.goal) == (d.dialogue_id, d.goal)
 
-    def test_state_inside_the_range_is_keyed_at_start(self):
-        out = splice_turns(self._dialogue(), 1, 3, [Turn(index=0, role=Role.ASSISTANT, text="new")])
-        assert out.state_per_turn == {0: {"a": "0"}, 1: {"a": "2"}, 3: {"a": "4"}}
-
     def test_pointers_at_or_past_stop_move_by_the_length_change(self):
         block = [Turn(index=0, role=Role.ASSISTANT, text=f"n{i}") for i in range(3)]
         out = splice_turns(self._dialogue(), 2, 2, block)
         assert out.turns[0].crossturn.corrected_in_turn == 7
         assert out.turns[1].crossturn.corrected_in_turn == 0
         assert out.turns[7].text == "t4"
-        assert out.state_per_turn == {0: {"a": "0"}, 5: {"a": "2"}, 7: {"a": "4"}}
+        assert states_of(out) == {0: {"a": "0"}, 5: {"a": "2"}, 7: {"a": "4"}}
 
 
 class TestShiftSpans:
@@ -141,6 +137,35 @@ class TestValidator:
         d = make_dialogue(spans={0: (("a", 0, 6), ("b", 3, 9))})
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turn.span_overlap" in rules
+
+    @staticmethod
+    def _dictation(pointer: int, is_error: bool = True, fix_chunk: int = 0) -> Dialogue:
+        err = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="123", is_error=is_error,
+                            corrected_in_turn=pointer)
+        fix = CrossTurnMeta(slot_name="phone", chunk_index=fix_chunk, chunk_text="124")
+        turns = (
+            Turn(index=0, role=Role.USER, text="Then one two three.", crossturn=err),
+            Turn(index=1, role=Role.ASSISTANT, text="Got it, one two three.",
+                 crossturn=dataclasses.replace(err, corrected_in_turn=None)),
+            Turn(index=2, role=Role.USER, text="Wait, I meant one two four.", crossturn=fix),
+            Turn(index=3, role=Role.ASSISTANT, text="Got it, one two four.", crossturn=fix),
+        )
+        return Dialogue(dialogue_id="ct", source="generic", goal=make_goal(), turns=turns)
+
+    def test_crossturn_pointer_names_the_correction(self):
+        assert validate_dialogue(self._dictation(2)) == []
+        dangling = validate_dialogue(self._dictation(99))
+        misdirected = validate_dialogue(self._dictation(2, fix_chunk=1))
+        for violations in (dangling, misdirected):
+            assert [(v.rule, v.turn_index) for v in violations] == [("turn.crossturn_pointer", 0)]
+        assert "turn 99 is not a later user turn correcting chunk 0" in str(dangling[0])
+
+    def test_crossturn_pointer_only_on_erroneous_user_chunks(self):
+        correct_chunk = self._dictation(2, is_error=False)
+        d = self._dictation(2)
+        on_assistant = d.with_turns([d.turns[0], d.turns[1].with_(crossturn=d.turns[0].crossturn), *d.turns[2:]])
+        for d, at in ((correct_chunk, 0), (on_assistant, 1)):
+            assert [(v.rule, v.turn_index) for v in validate_dialogue(d)] == [("turn.crossturn_pointer", at)]
 
     def test_consecutive_same_role_flagged(self):
         d = make_dialogue(texts=[(Role.USER, "a"), (Role.USER, "b")])
@@ -186,13 +211,12 @@ class TestValidator:
             corrected_slots={"destination": "Berlin"},
         )
         turns = (
-            Turn(index=0, role=Role.USER, text="to Paris please"),
+            Turn(index=0, role=Role.USER, text="to Paris please", state={"destination": "Paris"}),
             Turn(index=1, role=Role.ASSISTANT, text="flight to Lon <bargein>", bargein=meta),
             Turn(index=2, role=Role.USER, text="No, that's wrong.", bargein=meta),
             Turn(index=3, role=Role.ASSISTANT, text="Sorry, Paris."),
         )
-        d = Dialogue(dialogue_id="x", source="generic", goal=make_goal(), turns=turns,
-                     state_per_turn={0: {"destination": "Paris"}})
+        d = Dialogue(dialogue_id="x", source="generic", goal=make_goal(), turns=turns)
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turn.bargein_slots" in rules
 
@@ -271,17 +295,39 @@ class TestJsonRoundTrip:
         dmeta = DisfluencyMeta(type="FP", position=0, inserted_span="uh,")
         turns = (
             Turn(index=0, role=Role.USER, text="uh, hello", tagged="[FP] uh, hello",
-                 disfluency=(dmeta,), emotion=Emotion.EXCITED),
+                 disfluency=(dmeta,), emotion=Emotion.EXCITED, state={"x": "1"}),
             Turn(index=1, role=Role.ASSISTANT, text="one moment <bargein>", bargein=meta),
             Turn(index=2, role=Role.USER, text="What's a PNR?", bargein=meta),
             Turn(index=3, role=Role.ASSISTANT, text="A booking code."),
         )
-        d = Dialogue(dialogue_id="rt", source="generic", goal=make_goal(), turns=turns,
-                     state_per_turn={0: {"x": "1"}})
+        d = Dialogue(dialogue_id="rt", source="generic", goal=make_goal(), turns=turns)
         again = loads_dialogue(dumps_dialogue(d))
         assert again == d
         assert again.turns[0].disfluency[0].inserted_span == "uh,"
         assert again.turns[1].bargein.style is BargeInStyle.INTERPRETED
+
+    def test_round_trip_keeps_an_empty_state(self):
+        d = with_states(make_dialogue(), {0: {}})
+        again = loads_dialogue(dumps_dialogue(d))
+        assert again == d
+        assert again.turns[0].state == {} and again.turns[1].state is None
+        assert again.state_at(3) == {}
+
+    def test_state_loads_only_as_a_string_map_or_null(self):
+        assert turn_from_dict({"role": "user", "text": "hi", "state": None}, 0).state is None
+        assert turn_from_dict({"role": "user", "text": "hi", "state": {"a": "b"}}, 0).state == {"a": "b"}
+        for bad in (5, ["ab"], {"a": 1}, "a"):
+            with pytest.raises(CorpusError, match="^turn 3: state must be"):
+                turn_from_dict({"role": "user", "text": "hi", "state": bad}, 3)
+
+    def test_correction_pointer_loads_only_as_an_integer_or_null(self):
+        ct = {"slot_name": "phone", "chunk_index": 0, "chunk_text": "123", "is_error": True}
+        for pointer in (None, 2):
+            t = turn_from_dict({"role": "user", "text": "hi", "crossturn": {**ct, "corrected_in_turn": pointer}}, 0)
+            assert t.crossturn.corrected_in_turn == pointer
+        for bad in ("2", 2.0, True):
+            with pytest.raises(CorpusError, match="^turn 0: corrected_in_turn must be an integer or null"):
+                turn_from_dict({"role": "user", "text": "hi", "crossturn": {**ct, "corrected_in_turn": bad}}, 0)
 
     def test_corpus_file_round_trip(self, tmp_path, dialogue):
         other = make_dialogue(dialogue_id="dlg-0002")

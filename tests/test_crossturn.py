@@ -22,7 +22,7 @@ from todvoice.crossturn import (
 )
 from todvoice.seeding import rng_for
 
-from conftest import make_dialogue
+from conftest import make_dialogue, states_of, with_states
 
 
 class TestIsSegmentable:
@@ -203,6 +203,28 @@ class TestStage:
         assert last.role is Role.ASSISTANT
         assert "Saved. Anything else?" in last.text
         assert last.crossturn is not None
+
+    def test_states_stay_on_their_turns(self):
+        d = make_dialogue(
+            texts=[
+                (Role.USER, "Call me at 0123456789 please."),
+                (Role.ASSISTANT, "Saved. Anything else?"),
+                (Role.USER, "No thanks."),
+                (Role.ASSISTANT, "Goodbye."),
+            ],
+            spans={0: (("phone", 11, 21),)},
+        )
+        d = with_states(d, {0: {"phone": "0123456789"}, 1: {"phone": "0123456789", "x": "1"}, 2: {"x": "2"}})
+        out = apply_crossturn_stage(d, CrossTurnConfig(p_error=1.0), rng_for(0, d.dialogue_id, "xt"))
+        folded = next(t for t in out.turns if "Saved. Anything else?" in t.text)
+        assert out.turns[0].crossturn is not None and folded.crossturn is not None
+        # the first dictation turn and the folded assistant turn keep their
+        # states; the inserted dictation turns carry none
+        assert states_of(out) == {
+            0: d.turns[0].state,
+            folded.index: d.turns[1].state,
+            folded.index + 1: d.turns[2].state,
+        }
 
     def test_stage_moves_the_pointers_of_a_later_dictation_block(self):
         d = make_dialogue(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,7 @@ def _run_digest(tmp_path: Path, workers: int) -> str:
     files = [out, audio / "synthesis_manifest.jsonl", audio / "quarantine.jsonl"]
     for p in files + sorted(audio.rglob("*.wav")):
         h.update(p.read_bytes())
+    shutil.rmtree(audio)  # about 90 MB of WAVs per run
     return h.hexdigest()
 
 

@@ -15,7 +15,7 @@ from todvoice.ingest import (
 )
 from todvoice.corpus import SubGoal
 
-from conftest import make_dialogue
+from conftest import make_dialogue, states_of
 
 
 class TestLocateSlotSpans:
@@ -122,10 +122,10 @@ class TestSgdAdapter:
         assert sg.requests == frozenset({"phone_number"})
         assert "Restaurants_1" in d.goal.text
 
-    def test_state_per_turn_on_user_turns(self):
+    def test_state_on_user_turns(self):
         d = adapt(SourceRecord("sgd", _sgd_fixture()))
-        assert set(d.state_per_turn) == {0, 2}
-        assert d.state_per_turn[0] == {
+        assert set(states_of(d)) == {0, 2}
+        assert d.turns[0].state == {
             "Restaurants_1.city": "Oakland",
             "Restaurants_1.cuisine": "thai",
         }
@@ -393,11 +393,11 @@ class TestWozAdapter:
         assert d.turns[0].emotion is None
         assert d.turns[2].emotion is Emotion.SATISFIED
 
-    def test_state_per_turn_keyed_domain_slot(self):
+    def test_state_keyed_domain_slot(self):
         d = adapt(SourceRecord("emowoz", _woz_fixture()))
-        assert d.state_per_turn[1] == {
+        assert d.turns[1].state == {
             "restaurant-food": "thai", "restaurant-area": "centre"}
-        assert d.state_per_turn[3]["restaurant-day"] == "friday"
+        assert d.turns[3].state["restaurant-day"] == "friday"
 
     def test_new_state_values_located_in_preceding_user_turn(self):
         d = adapt(SourceRecord("emowoz", _woz_fixture()))
@@ -410,7 +410,7 @@ class TestWozAdapter:
         raw = _woz_fixture()
         raw["log"][1]["metadata"]["restaurant"]["semi"]["name"] = "not mentioned"
         d = adapt(SourceRecord("emowoz", raw))
-        assert "restaurant-name" not in d.state_per_turn[1]
+        assert "restaurant-name" not in d.turns[1].state
 
     def test_spokenwoz_source_tag(self):
         d = adapt(SourceRecord("spokenwoz", _woz_fixture()))

@@ -11,7 +11,14 @@ import pytest
 from conftest import assistant_pool_profiles, make_dialogue, user_pool_profiles
 from todvoice import pipeline, speakers
 from todvoice.corpus import BARGEIN_TOKEN, Dialogue, Role, dumps_dialogue
-from todvoice.clients import StubASRClient, StubChatClient, StubDirectory, StubEmbedClient, StubTTSClient
+from todvoice.clients import (
+    ClientConfig,
+    StubASRClient,
+    StubChatClient,
+    StubDirectory,
+    StubEmbedClient,
+    StubTTSClient,
+)
 from todvoice.metrics import WerCell, format_wer_report
 from todvoice.pipeline import (
     STAGES,
@@ -158,6 +165,32 @@ class TestConfig:
         })
         assert (cfg.global_seed, cfg.stub, cfg.workers, cfg.out_dir) == (3, False, 2, "o")
         assert (cfg.speaker_manifest, cfg.assistant_manifest, cfg.asr_corruption) == (None, "a.json", 1)
+
+    @pytest.mark.parametrize("data,message", [
+        ({"stages": {"bargein": "no"}}, "stages.bargein must be true or false, not 'no'"),
+        ({"stages": {"synthesis": 0}}, "stages.synthesis must be true or false, not 0"),
+        ({"clients": {"tts": {"max_retries": 1.5}}}, "clients.tts.max_retries must be an integer, not 1.5"),
+        ({"clients": {"tts": {"max_retries": True}}}, "clients.tts.max_retries must be an integer, not True"),
+        ({"clients": {"tts": {"endpoint": 5}}}, "clients.tts.endpoint must be a string, not 5"),
+        ({"clients": {"judge": {"model": None}}}, "clients.judge.model must be a string, not None"),
+        ({"clients": {"asr": {"timeout_s": "30"}}}, "clients.asr.timeout_s must be a number, not '30'"),
+        ({"clients": {"asr": {"timeout_s": False}}}, "clients.asr.timeout_s must be a number, not False"),
+        ({"clients": {"tts": {"temperature": "hot"}}}, "clients.tts.temperature must be a number or null, not 'hot'"),
+    ])
+    def test_section_field_types(self, data, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            config_from_dict(data)
+
+    def test_section_fields_accept_their_types(self):
+        cfg = config_from_dict({
+            "stages": {"bargein": False, "emotion": True},
+            "clients": {"tts": {"endpoint": "http://t", "model": "m", "timeout_s": 5,
+                                "max_retries": 0, "temperature": 0.7},
+                        "judge": {"timeout_s": 2.5, "temperature": None}},
+        })
+        assert cfg.stages == StageToggles(bargein=False)
+        assert cfg.clients["tts"] == ClientConfig("http://t", "m", 5, 0, 0.7)
+        assert cfg.clients["judge"] == ClientConfig(timeout_s=2.5)
 
     @pytest.mark.parametrize("data,where", [
         ([], "config"),
