@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
+
+from .checked import build, check, must
 
 BARGEIN_TOKEN = "<bargein>"
 
@@ -41,13 +43,6 @@ class Emotion(IntEnum):
     @property
     def label_name(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_name(cls, name: str) -> "Emotion":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown emotion name: {name!r}") from None
 
 
 class BargeInType(str, Enum):
@@ -474,17 +469,16 @@ def _speaker_to_dict(sp: SpeakerProfile) -> dict[str, Any]:
     return out
 
 
-def _speaker_from_dict(d: dict[str, Any]) -> SpeakerProfile:
-    return SpeakerProfile(
-        speaker_id=d.get("speaker_id", ""),
-        accent_pool=d["category"].lower(),
-        country=d["country"],
-        age=int(d["age"]),
-        age_bin=d.get("age_bin", ""),
-        gender=d["sex"],
-        ref_audio=d.get("ref_audio"),
-        ref_duration_s=d.get("ref_duration_s"),
-    )
+# JSON keys of the corpus speaker fields whose names differ from SpeakerProfile's.
+_SPEAKER_KEYS = {"accent_pool": "category", "gender": "sex"}
+
+
+def _speaker_from_dict(d: Any, where: str) -> SpeakerProfile | None:
+    if check(where, d, "dict | None", CorpusError) is None:
+        return None
+    category = d.get("category")
+    d = {"speaker_id": "", "age_bin": "", **d, "category": category.lower() if isinstance(category, str) else category}
+    return build(SpeakerProfile, where, d, CorpusError, _SPEAKER_KEYS)
 
 
 def turn_to_dict(t: Turn) -> dict[str, Any]:
@@ -530,60 +524,80 @@ def turn_to_dict(t: Turn) -> dict[str, Any]:
     return out
 
 
-def turn_from_dict(d: dict[str, Any], index: int) -> Turn:
-    emotion = None
-    if "emotion" in d and d["emotion"] is not None:
-        e = d["emotion"]
-        emotion = Emotion(int(e["label"]))
-        if "name" in e and Emotion.from_name(e["name"]) is not emotion:
-            raise CorpusError(f"emotion label/name mismatch: {e}")
-    bargein = None
-    if "bargein" in d and d["bargein"] is not None:
-        b = d["bargein"]
-        bargein = BargeInMeta.from_subtype(
-            b["subtype"],
-            erroneous_slots=b.get("erroneous_slots"),
-            corrected_slots=b.get("corrected_slots"),
+_ROLES = {r.value: r for r in Role}
+_EMOTIONS = tuple((e, e.label_name) for e in Emotion)
+# Turn fields read as they stand: JSON key -> field.
+_TURN_PLAIN = {"text": "text", "tagged": "tagged", "audio_path": "audio_ref", "duration_s": "duration_s", "state": "state"}
+_BARGEIN_SLOTS = tuple((f.name, f.type) for f in fields(BargeInMeta) if f.name.endswith("_slots"))
+
+
+def turn_from_dict(d: Any, index: int) -> Turn:
+    """A Turn from its JSON object; a bad value is a CorpusError naming the turn."""
+    if not isinstance(d, dict):
+        raise CorpusError(must(f"turn {index}", "an object", d))
+    try:
+        get = d.get
+        text, tagged, audio, duration, state = get("text"), get("tagged"), get("audio_path"), get("duration_s"), get("state")
+        # The plain fields are checked inline, as their annotations say,
+        # because this runs for every turn; TYPES words the error.
+        if not (
+            isinstance(text, str)
+            and (tagged is None or isinstance(tagged, str))
+            and (audio is None or isinstance(audio, str))
+            and (duration is None or type(duration) is float or type(duration) is int)
+            and (state is None or isinstance(state, dict) and all(isinstance(v, str) for v in state.values()))
+        ):
+            for key, name in _TURN_PLAIN.items():
+                check(key, get(key), Turn.__dataclass_fields__[name].type, CorpusError)
+        role = get("role")
+        if not (isinstance(role, str) and role in _ROLES):
+            raise CorpusError(must("role", " or ".join(map(repr, _ROLES)), role))
+        role = _ROLES[role]
+        slot_spans = ()
+        if "slot_spans" in d:
+            spans = get("slot_spans")
+            if not isinstance(spans, list) or not all(
+                isinstance(s, list) and len(s) == 3 and isinstance(s[0], str) and type(s[1]) is int and type(s[2]) is int
+                for s in spans
+            ):
+                raise CorpusError(must("slot_spans", "an array of [name, start, end] arrays", spans))
+            slot_spans = tuple(map(tuple, spans))
+        emotion = get("emotion")
+        if emotion is not None:
+            label = emotion.get("label") if isinstance(emotion, dict) else None
+            member, name = _EMOTIONS[label] if type(label) is int and 0 <= label < len(_EMOTIONS) else (None, None)
+            if member is None or emotion.get("name", name) != name:
+                raise CorpusError(must("emotion", 'null or {"label": 0-6, "name": its name}', emotion))
+            emotion = member
+        bargein = get("bargein")
+        if bargein is not None:
+            check("bargein", bargein, "dict", CorpusError)
+            bargein = BargeInMeta.from_subtype(
+                check("bargein.subtype", bargein.get("subtype"), "str", CorpusError),
+                **{name: check(f"bargein.{name}", bargein.get(name), annotation, CorpusError)
+                   for name, annotation in _BARGEIN_SLOTS},
+            )
+        disfluency = ()
+        if "disfluency" in d:
+            metas = check("disfluency", get("disfluency"), "list", CorpusError)
+            disfluency = tuple(build(DisfluencyMeta, f"disfluency[{i}]", m, CorpusError) for i, m in enumerate(metas))
+        crossturn = get("crossturn")
+        return Turn(
+            index=index,
+            role=role,
+            text=text,
+            tagged=tagged,
+            slot_spans=slot_spans,
+            emotion=emotion,
+            bargein=bargein,
+            disfluency=disfluency,
+            crossturn=None if crossturn is None else build(CrossTurnMeta, "crossturn", crossturn, CorpusError),
+            audio_ref=audio,
+            duration_s=duration,
+            state=state,
         )
-    disfluency = tuple(
-        DisfluencyMeta(
-            type=m["type"],
-            position=int(m["position"]),
-            inserted_span=m["inserted_span"],
-            original_value=m.get("original_value"),
-        )
-        for m in d.get("disfluency", [])
-    )
-    crossturn = None
-    if "crossturn" in d and d["crossturn"] is not None:
-        c = d["crossturn"]
-        pointer = c.get("corrected_in_turn")
-        if pointer is not None and (not isinstance(pointer, int) or isinstance(pointer, bool)):
-            raise CorpusError(f"turn {index}: corrected_in_turn must be an integer or null, not {pointer!r}")
-        crossturn = CrossTurnMeta(
-            slot_name=c["slot_name"],
-            chunk_index=int(c["chunk_index"]),
-            chunk_text=c["chunk_text"],
-            is_error=bool(c.get("is_error", False)),
-            corrected_in_turn=pointer,
-        )
-    state = d.get("state")
-    if state is not None and not (isinstance(state, dict) and all(isinstance(v, str) for v in state.values())):
-        raise CorpusError(f"turn {index}: state must be an object of string values or null, not {state!r}")
-    return Turn(
-        index=index,
-        role=Role(d["role"]),
-        text=d["text"],
-        tagged=d.get("tagged"),
-        slot_spans=tuple((s[0], int(s[1]), int(s[2])) for s in d.get("slot_spans", [])),
-        emotion=emotion,
-        bargein=bargein,
-        disfluency=disfluency,
-        crossturn=crossturn,
-        audio_ref=d.get("audio_path"),
-        duration_s=d.get("duration_s"),
-        state=None if state is None else dict(state),
-    )
+    except CorpusError as exc:
+        raise CorpusError(f"turn {index}: {exc}") from exc
 
 
 def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
@@ -613,27 +627,32 @@ def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
     return out
 
 
-def dialogue_from_dict(data: dict[str, Any]) -> Dialogue:
-    goal_d = data["goal"]
-    sub_goals = tuple(
-        SubGoal(
-            domain=sg["domain"],
-            intent=sg["intent"],
-            constraints=dict(sg.get("constraints", {})),
-            requests=frozenset(sg.get("requests", [])),
+def dialogue_from_dict(data: Any) -> Dialogue:
+    """A Dialogue from its JSON object; a bad value is one CorpusError naming
+    the dialogue (and the turn, if the value is in one)."""
+    check("dialogue", data, "dict", CorpusError)
+    dialogue_id = check("dialogue_id", data.get("dialogue_id"), "str", CorpusError)
+    try:
+        goal = check("goal", data.get("goal"), "dict", CorpusError)
+        structured = check("goal.structured", goal.get("structured", {}), "dict", CorpusError)
+        sub_goals = check("goal.structured.sub_goals", structured.get("sub_goals", []), "list", CorpusError)
+        goal = Goal(
+            text=check("goal.text", goal.get("text", ""), "str", CorpusError),
+            sub_goals=tuple(
+                build(SubGoal, f"goal.structured.sub_goals[{i}]", sg, CorpusError) for i, sg in enumerate(sub_goals)
+            ),
         )
-        for sg in goal_d.get("structured", {}).get("sub_goals", [])
-    )
-    goal = Goal(text=goal_d.get("text", ""), sub_goals=sub_goals)
-    turns = tuple(turn_from_dict(t, i) for i, t in enumerate(data["turns"]))
-    return Dialogue(
-        dialogue_id=data["dialogue_id"],
-        source=data.get("source", "generic"),
-        goal=goal,
-        turns=turns,
-        user_speaker=_speaker_from_dict(data["speaker"]) if data.get("speaker") else None,
-        assistant_speaker=_speaker_from_dict(data["assistant_speaker"]) if data.get("assistant_speaker") else None,
-    )
+        turns = check("turns", data.get("turns"), "list", CorpusError)
+        return Dialogue(
+            dialogue_id=dialogue_id,
+            source=check("source", data.get("source", "generic"), "str", CorpusError),
+            goal=goal,
+            turns=tuple(turn_from_dict(t, i) for i, t in enumerate(turns)),
+            user_speaker=_speaker_from_dict(data.get("speaker"), "speaker"),
+            assistant_speaker=_speaker_from_dict(data.get("assistant_speaker"), "assistant_speaker"),
+        )
+    except CorpusError as exc:
+        raise CorpusError(f"dialogue {dialogue_id!r}: {exc}") from exc
 
 
 def dumps_dialogue(d: Dialogue) -> str:

@@ -2,8 +2,8 @@
 
 Non-segment user turns are classified 0-6 by a judge client; cross-turn
 dictation segments inherit the label of the most recent non-segment user turn;
-assistant turns are always neutral. Each label owns a keyword set used to
-phrase the synthesis style instruction.
+assistant turns are always neutral. Each label's keywords live in
+`prompts.KEYWORDS`.
 """
 
 from __future__ import annotations
@@ -16,16 +16,6 @@ from . import prompts
 from .corpus import Dialogue, Emotion, Role, Turn
 
 log = logging.getLogger(__name__)
-
-KEYWORDS: dict[Emotion, tuple[str, ...]] = {
-    Emotion.NEUTRAL: ("calm", "indifferent", "patient", "relaxed"),
-    Emotion.FEARFUL: ("fearful", "shocked", "surprised"),
-    Emotion.DISSATISFIED: ("angry", "contempt", "disgusted", "defiant"),
-    Emotion.APOLOGETIC: ("compassionate", "selfless", "humble"),
-    Emotion.ABUSIVE: ("commanding", "authoritative", "merciless", "loud", "vengeful"),
-    Emotion.EXCITED: ("adventurous", "energetic", "passionate", "curious", "creative", "joyful"),
-    Emotion.SATISFIED: ("proud", "hopeful", "happy", "cheerful"),
-}
 
 _DIGIT_RE = re.compile(r"(?<!\d)([0-6])(?!\d)")
 

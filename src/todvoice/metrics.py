@@ -302,11 +302,6 @@ def similarity_pairs(
     return first, prev
 
 
-def speaker_similarity(turn_vectors: Sequence[Sequence[float]]) -> SimilarityReport:
-    first, prev = similarity_pairs(turn_vectors)
-    return SimilarityReport(_mean_std(first), _mean_std(prev))
-
-
 def aggregate_similarity(
     per_dialogue_vectors: Iterable[Sequence[Sequence[float]]],
 ) -> SimilarityReport:

@@ -16,9 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, get_type_hints
 
 from .bargein import BargeInConfig, apply_bargein_stage
+from .checked import build, check, known_keys, must
 from .clients import (
     ASRClient,
     ChatClient,
@@ -82,105 +83,36 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not 0 <= self.asr_corruption <= 1:
+            raise ConfigError(must("asr_corruption", "a number in [0, 1]", self.asr_corruption))
 
 
-_SECTION_TYPES: dict[str, type] = {
-    "stages": StageToggles,
-    "crossturn": CrossTurnConfig,
-    "bargein": BargeInConfig,
-    "disfluency": DisfluencyConfig,
-    "pool_weights": PoolWeights,
-}
-
-
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v: Any) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-# (what the value must be, check)
-Check = tuple[str, Callable[[Any], bool]]
-_BOOL: Check = ("true or false", lambda v: isinstance(v, bool))
-_INT: Check = ("an integer", _is_int)
-_STR: Check = ("a string", lambda v: isinstance(v, str))
-_STR_OR_NULL: Check = ("a string or null", lambda v: v is None or isinstance(v, str))
-
-_SCALARS: dict[str, Check] = {
-    "global_seed": _INT,
-    "stub": _BOOL,
-    "workers": _INT,
-    "out_dir": _STR,
-    "speaker_manifest": _STR_OR_NULL,
-    "assistant_manifest": _STR_OR_NULL,
-    "asr_corruption": ("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
-}
-
-# Section fields whose types are checked at load, as the scalar keys are.
-_FIELDS: dict[type, dict[str, Check]] = {
-    StageToggles: {f.name: _BOOL for f in dataclasses.fields(StageToggles)},
-    ClientConfig: {
-        "endpoint": _STR,
-        "model": _STR,
-        "timeout_s": ("a number", _is_number),
-        "max_retries": _INT,
-        "temperature": ("a number or null", lambda v: v is None or _is_number(v)),
-    },
-}
-
+_SECTION_TYPES = {key: t for key, t in get_type_hints(PipelineConfig).items() if dataclasses.is_dataclass(t)}
 _CLIENT_ROLES = ("generator", "judge", "tts", "asr", "embed")
 
 
-def _object(name: str, value: Any, known: Sequence[str]) -> Mapping[str, Any]:
-    """A JSON object whose keys are all in known, or a ConfigError."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be an object, not {type(value).__name__}")
-    bad = set(value) - set(known)
-    if bad:
-        raise ConfigError(f"unknown keys in {name}: {sorted(bad)}")
-    return value
-
-
-def _checked(name: str, value: Any, check: Check) -> Any:
-    what, ok = check
-    if not ok(value):
-        raise ConfigError(f"{name} must be {what}, not {value!r}")
-    return value
-
-
-def _section(name: str, section_type: type, value: Any) -> Any:
-    fields = _object(name, value, [f.name for f in dataclasses.fields(section_type)])
-    for key, check in _FIELDS.get(section_type, {}).items():
-        if key in fields:
-            _checked(f"{name}.{key}", fields[key], check)
-    try:
-        return section_type(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+def _section(where: str, section_type: Any, value: Any) -> Any:
+    fields = known_keys(where, value, section_type.__dataclass_fields__, ConfigError)
+    return build(section_type, where, fields, ConfigError)
 
 
 def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"config must be an object, not {type(data).__name__}")
+    """A PipelineConfig from parsed JSON; every value is checked against its
+    field's annotation, and a bad one is a ConfigError naming its key path."""
+    check("config", data, "dict", ConfigError)
     kwargs: dict[str, Any] = {}
+    annotations = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
     for key, value in data.items():
-        if key in _SCALARS:
-            kwargs[key] = _checked(key, value, _SCALARS[key])
-        elif key in _SECTION_TYPES:
+        if key not in annotations:
+            raise ConfigError(f"unknown config key {key!r}")
+        if key in _SECTION_TYPES:
             kwargs[key] = _section(key, _SECTION_TYPES[key], value)
         elif key == "clients":
-            kwargs[key] = {
-                role: _section(f"clients.{role}", ClientConfig, cc)
-                for role, cc in _object(key, value, _CLIENT_ROLES).items()
-            }
+            roles = known_keys(key, value, _CLIENT_ROLES, ConfigError)
+            kwargs[key] = {role: _section(f"clients.{role}", ClientConfig, cc) for role, cc in roles.items()}
         else:
-            raise ConfigError(f"unknown config key {key!r}")
-    try:
-        return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+            kwargs[key] = check(key, value, annotations[key], ConfigError)
+    return PipelineConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -7,7 +7,7 @@ receive the full text.
 
 from __future__ import annotations
 
-from .corpus import BargeInStyle, BargeInType
+from .corpus import BargeInStyle, BargeInType, Emotion
 
 TASK_INTERRUPT_GENERATE = "Task: insert a user interruption"
 TASK_INTERRUPT_JUDGE = "Task: judge interruption applicability"
@@ -100,15 +100,19 @@ def interruption_validity_prompt(
     )
 
 
-EMOTION_LABELS_BLOCK = (
-    "0 neutral: calm, indifferent, patient, relaxed\n"
-    "1 fearful: fearful, shocked, surprised\n"
-    "2 dissatisfied: angry, contempt, disgusted, defiant\n"
-    "3 apologetic: compassionate, selfless, humble\n"
-    "4 abusive: commanding, authoritative, merciless, loud, vengeful\n"
-    "5 excited: adventurous, energetic, passionate, curious, creative, joyful\n"
-    "6 satisfied: proud, hopeful, happy, cheerful"
-)
+# Each emotion label's keywords: the judge prompt lists them, and synthesis
+# phrases its style instruction with one of them.
+KEYWORDS: dict[Emotion, tuple[str, ...]] = {
+    Emotion.NEUTRAL: ("calm", "indifferent", "patient", "relaxed"),
+    Emotion.FEARFUL: ("fearful", "shocked", "surprised"),
+    Emotion.DISSATISFIED: ("angry", "contempt", "disgusted", "defiant"),
+    Emotion.APOLOGETIC: ("compassionate", "selfless", "humble"),
+    Emotion.ABUSIVE: ("commanding", "authoritative", "merciless", "loud", "vengeful"),
+    Emotion.EXCITED: ("adventurous", "energetic", "passionate", "curious", "creative", "joyful"),
+    Emotion.SATISFIED: ("proud", "hopeful", "happy", "cheerful"),
+}
+
+EMOTION_LABELS_BLOCK = "\n".join(f"{int(e)} {e.label_name}: {', '.join(KEYWORDS[e])}" for e in Emotion)
 
 
 def emotion_prompt(context_str: str, utterance: str) -> str:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
+from .checked import build, check
 from .corpus import CorpusError, SpeakerProfile
 
 log = logging.getLogger(__name__)
@@ -64,9 +65,6 @@ class PoolWeights:
     def total(self) -> float:
         return self.native + self.african + self.indian + self.asian
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in ACCENT_POOLS}
-
 
 @dataclass(frozen=True)
 class Pool:
@@ -102,11 +100,7 @@ def build_pool(
         if sp.age_bin != expected:
             log.warning("speaker %s age_bin %r disagrees with age %d; using %r",
                         sp.speaker_id, sp.age_bin, sp.age, expected)
-            sp = SpeakerProfile(
-                speaker_id=sp.speaker_id, accent_pool=sp.accent_pool, country=sp.country,
-                age=sp.age, age_bin=expected, gender=sp.gender,
-                ref_audio=sp.ref_audio, ref_duration_s=sp.ref_duration_s,
-            )
+            sp = replace(sp, age_bin=expected)
         key = (sp.accent_pool, sp.country, sp.age_bin, sp.gender)
         strata.setdefault(key, []).append(sp)
         countries.setdefault(sp.accent_pool, set()).add(sp.country)
@@ -171,45 +165,18 @@ def assign_assistant_speaker(
 # --- manifests ----------------------------------------------------------------
 
 
-def _profile_from_dict(row: Mapping[str, object]) -> SpeakerProfile:
-    age = int(row["age"])  # type: ignore[arg-type]
-    return SpeakerProfile(
-        speaker_id=str(row["speaker_id"]),
-        accent_pool=str(row["accent_pool"]).lower(),
-        country=str(row["country"]),
-        age=age,
-        age_bin=str(row.get("age_bin") or age_bin_of(age)),
-        gender=str(row["gender"]).lower(),
-        ref_audio=str(row["ref_audio"]) if row.get("ref_audio") else None,
-        ref_duration_s=float(row["ref_duration_s"]) if row.get("ref_duration_s") is not None else None,  # type: ignore[arg-type]
-    )
-
-
-def _profile_to_dict(sp: SpeakerProfile) -> dict[str, object]:
-    out: dict[str, object] = {
-        "speaker_id": sp.speaker_id,
-        "accent_pool": sp.accent_pool,
-        "country": sp.country,
-        "age": sp.age,
-        "age_bin": sp.age_bin,
-        "gender": sp.gender,
-    }
-    if sp.ref_audio is not None:
-        out["ref_audio"] = sp.ref_audio
-    if sp.ref_duration_s is not None:
-        out["ref_duration_s"] = sp.ref_duration_s
-    return out
+def _profile_from_dict(row: Any, where: str) -> SpeakerProfile:
+    """A manifest row, checked field by field; accent pool and gender are
+    lower-cased, and a missing age_bin is derived from the age."""
+    if isinstance(row, dict) and not row.get("age_bin"):
+        row = {**row, "age_bin": age_bin_of(check(f"{where}.age", row.get("age"), "int", ConfigError))}
+    sp = build(SpeakerProfile, where, row, ConfigError)
+    return replace(sp, accent_pool=sp.accent_pool.lower(), gender=sp.gender.lower())
 
 
 def load_speaker_manifest(path: str | Path) -> list[SpeakerProfile]:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ConfigError("speaker manifest must be a JSON array of profiles")
-    return [_profile_from_dict(row) for row in data]
+    return [_profile_from_dict(row, f"{path}[{i}]") for i, row in enumerate(data)]
 
-
-def save_speaker_manifest(profiles: Sequence[SpeakerProfile], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps([_profile_to_dict(sp) for sp in profiles], indent=2) + "\n",
-        encoding="utf-8",
-    )

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .clients import ClientError, TTSClient, wav_duration_s
 from .corpus import Dialogue, Emotion, Role, Turn, Violation
-from .emotion import KEYWORDS
+from .prompts import KEYWORDS
 from .textnorm import normalize_text
 
 log = logging.getLogger(__name__)
@@ -66,7 +66,8 @@ def turn_out_path(dialogue_id: str, turn_index: int) -> str:
     return f"{AUDIO_SUBDIR}/{dialogue_id}/turn{turn_index:02d}.wav"
 
 
-def build_job(d: Dialogue, turn_idx: int, rng: random.Random) -> SynthesisJob:
+def build_job(d: Dialogue, turn_idx: int, normalized_text: str, rng: random.Random) -> SynthesisJob:
+    """The job for turn turn_idx, whose text normalizes to normalized_text."""
     t = d.turns[turn_idx]
     if t.emotion is None:
         raise ValueError(f"turn {turn_idx} is unlabeled; run emotion annotation first")
@@ -74,7 +75,7 @@ def build_job(d: Dialogue, turn_idx: int, rng: random.Random) -> SynthesisJob:
     return SynthesisJob(
         dialogue_id=d.dialogue_id,
         turn_index=turn_idx,
-        normalized_text=normalize_text(t.text),
+        normalized_text=normalized_text,
         style_instruction=style_instruction(t.emotion, KEYWORDS, rng),
         speaker_ref=speaker.ref_audio if speaker is not None else None,
         out_path=turn_out_path(d.dialogue_id, turn_idx),
@@ -106,12 +107,13 @@ def synthesize_dialogue(
     rows: list[ManifestRow] = []
     turns: list[Turn] = []
     for t in d.turns:
-        if not normalize_text(t.text).strip():
+        text = normalize_text(t.text)
+        if not text.strip():
             log.warning("turn %d of %s has no speakable text; skipped", t.index, d.dialogue_id)
             rows.append(ManifestRow(d.dialogue_id, t.index, "failed"))
             turns.append(t)
             continue
-        job = build_job(d, t.index, rng)
+        job = build_job(d, t.index, text, rng)
         row = synthesize(job, tts, root)
         rows.append(row)
         if row.status == "ok":

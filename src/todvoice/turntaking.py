@@ -219,17 +219,13 @@ class OutcomeCounts:
 
     @property
     def binary_accuracy(self) -> float:
+        """Binary collapse: a fire in the window counts regardless of class."""
         return self.pct("correct") + self.pct("confused")
 
     def as_percentages(self) -> dict[str, float]:
         out = {name: self.pct(name) for name in OUTCOME_CLASSES}
         out["binary"] = self.binary_accuracy
         return out
-
-
-def binary_accuracy(correct_pct: float, confused_pct: float) -> float:
-    """Binary collapse: a fire in the window counts regardless of class."""
-    return correct_pct + confused_pct
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 import requests
 
@@ -88,6 +92,19 @@ def assistant_pool_profiles() -> list[SpeakerProfile]:
                        ref_audio=f"ref/a{i:02d}.wav", ref_duration_s=10.0)
         for i in range(10)
     ]
+
+
+def set_path(doc, path: str, value) -> None:
+    """Set doc's value at a dotted path of keys and list indices, e.g. "turns.0.text"."""
+    *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
+    for p in parents:
+        doc = doc[p]
+    doc[last] = value
+
+
+def write_speaker_manifest(profiles, path) -> None:
+    """A speaker manifest file, as a tool outside todvoice would write it."""
+    Path(path).write_text(json.dumps([dataclasses.asdict(sp) for sp in profiles]), encoding="utf-8")
 
 
 @pytest.fixture

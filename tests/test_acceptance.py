@@ -15,7 +15,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import assistant_pool_profiles, make_dialogue, make_goal, user_pool_profiles
+from conftest import (
+    assistant_pool_profiles,
+    make_dialogue,
+    make_goal,
+    user_pool_profiles,
+    write_speaker_manifest,
+)
 from todvoice.bargein import BargeInConfig, sample_candidates
 from todvoice.clients import StubChatClient
 from todvoice.corpus import Dialogue, Role, Turn, dumps_dialogue, fluent_projection
@@ -25,10 +31,10 @@ from todvoice.metrics import (
     GaSmr,
     GoalCoverageState,
     GoalItem,
+    aggregate_similarity,
     disclosure_curve,
     ga_smr,
     slot_f1,
-    speaker_similarity,
     wer,
 )
 from todvoice.pipeline import PipelineConfig, largest_remainder_sizes, run_pipeline, split_corpus
@@ -39,7 +45,6 @@ from todvoice.speakers import (
     PoolWeights,
     build_pool,
     sample_user_speaker,
-    save_speaker_manifest,
 )
 from todvoice.turntaking import (
     DEFAULT_THRESHOLDS,
@@ -48,7 +53,6 @@ from todvoice.turntaking import (
     OutcomeCounts,
     ProbFrame,
     StrategyConfig,
-    binary_accuracy,
     evaluate_set,
     run_stream,
 )
@@ -269,8 +273,6 @@ class TestTurnTakingEngine:
         assert low.pct("correct") == pytest.approx(58.6, abs=1e-9)
         assert low.pct("confused") == pytest.approx(11.0, abs=1e-9)
         assert low.binary_accuracy == pytest.approx(69.6, abs=1e-9)
-        assert binary_accuracy(66.0, 16.4) == pytest.approx(82.4, abs=1e-9)
-        assert binary_accuracy(58.6, 11.0) == pytest.approx(69.6, abs=1e-9)
         _report("PASS binary collapse: 66.0+16.4 -> 82.4 and 58.6+11.0 -> 69.6")
 
     def test_threshold_defaults_load_verbatim(self):
@@ -392,7 +394,7 @@ class TestMetricFixtures:
         _report("PASS disclosure curve equals hand-computed [0.375, 0.625, 0.625]")
 
     def test_speaker_similarity_hand_computed(self):
-        report = speaker_similarity([(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)])
+        report = aggregate_similarity([[(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]])
         assert report.sim_first.mean == pytest.approx(0.5, abs=1e-9)
         assert report.sim_first.std == pytest.approx(0.5, abs=1e-9)
         assert report.sim_prev.mean == pytest.approx(0.0, abs=1e-9)
@@ -432,8 +434,8 @@ class TestPipelineDeterminism:
         dialogues = _fixture_corpus(20)
         user_m = tmp_path / "speakers.json"
         asst_m = tmp_path / "assistants.json"
-        save_speaker_manifest(user_pool_profiles(), user_m)
-        save_speaker_manifest(assistant_pool_profiles(), asst_m)
+        write_speaker_manifest(user_pool_profiles(), user_m)
+        write_speaker_manifest(assistant_pool_profiles(), asst_m)
 
         def run(tag: str, workers: int) -> str:
             cfg = PipelineConfig(
@@ -470,8 +472,8 @@ class TestProductPathTypes:
         # build its turns with the types the JSON boundary produces.
         user_m = tmp_path / "speakers.json"
         asst_m = tmp_path / "assistants.json"
-        save_speaker_manifest(user_pool_profiles(), user_m)
-        save_speaker_manifest(assistant_pool_profiles(), asst_m)
+        write_speaker_manifest(user_pool_profiles(), user_m)
+        write_speaker_manifest(assistant_pool_profiles(), asst_m)
         cfg = PipelineConfig(global_seed=7, out_dir=str(tmp_path / "run"),
                              speaker_manifest=str(user_m), assistant_manifest=str(asst_m))
         result = run_pipeline(_fixture_corpus(20), cfg)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_dialogue
+from conftest import make_dialogue, set_path, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
 from todvoice.corpus import Emotion, Role, dialogue_to_dict, load_corpus, save_corpus
 
@@ -253,6 +253,11 @@ class TestCleanErrorBoundary:
         '{"stub": "no"}',
         '{"stages": {"bargein": "no"}}',
         '{"clients": {"tts": {"max_retries": 1.5, "endpoint": 5, "temperature": "hot"}}}',
+        '{"crossturn": {"min_digits": "7"}}',
+        '{"disfluency": {"slot_window_words": "2"}}',
+        '{"crossturn": {"p_error": true}}',
+        '{"pool_weights": {"native": "0.7"}}',
+        '{"bargein": {"sample_rate": "0.5"}}',
     ])
     def test_bad_config_shape_is_one_line(self, runner, tmp_path, config):
         src = _corpus_file(tmp_path, n=2)
@@ -276,7 +281,47 @@ class TestCleanErrorBoundary:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1, result.output
-        assert lines[0].startswith("Error: turn 2: state must be an object of string values or null")
+        assert lines[0].startswith("Error: dialogue 'st': turn 2: state must be an object of string values or null")
+
+    @pytest.mark.parametrize("path,value,message", [pytest.param(*case, id=case[0]) for case in [
+        ("turns.0.text", 5, "turn 0: text must be a string, not 5"),
+        ("turns.1.duration_s", "3", "turn 1: duration_s must be a number or null, not '3'"),
+        ("turns.0.slot_spans", "ab", "turn 0: slot_spans must be an array of [name, start, end] arrays, not 'ab'"),
+        ("turns.2.emotion", "happy", 'turn 2: emotion must be null or {"label": 0-6, "name": its name}, not \'happy\''),
+        ("goal.structured.sub_goals.0.constraints", ["ab"],
+         "goal.structured.sub_goals[0].constraints must be an object of string values, not ['ab']"),
+    ]])
+    @pytest.mark.parametrize("command", ["validate", "stats", "augment"])
+    def test_bad_corpus_value_is_one_line(self, runner, tmp_path, path, value, message, command):
+        doc = dialogue_to_dict(make_dialogue(dialogue_id="bad"))
+        set_path(doc, path, value)
+        src = tmp_path / "bad.jsonl"
+        src.write_text(json.dumps(doc) + "\n")
+        args = [command, str(src)]
+        if command == "augment":
+            args += [str(tmp_path / "out.jsonl"), "--out-dir", str(tmp_path / "o"), "--no-synthesis"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: dialogue 'bad': {message}"]
+
+    @pytest.mark.parametrize("key,value,message", [pytest.param(*case, id=case[0]) for case in [
+        ("age", None, "age must be an integer, not None"),
+        ("ref_duration_s", "12", "ref_duration_s must be a number or null, not '12'"),
+    ]])
+    def test_bad_speaker_manifest_is_one_line(self, runner, tmp_path, key, value, message):
+        manifest = tmp_path / "speakers.json"
+        write_speaker_manifest(user_pool_profiles(), manifest)
+        rows = json.loads(manifest.read_text())
+        rows[3][key] = value
+        manifest.write_text(json.dumps(rows))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_manifest": str(manifest)}))
+        result = runner.invoke(main, ["--config", str(cfg), "augment", str(_corpus_file(tmp_path)),
+                                      str(tmp_path / "out.jsonl"), "--out-dir", str(tmp_path / "o"), "--no-synthesis"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {manifest}[3].{message}"]
 
     def test_malformed_corpus_is_one_line(self, runner, tmp_path):
         src = tmp_path / "bad.jsonl"

@@ -326,7 +326,7 @@ class TestJsonRoundTrip:
             t = turn_from_dict({"role": "user", "text": "hi", "crossturn": {**ct, "corrected_in_turn": pointer}}, 0)
             assert t.crossturn.corrected_in_turn == pointer
         for bad in ("2", 2.0, True):
-            with pytest.raises(CorpusError, match="^turn 0: corrected_in_turn must be an integer or null"):
+            with pytest.raises(CorpusError, match="^turn 0: crossturn.corrected_in_turn must be an integer or null"):
                 turn_from_dict({"role": "user", "text": "hi", "crossturn": {**ct, "corrected_in_turn": bad}}, 0)
 
     def test_corpus_file_round_trip(self, tmp_path, dialogue):

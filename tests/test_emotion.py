@@ -9,13 +9,13 @@ import pytest
 from todvoice.clients import StubChatClient
 from todvoice.corpus import CrossTurnMeta, Emotion, Role, Turn
 from todvoice.emotion import (
-    KEYWORDS,
     annotate_dialogue,
     annotate_turn,
     context_string,
     inherit_labels,
     parse_label,
 )
+from todvoice.prompts import EMOTION_LABELS_BLOCK, KEYWORDS
 from todvoice.seeding import rng_for
 from todvoice.synthesis import style_instruction
 
@@ -164,6 +164,18 @@ class TestKeywords:
     def test_label_set_matches_rubric(self):
         assert set(KEYWORDS) == set(Emotion)
         assert KEYWORDS[Emotion.DISSATISFIED] == ("angry", "contempt", "disgusted", "defiant")
+
+    def test_judge_prompt_lists_each_label_with_its_keywords(self):
+        # Derived from KEYWORDS; pinned so the judge prompt stays byte-identical.
+        assert EMOTION_LABELS_BLOCK == (
+            "0 neutral: calm, indifferent, patient, relaxed\n"
+            "1 fearful: fearful, shocked, surprised\n"
+            "2 dissatisfied: angry, contempt, disgusted, defiant\n"
+            "3 apologetic: compassionate, selfless, humble\n"
+            "4 abusive: commanding, authoritative, merciless, loud, vengeful\n"
+            "5 excited: adventurous, energetic, passionate, curious, creative, joyful\n"
+            "6 satisfied: proud, hopeful, happy, cheerful"
+        )
 
     def test_style_instruction_draws_from_label_set(self):
         rng = rng_for(0, "kw")

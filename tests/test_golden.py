@@ -23,9 +23,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import assistant_pool_profiles, user_pool_profiles
+from conftest import assistant_pool_profiles, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
-from todvoice.speakers import save_speaker_manifest
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 GOLDEN_DIGEST = "97e1dfce05894896479095424f0a5ffd026659bdf3341e71a067995cf42fbccc"
@@ -33,8 +32,8 @@ GOLDEN_DIGEST = "97e1dfce05894896479095424f0a5ffd026659bdf3341e71a067995cf42fbcc
 
 def _run_digest(tmp_path: Path, workers: int) -> str:
     user_m, asst_m = tmp_path / "speakers.json", tmp_path / "assistants.json"
-    save_speaker_manifest(user_pool_profiles(), user_m)
-    save_speaker_manifest(assistant_pool_profiles(), asst_m)
+    write_speaker_manifest(user_pool_profiles(), user_m)
+    write_speaker_manifest(assistant_pool_profiles(), asst_m)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"speaker_manifest": str(user_m), "assistant_manifest": str(asst_m)}))
     out, audio = tmp_path / "out.jsonl", tmp_path / "audio"

@@ -39,7 +39,6 @@ from todvoice.metrics import (
     similarity_pairs,
     slot_f1,
     slot_f1_micro,
-    speaker_similarity,
     wer,
 )
 
@@ -321,7 +320,7 @@ class TestSlotF1:
 class TestSimilarity:
     def test_identical_vectors(self):
         vectors = [[1.0, 2.0, 3.0]] * 4
-        report = speaker_similarity(vectors)
+        report = aggregate_similarity([vectors])
         assert report.sim_first.mean == pytest.approx(1.0)
         assert report.sim_first.std == pytest.approx(0.0)
         assert report.sim_prev.mean == pytest.approx(1.0)
@@ -329,7 +328,7 @@ class TestSimilarity:
 
     def test_orthogonal_consecutive(self):
         vectors = [[1.0, 0.0], [0.0, 1.0]]
-        report = speaker_similarity(vectors)
+        report = aggregate_similarity([vectors])
         assert report.sim_prev.mean == pytest.approx(0.0)
 
     def test_random_unit_vectors_match_direct_oracle(self):

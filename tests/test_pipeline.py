@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assistant_pool_profiles, make_dialogue, user_pool_profiles
+from conftest import assistant_pool_profiles, make_dialogue, user_pool_profiles, write_speaker_manifest
 from todvoice import pipeline, speakers
 from todvoice.corpus import BARGEIN_TOKEN, Dialogue, Role, dumps_dialogue
 from todvoice.clients import (
@@ -35,7 +35,6 @@ from todvoice.pipeline import (
     split_corpus,
     wer_validation,
 )
-from todvoice.speakers import save_speaker_manifest
 
 _DATA = Path(__file__).parent / "data"
 
@@ -72,8 +71,8 @@ def _pipeline_corpus(n: int = 8) -> list[Dialogue]:
 def _manifests(tmp_path: Path) -> tuple[str, str]:
     user_path = tmp_path / "speakers.json"
     asst_path = tmp_path / "assistants.json"
-    save_speaker_manifest(user_pool_profiles(), user_path)
-    save_speaker_manifest(assistant_pool_profiles(), asst_path)
+    write_speaker_manifest(user_pool_profiles(), user_path)
+    write_speaker_manifest(assistant_pool_profiles(), asst_path)
     return str(user_path), str(asst_path)
 
 
@@ -151,8 +150,8 @@ class TestConfig:
         ({"asr_corruption": 1.5}, r"asr_corruption must be a number in \[0, 1\]"),
         ({"asr_corruption": -0.1}, r"asr_corruption must be a number in \[0, 1\]"),
         ({"asr_corruption": float("nan")}, r"asr_corruption must be a number in \[0, 1\]"),
-        ({"asr_corruption": "0.1"}, r"asr_corruption must be a number in \[0, 1\]"),
-        ({"asr_corruption": True}, r"asr_corruption must be a number in \[0, 1\]"),
+        ({"asr_corruption": "0.1"}, r"asr_corruption must be a number, not '0.1'"),
+        ({"asr_corruption": True}, r"asr_corruption must be a number, not True"),
     ])
     def test_scalar_key_types(self, data, message):
         with pytest.raises(ConfigError, match=f"^{message}"):
@@ -176,6 +175,11 @@ class TestConfig:
         ({"clients": {"asr": {"timeout_s": "30"}}}, "clients.asr.timeout_s must be a number, not '30'"),
         ({"clients": {"asr": {"timeout_s": False}}}, "clients.asr.timeout_s must be a number, not False"),
         ({"clients": {"tts": {"temperature": "hot"}}}, "clients.tts.temperature must be a number or null, not 'hot'"),
+        ({"crossturn": {"min_digits": "7"}}, "crossturn.min_digits must be an integer, not '7'"),
+        ({"disfluency": {"slot_window_words": "2"}}, "disfluency.slot_window_words must be an integer, not '2'"),
+        ({"crossturn": {"p_error": True}}, "crossturn.p_error must be a number, not True"),
+        ({"pool_weights": {"native": "0.7"}}, "pool_weights.native must be a number, not '0.7'"),
+        ({"bargein": {"sample_rate": "0.5"}}, "bargein.sample_rate must be a number, not '0.5'"),
     ])
     def test_section_field_types(self, data, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -374,7 +378,7 @@ class TestQuarantine:
         dialogues = _pipeline_corpus(2)
         user_m, _ = _manifests(tmp_path)
         short_path = tmp_path / "short.json"
-        save_speaker_manifest(assistant_pool_profiles()[:3], short_path)
+        write_speaker_manifest(assistant_pool_profiles()[:3], short_path)
         cfg = PipelineConfig(
             out_dir=str(tmp_path / "out"),
             speaker_manifest=user_m,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -19,11 +20,10 @@ from todvoice.speakers import (
     build_pool,
     load_speaker_manifest,
     sample_user_speaker,
-    save_speaker_manifest,
     validate_assistant_pool,
 )
 
-from conftest import assistant_pool_profiles, user_pool_profiles
+from conftest import assistant_pool_profiles, user_pool_profiles, write_speaker_manifest
 
 
 class TestAgeBin:
@@ -178,6 +178,14 @@ class TestAssistantPool:
 
 def test_manifest_round_trip(tmp_path, user_pool):
     path = tmp_path / "speakers.json"
-    save_speaker_manifest(user_pool, path)
+    write_speaker_manifest(user_pool, path)
     back = load_speaker_manifest(path)
     assert back == user_pool
+
+
+def test_manifest_rows_are_lower_cased_and_a_missing_age_bin_is_derived(tmp_path):
+    path = tmp_path / "speakers.json"
+    path.write_text(json.dumps([{"speaker_id": "s1", "accent_pool": "Native", "country": "US",
+                                 "age": 45, "gender": "Female"}]))
+    (sp,) = load_speaker_manifest(path)
+    assert (sp.accent_pool, sp.gender, sp.age_bin, sp.ref_audio) == ("native", "female", "40-50s", None)

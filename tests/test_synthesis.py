@@ -49,8 +49,8 @@ class TestJobs:
 
     def test_build_job_uses_role_speaker(self):
         d = _labeled_dialogue()
-        user_job = build_job(d, 0, rng=rng_for(0, "j0"))
-        asst_job = build_job(d, 1, rng=rng_for(0, "j1"))
+        user_job = build_job(d, 0, "hello", rng=rng_for(0, "j0"))
+        asst_job = build_job(d, 1, "hi", rng=rng_for(0, "j1"))
         assert user_job.speaker_ref == d.user_speaker.ref_audio
         assert asst_job.speaker_ref == d.assistant_speaker.ref_audio
 
@@ -58,7 +58,7 @@ class TestJobs:
         d = _labeled_dialogue()
         d = dataclasses.replace(d, turns=tuple(t.with_(emotion=None) for t in d.turns))
         with pytest.raises(ValueError):
-            build_job(d, 0, rng=rng_for(0, "x"))
+            build_job(d, 0, "hello", rng=rng_for(0, "x"))
 
     def test_empty_normalized_text_rejected(self):
         with pytest.raises(ValueError):

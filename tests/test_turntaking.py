@@ -18,7 +18,6 @@ from todvoice.turntaking import (
     ProbFrame,
     StrategyConfig,
     StrategyState,
-    binary_accuracy,
     classify_outcome,
     evaluate_set,
     format_report,
@@ -195,13 +194,11 @@ class TestCountsAndBinary:
         assert OutcomeCounts().binary_accuracy == 0.0
 
     def test_binary_accuracy_rows(self):
-        assert binary_accuracy(66.0, 16.4) == pytest.approx(82.4)
-        assert binary_accuracy(58.6, 11.0) == pytest.approx(69.6)
-
-    def test_counts_binary_matches_free_function(self):
-        counts = OutcomeCounts(correct=330, early=52, confused=82, missed=36)
-        assert counts.binary_accuracy == pytest.approx(
-            binary_accuracy(counts.pct("correct"), counts.pct("confused")))
+        # The paper's rows, 66.0 + 16.4 -> 82.4 and 58.6 + 11.0 -> 69.6, as the report shows them.
+        rows = [(OutcomeCounts(correct=660, early=98, confused=164, missed=78), 82.4),
+                (OutcomeCounts(correct=586, early=190, confused=110, missed=114), 69.6)]
+        for counts, binary in rows:
+            assert counts.as_percentages()["binary"] == pytest.approx(binary)
 
     def test_as_percentages_keys(self):
         got = OutcomeCounts(correct=1).as_percentages()
