@@ -51,12 +51,6 @@ class Candidate:
     style: BargeInStyle
 
 
-@dataclass(frozen=True)
-class InsertionBlock:
-    turns: tuple[tuple[Role, str], ...]
-    meta: BargeInMeta
-
-
 def sample_candidates(d: Dialogue, cfg: BargeInConfig, rng: random.Random) -> list[Candidate]:
     out: list[Candidate] = []
     types = list(BargeInType)
@@ -67,11 +61,6 @@ def sample_candidates(d: Dialogue, cfg: BargeInConfig, rng: random.Random) -> li
     return out
 
 
-def _context_str(d: Dialogue, turn_idx: int, width: int = 6) -> str:
-    lines = [f"{t.role.value}: {t.text}" for t in d.turns[max(0, turn_idx - width) : turn_idx]]
-    return "\n".join(lines) if lines else "(start of dialogue)"
-
-
 def _current_exchange(d: Dialogue, turn_idx: int) -> str:
     lines = [f"user: {d.turns[turn_idx].text}"]
     if turn_idx + 1 < len(d.turns):
@@ -79,11 +68,11 @@ def _current_exchange(d: Dialogue, turn_idx: int) -> str:
     return "\n".join(lines)
 
 
-def judge_validity(d: Dialogue, candidate: Candidate, judge: ChatClient) -> bool:
+def judge_validity(d: Dialogue, candidate: Candidate, context: str, judge: ChatClient) -> bool:
     prompt = prompts.interruption_validity_prompt(
         candidate.type,
         _current_exchange(d, candidate.turn_idx),
-        _context_str(d, candidate.turn_idx),
+        context,
         d.state_at(candidate.turn_idx),
     )
     return judge.complete(prompt).strip().lower().startswith("y")
@@ -106,17 +95,15 @@ def _parse_turns(reply: str) -> tuple[list[tuple[Role, str]], dict, dict]:
     return turns, {}, {}
 
 
-def generate_insertion(
-    d: Dialogue,
-    candidate: Candidate,
-    state: dict[str, str] | None,
-    gen: ChatClient,
-) -> InsertionBlock:
+def generate_insertion(d: Dialogue, candidate: Candidate, context: str, gen: ChatClient) -> list[Turn]:
+    """The block [truncated assistant, interruption, recovery] for candidate,
+    to be inserted after its user turn."""
+    state = d.state_at(candidate.turn_idx)
     prompt = prompts.interruption_generation_prompt(
         candidate.type,
         candidate.style,
         _current_exchange(d, candidate.turn_idx),
-        _context_str(d, candidate.turn_idx),
+        context,
         state,
     )
     reply = gen.complete(prompt)
@@ -150,16 +137,10 @@ def generate_insertion(
     else:
         meta = BargeInMeta(type=candidate.type, style=candidate.style)
 
-    return InsertionBlock(turns=tuple(turns), meta=meta)
-
-
-def apply_insertion(d: Dialogue, at: int, block: InsertionBlock) -> Dialogue:
-    """Splice the block immediately before the assistant response to turn `at`."""
-    new_turns = [
-        Turn(index=0, role=role, text=text, bargein=block.meta if i < 2 else None)
-        for i, (role, text) in enumerate(block.turns)
+    return [
+        Turn(index=0, role=role, text=text, bargein=meta if i < 2 else None)
+        for i, (role, text) in enumerate(turns)
     ]
-    return splice_turns(d, at + 1, at + 1, new_turns)
 
 
 def apply_bargein_stage(
@@ -169,21 +150,29 @@ def apply_bargein_stage(
     gen: ChatClient,
     rng: random.Random,
 ) -> Dialogue:
-    """Sample, judge, generate, and splice; failed candidates are skipped."""
-    offset = 0
+    """Sample, judge, generate, and splice; failed candidates are skipped.
+
+    Each candidate's prompts show the dialogue with the blocks accepted before it.
+    """
+    edits = []
+    seen: list[Turn] = []  # the turns before the candidate's, with the blocks so far
+    at = 0
     for cand in sample_candidates(d, cfg, rng):
-        idx = cand.turn_idx + offset
-        shifted = Candidate(idx, cand.type, cand.style)
+        i = cand.turn_idx
+        seen += d.turns[at:i]
+        at = i
+        context = prompts.context_string(seen) or "(start of dialogue)"
         try:
-            if not judge_validity(d, shifted, judge):
+            if not judge_validity(d, cand, context, judge):
                 continue
-            block = generate_insertion(d, shifted, d.state_at(idx), gen)
+            block = generate_insertion(d, cand, context, gen)
         except ClientError as exc:
-            log.warning("%s: candidate at turn %d skipped (client failure: %s)", d.dialogue_id, idx, exc)
+            log.warning("%s: candidate at turn %d skipped (client failure: %s)", d.dialogue_id, i, exc)
             continue
         except BlockRejected as exc:
-            log.warning("%s: candidate at turn %d rejected (%s)", d.dialogue_id, idx, exc)
+            log.warning("%s: candidate at turn %d rejected (%s)", d.dialogue_id, i, exc)
             continue
-        d = apply_insertion(d, idx, block)
-        offset += 3
-    return d
+        edits.append((i + 1, i + 1, block))
+        seen += [d.turns[i], *block]
+        at = i + 1
+    return splice_turns(d, edits)

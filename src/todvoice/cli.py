@@ -10,6 +10,7 @@ from pathlib import Path
 
 import click
 
+from .checked import check
 from .clients import ClientError
 from .corpus import CorpusError, iter_records, load_corpus, save_corpus, validate_dialogue
 from .ingest import SOURCES, SourceRecord, adapt
@@ -232,7 +233,9 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
     else:
         out["disclosure_curve"] = [round(v, 6) for v in curve]
     if pred_path:
-        preds = json.loads(Path(pred_path).read_text(encoding="utf-8"))
+        preds = check(pred_path, json.loads(Path(pred_path).read_text(encoding="utf-8")), "dict", ValueError)
+        for dialogue_id, state in preds.items():
+            check(f"{pred_path}[{dialogue_id!r}]", state, "dict[str, str]", ValueError)
         pairs = []
         for d in dialogues:
             gold = d.state_at(len(d.turns) - 1) or {}

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -251,23 +253,37 @@ def renumber(turns: Iterable[Turn]) -> tuple[Turn, ...]:
 
 # --- dialogue edits ------------------------------------------------------------
 
-def splice_turns(d: Dialogue, start: int, stop: int, block: Sequence[Turn]) -> Dialogue:
-    """Replace d.turns[start:stop] with block and renumber.
+def splice_turns(d: Dialogue, edits: Sequence[tuple[int, int, Sequence[Turn]]]) -> Dialogue:
+    """Apply every edit (start, stop, block), each replacing d.turns[start:stop]
+    with block, in one pass, and renumber once; no edits return d itself.
 
-    Kept turns past the edit move by the change in length, and so do their
-    cross-turn correction pointers. Block turns are taken as already final
-    (their pointers are absolute), apart from their indices.
+    Edits are in d's coordinates, in order and not overlapping. A kept turn's
+    cross-turn correction pointer p moves with the turn it points at: by the
+    change in length of every edit whose stop is at or before p. A block
+    turn's pointer counts from the first turn of its block.
     """
-    delta = len(block) - (stop - start)
+    if not edits:
+        return d
+    stops = [stop for _, stop, _ in edits]
+    shifts = list(accumulate((len(block) - (stop - start) for start, stop, block in edits), initial=0))
 
-    def moved(t: Turn) -> Turn:
+    def moved(t: Turn, base: int | None) -> Turn:
         ct = t.crossturn
-        if ct is None or ct.corrected_in_turn is None or ct.corrected_in_turn < stop:
+        if ct is None or ct.corrected_in_turn is None:
             return t
-        return replace(t, crossturn=replace(ct, corrected_in_turn=ct.corrected_in_turn + delta))
+        p = ct.corrected_in_turn
+        p = p + shifts[bisect_right(stops, p)] if base is None else base + p
+        return t if p == ct.corrected_in_turn else t.with_(crossturn=replace(ct, corrected_in_turn=p))
 
-    kept = [moved(t) for t in d.turns]
-    return d.with_turns(renumber(kept[:start] + list(block) + kept[stop:]))
+    turns: list[Turn] = []
+    at = 0
+    for start, stop, block in edits:
+        turns += [moved(t, None) for t in d.turns[at:start]]
+        base = len(turns)
+        turns += [moved(t, base) for t in block]
+        at = stop
+    turns += [moved(t, None) for t in d.turns[at:]]
+    return d.with_turns(renumber(turns))
 
 
 def shift_spans(

@@ -116,19 +116,18 @@ def corrupt_chunk(chunk: str, rng: random.Random) -> str:
     return chunk[:i] + repl + chunk[i + 1 :]
 
 
-def expand_turn(
-    d: Dialogue,
-    turn_idx: int,
+def dictation_block(
+    turn: Turn,
     slot: str,
     chunks: list[str],
     rng: random.Random,
     cfg: CrossTurnConfig = CrossTurnConfig(),
-) -> Dialogue:
-    """Rewrite one user turn into a chunk-dictation sub-dialogue."""
-    turn = d.turns[turn_idx]
+) -> list[Turn]:
+    """Rewrite one user turn into a chunk-dictation exchange, to be spliced in
+    its place; a correction pointer counts from the first turn of the block."""
     span = next(((s, e) for name, s, e in turn.slot_spans if name == slot), None)
     if turn.role is not Role.USER or span is None:
-        raise ValueError(f"turn {turn_idx} has no user slot span for {slot!r}")
+        raise ValueError(f"turn {turn.index} has no user slot span for {slot!r}")
     start, end = span
 
     error_at = rng.randrange(len(chunks)) if rng.random() < cfg.p_error else None
@@ -144,6 +143,8 @@ def expand_turn(
     for i, chunk in enumerate(spoken):
         dictated = render_dictation(chunk)
         meta = CrossTurnMeta(slot_name=slot, chunk_index=i, chunk_text=chunk, is_error=(i == error_at))
+        # An erroneous chunk is corrected by the user turn two places on.
+        said = replace(meta, corrected_in_turn=len(block) + 2) if i == error_at else meta
         if i == 0:
             first_text = turn.text[:start] + dictated + turn.text[end:]
             kept = [sp for sp in turn.slot_spans if not (sp[0] == slot and sp[1] <= start < sp[2])]
@@ -153,30 +154,18 @@ def expand_turn(
                     text=first_text,
                     tagged=None,
                     slot_spans=shift_spans(kept, start, delta),
-                    crossturn=meta,
+                    crossturn=said,
                 )
             )
         else:
-            add(Role.USER, f"Then {dictated}.", meta)
+            add(Role.USER, f"Then {dictated}.", said)
         add(Role.ASSISTANT, f"Got it, {dictated}.", meta)
         if i == error_at:
             fix = render_dictation(chunks[i])
             fix_meta = CrossTurnMeta(slot_name=slot, chunk_index=i, chunk_text=chunks[i], is_error=False)
             add(Role.USER, f"Wait, I meant {fix}.", fix_meta)
             add(Role.ASSISTANT, f"Got it, {fix}.", fix_meta)
-
-    # The correction user turn sits two positions after the erroneous chunk turn.
-    if error_at is not None:
-        err_pos = next(
-            i for i, t in enumerate(block)
-            if t.crossturn and t.crossturn.chunk_index == error_at and t.crossturn.is_error and t.role is Role.USER
-        )
-        err_turn = block[err_pos]
-        block[err_pos] = err_turn.with_(
-            crossturn=replace(err_turn.crossturn, corrected_in_turn=turn_idx + err_pos + 2)
-        )
-
-    return splice_turns(d, turn_idx, turn_idx + 1, block)
+    return block
 
 
 def reconstruct_value(d: Dialogue, slot: str) -> str:
@@ -210,22 +199,6 @@ def segmentable_slots(turn: Turn, cfg: CrossTurnConfig) -> list[tuple[str, str]]
     return out
 
 
-def _merge_into_next_assistant(d: Dialogue, j: int) -> Dialogue:
-    """Fold turn j into turn j+1 when both are assistant turns."""
-    if j + 1 >= len(d.turns):
-        return d
-    conf, nxt = d.turns[j], d.turns[j + 1]
-    if conf.role is not Role.ASSISTANT or nxt.role is not Role.ASSISTANT:
-        return d
-    merged = nxt.with_(
-        text=f"{conf.text} {nxt.text}",
-        tagged=f"{conf.text} {nxt.tagged}" if nxt.tagged is not None else None,
-        slot_spans=shift_spans(nxt.slot_spans, 0, len(conf.text) + 1),
-        crossturn=conf.crossturn,
-    )
-    return splice_turns(d, j, j + 2, [merged])
-
-
 def apply_crossturn_stage(
     d: Dialogue, cfg: CrossTurnConfig, rng: random.Random
 ) -> Dialogue:
@@ -234,19 +207,28 @@ def apply_crossturn_stage(
     The block's final confirmation is folded into the assistant turn that
     originally followed, keeping roles strictly alternating.
     """
-    i = 0
-    while i < len(d.turns):
-        t = d.turns[i]
-        if t.role is Role.USER and t.crossturn is None:
-            slots = segmentable_slots(t, cfg)
-            if slots:
-                name, value = slots[0]
-                chunks = segment_value(value, cfg)
-                if len(chunks) >= 2:
-                    before = len(d.turns)
-                    d = expand_turn(d, i, name, chunks, rng, cfg)
-                    j = i + len(d.turns) - before
-                    d = _merge_into_next_assistant(d, j)
-                    i = j
-        i += 1
-    return d
+    edits = []
+    for i, t in enumerate(d.turns):
+        if t.role is not Role.USER or t.crossturn is not None:
+            continue
+        slots = segmentable_slots(t, cfg)
+        if not slots:
+            continue
+        name, value = slots[0]
+        chunks = segment_value(value, cfg)
+        if len(chunks) < 2:
+            continue
+        block = dictation_block(t, name, chunks, rng, cfg)
+        nxt = d.turns[i + 1] if i + 1 < len(d.turns) else None
+        if nxt is None or nxt.role is not Role.ASSISTANT:
+            edits.append((i, i + 1, block))
+            continue
+        conf = block.pop()
+        block.append(nxt.with_(
+            text=f"{conf.text} {nxt.text}",
+            tagged=f"{conf.text} {nxt.tagged}" if nxt.tagged is not None else None,
+            slot_spans=shift_spans(nxt.slot_spans, 0, len(conf.text) + 1),
+            crossturn=conf.crossturn,
+        ))
+        edits.append((i, i + 2, block))
+    return splice_turns(d, edits)

@@ -29,11 +29,6 @@ def parse_label(reply: str) -> Emotion | None:
     return Emotion(int(m.group(1))) if m else None
 
 
-def context_string(d: Dialogue, turn_index: int, window: int = 6) -> str:
-    prior = d.turns[max(0, turn_index - window) : turn_index]
-    return "\n".join(f"{t.role.value}: {t.text}" for t in prior)
-
-
 def annotate_turn(ctx: str, t: Turn, judge: ChatClient) -> Emotion:
     """Label one non-segment user turn; malformed output retries once then
     falls back to neutral with a warning. A client failure, already retried
@@ -87,6 +82,6 @@ def annotate_dialogue(d: Dialogue, judge: ChatClient, skip_labeled: bool = False
             and not is_segment(t)
             and not (skip_labeled and t.emotion is not None)
         ):
-            t = t.with_(emotion=annotate_turn(context_string(d, t.index), t, judge))
+            t = t.with_(emotion=annotate_turn(prompts.context_string(d.turns[: t.index]), t, judge))
         turns.append(t)
     return inherit_labels(d.with_turns(tuple(turns)))

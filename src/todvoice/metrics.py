@@ -235,11 +235,6 @@ def _tp_count(pred: Mapping[str, str], gold: Mapping[str, str]) -> int:
     )
 
 
-def slot_f1(pred_state: Mapping[str, str], gold_state: Mapping[str, str]) -> Prf:
-    """Micro P/R/F1 over slot-value pairs of one final belief state."""
-    return _prf(_tp_count(pred_state, gold_state), len(pred_state), len(gold_state))
-
-
 def slot_f1_micro(pairs: Iterable[tuple[Mapping[str, str], Mapping[str, str]]]) -> Prf:
     tp = n_pred = n_gold = 0
     for pred, gold in pairs:

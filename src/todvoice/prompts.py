@@ -7,7 +7,9 @@ receive the full text.
 
 from __future__ import annotations
 
-from .corpus import BargeInStyle, BargeInType, Emotion
+from typing import Sequence
+
+from .corpus import BargeInStyle, BargeInType, Emotion, Turn
 
 TASK_INTERRUPT_GENERATE = "Task: insert a user interruption"
 TASK_INTERRUPT_JUDGE = "Task: judge interruption applicability"
@@ -48,6 +50,15 @@ _STYLE_BRIEF = {
 }
 
 
+def context_string(prior: Sequence[Turn]) -> str:
+    """The last six turns before an utterance, one "role: text" line each."""
+    return "\n".join(f"{t.role.value}: {t.text}" for t in prior[-6:])
+
+
+def _state_block(state: dict[str, str] | None) -> str:
+    return "\n".join(f"  {k}: {v}" for k, v in (state or {}).items()) or "  (empty)"
+
+
 def interruption_generation_prompt(
     kind: BargeInType,
     style: BargeInStyle,
@@ -55,7 +66,6 @@ def interruption_generation_prompt(
     context_str: str,
     current_state: dict[str, str] | None,
 ) -> str:
-    state_str = "\n".join(f"  {k}: {v}" for k, v in (current_state or {}).items()) or "  (empty)"
     slot_rules = ""
     if kind is BargeInType.ERROR_RECOVERY:
         slot_rules = (
@@ -78,7 +88,7 @@ def interruption_generation_prompt(
         "\"erroneous_slots\": {...}, \"corrected_slots\": {...}}.\n\n"
         f"Dialogue context:\n{context_str}\n\n"
         f"Current exchange to transform:\n{current_exchange}\n\n"
-        f"Current state:\n{state_str}\n"
+        f"Current state:\n{_state_block(current_state)}\n"
     )
 
 
@@ -88,7 +98,6 @@ def interruption_validity_prompt(
     context_str: str,
     current_state: dict[str, str] | None,
 ) -> str:
-    state_str = "\n".join(f"  {k}: {v}" for k, v in (current_state or {}).items()) or "  (empty)"
     return (
         f"{TASK_INTERRUPT_JUDGE}\n"
         f"Interruption kind - {_TYPE_BRIEF[kind]}.\n"
@@ -96,7 +105,7 @@ def interruption_validity_prompt(
         "inventing facts that contradict the dialogue? Answer with a single word: yes or no.\n\n"
         f"Dialogue context:\n{context_str}\n\n"
         f"Current exchange:\n{current_exchange}\n\n"
-        f"Current state:\n{state_str}\n"
+        f"Current state:\n{_state_block(current_state)}\n"
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .checked import build, check
+from .checked import build, check, must
 from .corpus import CorpusError, SpeakerProfile
 
 log = logging.getLogger(__name__)
@@ -25,6 +25,7 @@ AGE_BINS = ("10s", "20-30s", "40-50s", "60+")
 GENDERS = ("female", "male")
 
 MAX_REF_DURATION_S = 25.0
+_MIN_AGE = 10  # the youngest age bin starts here
 _COUNTRY_RETRIES = 1000
 
 
@@ -37,7 +38,7 @@ class SamplingError(CorpusError):
 
 
 def age_bin_of(age: int) -> str:
-    if age < 10:
+    if age < _MIN_AGE:
         raise ValueError(f"age {age} below the youngest bin")
     if age < 20:
         return "10s"
@@ -168,8 +169,11 @@ def assign_assistant_speaker(
 def _profile_from_dict(row: Any, where: str) -> SpeakerProfile:
     """A manifest row, checked field by field; accent pool and gender are
     lower-cased, and a missing age_bin is derived from the age."""
-    if isinstance(row, dict) and not row.get("age_bin"):
-        row = {**row, "age_bin": age_bin_of(check(f"{where}.age", row.get("age"), "int", ConfigError))}
+    if isinstance(row, dict):
+        age = check(f"{where}.age", row.get("age"), "int", ConfigError)
+        if age < _MIN_AGE:
+            raise ConfigError(must(f"{where}.age", f"an integer of at least {_MIN_AGE}", age))
+        row = {**row, "age_bin": row.get("age_bin") or age_bin_of(age)}
     sp = build(SpeakerProfile, where, row, ConfigError)
     return replace(sp, accent_pool=sp.accent_pool.lower(), gender=sp.gender.lower())
 

@@ -10,7 +10,8 @@ import pytest
 import requests
 
 from todvoice.clients import ChatClient, with_retries
-from todvoice.corpus import Dialogue, Goal, Role, SubGoal, Turn
+from todvoice.corpus import Dialogue, Goal, Role, SubGoal, Turn, splice_turns
+from todvoice.crossturn import CrossTurnConfig, dictation_block
 from todvoice.speakers import ACCENT_POOLS, AGE_BINS, GENDERS, SpeakerProfile
 
 _BIN_AGE = {"10s": 15, "20-30s": 28, "40-50s": 45, "60+": 67}
@@ -46,6 +47,11 @@ def make_dialogue(texts=None, dialogue_id="dlg-0001", spans=None, source="generi
 def with_states(d: Dialogue, states: dict[int, dict[str, str]]) -> Dialogue:
     """d with states[i] as the belief state of turn i."""
     return d.with_turns(t.with_(state=states[t.index]) if t.index in states else t for t in d.turns)
+
+
+def dictate(d: Dialogue, i: int, slot: str, chunks, rng, cfg=CrossTurnConfig()) -> Dialogue:
+    """d with user turn i rewritten into a dictation block of chunks."""
+    return splice_turns(d, [(i, i + 1, dictation_block(d.turns[i], slot, chunks, rng, cfg))])
 
 
 def states_of(d: Dialogue) -> dict[int, dict[str, str]]:

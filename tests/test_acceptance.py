@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     assistant_pool_profiles,
+    dictate,
     make_dialogue,
     make_goal,
     user_pool_profiles,
@@ -25,7 +26,7 @@ from conftest import (
 from todvoice.bargein import BargeInConfig, sample_candidates
 from todvoice.clients import StubChatClient
 from todvoice.corpus import Dialogue, Role, Turn, dumps_dialogue, fluent_projection
-from todvoice.crossturn import CrossTurnConfig, expand_turn, reconstruct_value, segment_value
+from todvoice.crossturn import CrossTurnConfig, reconstruct_value, segment_value
 from todvoice.disfluency import DisfluencyConfig, apply_disfluency_stage, choose_position, inject
 from todvoice.metrics import (
     GaSmr,
@@ -34,7 +35,7 @@ from todvoice.metrics import (
     aggregate_similarity,
     disclosure_curve,
     ga_smr,
-    slot_f1,
+    slot_f1_micro,
     wer,
 )
 from todvoice.pipeline import PipelineConfig, largest_remainder_sizes, run_pipeline, split_corpus
@@ -143,7 +144,7 @@ class TestCrossTurnReconstruction:
                 dialogue_id=f"code-{i:05d}",
                 spans={0: (("ref", at, at + len(value)),)},
             )
-            expanded = expand_turn(d, 0, "ref", segment_value(value, cfg), rng, cfg)
+            expanded = dictate(d, 0, "ref", segment_value(value, cfg), rng, cfg)
             assert reconstruct_value(expanded, "ref") == value
             if any(t.crossturn is not None and t.crossturn.is_error for t in expanded.turns):
                 errors += 1
@@ -374,7 +375,7 @@ class TestMetricFixtures:
     def test_slot_f1_hand_computed(self):
         pred = {"food": "thai", "area": "south", "stars": "three"}
         gold = {"food": "thai", "area": "north", "day": "friday"}
-        got = slot_f1(pred, gold)
+        got = slot_f1_micro([(pred, gold)])
         assert (got.precision, got.recall, got.f1) == (1 / 3, 1 / 3, 1 / 3)
         _report("PASS slot F1: one of three matches on both sides -> P=R=F1=1/3")
 

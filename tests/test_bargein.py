@@ -7,28 +7,34 @@ import pytest
 from todvoice.bargein import (
     BargeInConfig,
     Candidate,
-    InsertionBlock,
     apply_bargein_stage,
-    apply_insertion,
     generate_insertion,
     judge_validity,
     sample_candidates,
 )
 from todvoice.clients import StubChatClient
-from todvoice.crossturn import CrossTurnConfig, expand_turn, reconstruct_value
+from todvoice.crossturn import CrossTurnConfig, reconstruct_value
 from todvoice.corpus import (
+    BargeInMeta,
     BargeInStyle,
     BargeInType,
     Role,
+    Turn,
+    splice_turns,
     validate_dialogue,
 )
+from todvoice.prompts import context_string
 from todvoice.seeding import rng_for
 
-from conftest import make_dialogue, states_of, with_states
+from conftest import dictate, make_dialogue, states_of, with_states
 
 
 def _chat():
     return StubChatClient()
+
+
+def _context(d, cand):
+    return context_string(d.turns[: cand.turn_idx])
 
 
 def _six_turn_dialogue():
@@ -75,72 +81,70 @@ class TestJudge:
     def test_stub_accepts_substantive_context(self):
         d = _six_turn_dialogue()
         cand = Candidate(2, BargeInType.CLARIFICATION, BargeInStyle.INTERPRETED)
-        assert judge_validity(d, cand, _chat()) in (True, False)
+        assert judge_validity(d, cand, _context(d, cand), _chat()) in (True, False)
 
     def test_efficiency_after_confirmation_is_suitable(self):
         d = _six_turn_dialogue()
         cand = Candidate(4, BargeInType.EFFICIENCY, BargeInStyle.IMPLICIT)
-        assert judge_validity(d, cand, _chat()) is True
+        assert judge_validity(d, cand, _context(d, cand), _chat()) is True
 
 
 class TestGeneration:
     def test_block_shape(self):
         d = _six_turn_dialogue()
         cand = Candidate(2, BargeInType.EFFICIENCY, BargeInStyle.IMPLICIT)
-        block = generate_insertion(d, cand, None, _chat())
-        assert len(block.turns) == 3
-        roles = [r for r, _ in block.turns]
+        block = generate_insertion(d, cand, _context(d, cand), _chat())
+        assert len(block) == 3
+        roles = [t.role for t in block]
         assert roles == [Role.ASSISTANT, Role.USER, Role.ASSISTANT]
-        assert block.turns[0][1].endswith("<bargein>")
+        assert block[0].text.endswith("<bargein>")
 
     def test_error_recovery_records_slot_maps(self):
-        d = _six_turn_dialogue()
-        state = {"destination": "Paris"}
+        d = with_states(_six_turn_dialogue(), {0: {"destination": "Paris"}})
         cand = Candidate(0, BargeInType.ERROR_RECOVERY, BargeInStyle.RAW)
-        block = generate_insertion(d, cand, state, _chat())
-        assert block.meta.type is BargeInType.ERROR_RECOVERY
-        assert block.meta.corrected_slots == {"destination": "Paris"}
-        assert block.meta.erroneous_slots
-        assert set(block.meta.erroneous_slots) == set(block.meta.corrected_slots)
-        wrong = block.meta.erroneous_slots["destination"]
+        block = generate_insertion(d, cand, _context(d, cand), _chat())
+        meta = block[0].bargein
+        assert meta.type is BargeInType.ERROR_RECOVERY
+        assert meta.corrected_slots == {"destination": "Paris"}
+        assert meta.erroneous_slots
+        assert set(meta.erroneous_slots) == set(meta.corrected_slots)
+        wrong = meta.erroneous_slots["destination"]
         assert wrong != "Paris"
 
     def test_raw_style_uses_blunt_interruption(self):
-        d = _six_turn_dialogue()
+        d = with_states(_six_turn_dialogue(), {0: {"destination": "Paris"}})
         cand = Candidate(0, BargeInType.ERROR_RECOVERY, BargeInStyle.RAW)
-        block = generate_insertion(d, cand, {"destination": "Paris"}, _chat())
-        user_text = block.turns[1][1]
+        block = generate_insertion(d, cand, _context(d, cand), _chat())
+        user_text = block[1].text
         assert user_text == "No, that's wrong."
 
     def test_efficiency_implicit_uses_backchannel(self):
         d = _six_turn_dialogue()
         cand = Candidate(2, BargeInType.EFFICIENCY, BargeInStyle.IMPLICIT)
-        block = generate_insertion(d, cand, None, _chat())
-        assert block.turns[1][1] == "Uh-huh."
+        block = generate_insertion(d, cand, _context(d, cand), _chat())
+        assert block[1].text == "Uh-huh."
 
     def test_clarification_interpreted_asks_about_term(self):
         d = _six_turn_dialogue()
         cand = Candidate(2, BargeInType.CLARIFICATION, BargeInStyle.INTERPRETED)
-        block = generate_insertion(d, cand, None, _chat())
-        assert "?" in block.turns[1][1]
+        block = generate_insertion(d, cand, _context(d, cand), _chat())
+        assert "?" in block[1].text
 
 
 class TestApplyInsertion:
+    """A barge-in block is spliced in right after its user turn."""
+
     def _block(self):
-        from todvoice.corpus import BargeInMeta
         meta = BargeInMeta(type=BargeInType.EFFICIENCY, style=BargeInStyle.IMPLICIT)
-        return InsertionBlock(
-            turns=[
-                (Role.ASSISTANT, "Let me check the <bargein>"),
-                (Role.USER, "Uh-huh."),
-                (Role.ASSISTANT, "Right away."),
-            ],
-            meta=meta,
-        )
+        return [
+            Turn(index=0, role=Role.ASSISTANT, text="Let me check the <bargein>", bargein=meta),
+            Turn(index=0, role=Role.USER, text="Uh-huh.", bargein=meta),
+            Turn(index=0, role=Role.ASSISTANT, text="Right away."),
+        ]
 
     def test_six_turns_become_nine_with_originals_in_order(self):
         d = _six_turn_dialogue()
-        out = apply_insertion(d, 2, self._block())
+        out = splice_turns(d, [(3, 3, self._block())])
         assert len(out.turns) == 9
         original = [t.text for t in d.turns]
         augmented = [t.text for t in out.turns]
@@ -149,7 +153,7 @@ class TestApplyInsertion:
 
     def test_block_lands_before_original_assistant_response(self):
         d = _six_turn_dialogue()
-        out = apply_insertion(d, 2, self._block())
+        out = splice_turns(d, [(3, 3, self._block())])
         texts = [t.text for t in out.turns]
         assert texts[3].endswith("<bargein>")
         assert texts[4] == "Uh-huh."
@@ -158,20 +162,20 @@ class TestApplyInsertion:
 
     def test_meta_attached_to_truncated_and_interruption_turns(self):
         d = _six_turn_dialogue()
-        out = apply_insertion(d, 2, self._block())
+        cand = Candidate(2, BargeInType.EFFICIENCY, BargeInStyle.IMPLICIT)
+        out = splice_turns(d, [(3, 3, generate_insertion(d, cand, _context(d, cand), _chat()))])
         assert out.turns[3].bargein is not None
         assert out.turns[4].bargein is not None
         assert out.turns[5].bargein is None
 
     def test_spliced_dialogue_validates(self):
         d = _six_turn_dialogue()
-        out = apply_insertion(d, 2, self._block())
+        out = splice_turns(d, [(3, 3, self._block())])
         assert validate_dialogue(out) == []
 
     def test_two_insertions_keep_original_order(self):
         d = _six_turn_dialogue()
-        out = apply_insertion(d, 0, self._block())
-        out = apply_insertion(out, 5, self._block())
+        out = splice_turns(d, [(1, 1, self._block()), (3, 3, self._block())])
         remaining = [t.text for t in out.turns]
         for text in [t.text for t in d.turns]:
             assert text in remaining
@@ -179,7 +183,7 @@ class TestApplyInsertion:
 
     def test_state_indices_shift(self):
         d = with_states(_six_turn_dialogue(), {3: {"k": "v"}})
-        out = apply_insertion(d, 2, self._block())
+        out = splice_turns(d, [(3, 3, self._block())])
         assert states_of(out) == {6: {"k": "v"}}
 
     @pytest.mark.parametrize("seed", range(3))  # the erroneous chunk is 1, 0, 2
@@ -191,10 +195,10 @@ class TestApplyInsertion:
             texts=[(Role.USER, text), (Role.ASSISTANT, "Noted.")],
             spans={0: (("phone", start, start + len(value)),)},
         )
-        d = expand_turn(d, 0, "phone", ["012", "345", "6789"], rng_for(seed, "err"),
-                        CrossTurnConfig(p_error=1.0))
+        d = dictate(d, 0, "phone", ["012", "345", "6789"], rng_for(seed, "err"),
+                    CrossTurnConfig(p_error=1.0))
         (err,) = [t.index for t in d.turns if t.crossturn and t.crossturn.is_error and t.role is Role.USER]
-        out = apply_insertion(d, err, self._block())
+        out = splice_turns(d, [(err + 1, err + 1, self._block())])
         pointer = out.turns[err].crossturn.corrected_in_turn
         assert pointer == err + 5
         assert out.turns[pointer].text.startswith("Wait, I meant")

@@ -237,6 +237,9 @@ class TestSplit:
         assert "Traceback" not in result.output
 
 
+_ABSENT = object()  # a key the manifest row leaves out
+
+
 class TestCleanErrorBoundary:
     def test_unknown_config_key_is_one_line(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=2)
@@ -305,15 +308,18 @@ class TestCleanErrorBoundary:
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: dialogue 'bad': {message}"]
 
-    @pytest.mark.parametrize("key,value,message", [pytest.param(*case, id=case[0]) for case in [
-        ("age", None, "age must be an integer, not None"),
-        ("ref_duration_s", "12", "ref_duration_s must be a number or null, not '12'"),
-    ]])
-    def test_bad_speaker_manifest_is_one_line(self, runner, tmp_path, key, value, message):
+    @pytest.mark.parametrize("changes,message", [
+        pytest.param({"age": None}, "age must be an integer, not None", id="age"),
+        pytest.param({"ref_duration_s": "12"}, "ref_duration_s must be a number or null, not '12'",
+                     id="ref_duration_s"),
+        pytest.param({"age": 5, "age_bin": _ABSENT}, "age must be an integer of at least 10, not 5", id="age-5-no-bin"),
+        pytest.param({"age": 5, "age_bin": "10s"}, "age must be an integer of at least 10, not 5", id="age-5-in-10s"),
+    ])
+    def test_bad_speaker_manifest_is_one_line(self, runner, tmp_path, changes, message):
         manifest = tmp_path / "speakers.json"
         write_speaker_manifest(user_pool_profiles(), manifest)
         rows = json.loads(manifest.read_text())
-        rows[3][key] = value
+        rows[3] = {k: v for k, v in {**rows[3], **changes}.items() if v is not _ABSENT}
         manifest.write_text(json.dumps(rows))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"speaker_manifest": str(manifest)}))
@@ -322,6 +328,18 @@ class TestCleanErrorBoundary:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: {manifest}[3].{message}"]
+
+    @pytest.mark.parametrize("preds,message", [
+        pytest.param([1, 2], " must be an object, not [1, 2]", id="array"),
+        pytest.param({"cli-0000": "abc"}, "['cli-0000'] must be an object of string values, not 'abc'", id="state"),
+    ])
+    def test_bad_predictions_file_is_one_line(self, runner, tmp_path, preds, message):
+        pred_path = tmp_path / "pred.json"
+        pred_path.write_text(json.dumps(preds))
+        result = runner.invoke(main, ["eval-dialogue", str(_corpus_file(tmp_path, n=2)), "--pred", str(pred_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {pred_path}{message}"]
 
     def test_malformed_corpus_is_one_line(self, runner, tmp_path):
         src = tmp_path / "bad.jsonl"

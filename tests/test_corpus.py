@@ -6,6 +6,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from todvoice.corpus import (
     BargeInMeta,
@@ -96,18 +97,55 @@ class TestSpliceTurns:
 
     def test_block_replaces_range_and_indices_are_dense(self):
         d = self._dialogue()
-        out = splice_turns(d, 1, 3, [Turn(index=99, role=Role.ASSISTANT, text="new")])
+        out = splice_turns(d, [(1, 3, [Turn(index=99, role=Role.ASSISTANT, text="new")])])
         assert [t.text for t in out.turns] == ["t0", "new", "t3", "t4", "t5"]
         assert [t.index for t in out.turns] == list(range(5))
         assert (out.dialogue_id, out.goal) == (d.dialogue_id, d.goal)
 
     def test_pointers_at_or_past_stop_move_by_the_length_change(self):
         block = [Turn(index=0, role=Role.ASSISTANT, text=f"n{i}") for i in range(3)]
-        out = splice_turns(self._dialogue(), 2, 2, block)
+        out = splice_turns(self._dialogue(), [(2, 2, block)])
         assert out.turns[0].crossturn.corrected_in_turn == 7
         assert out.turns[1].crossturn.corrected_in_turn == 0
         assert out.turns[7].text == "t4"
         assert states_of(out) == {0: {"a": "0"}, 5: {"a": "2"}, 7: {"a": "4"}}
+
+
+def _pointing(t: Turn, pointer: int | None) -> Turn:
+    meta = CrossTurnMeta(slot_name="s", chunk_index=0, chunk_text="c", is_error=True, corrected_in_turn=pointer)
+    return t if pointer is None else t.with_(crossturn=meta)
+
+
+@st.composite
+def _dialogue_and_edits(draw):
+    """A dialogue of 0-8 turns and 0-4 ordered, non-overlapping edits; kept and
+    block turns may carry a correction pointer (block ones count from their
+    block's first turn)."""
+    pointers = st.none() | st.integers(0, 12)
+    n = draw(st.integers(0, 8))
+    d = make_dialogue(texts=[(Role.USER, f"t{i}") for i in range(n)])
+    d = d.with_turns(_pointing(t, draw(pointers)) for t in d.turns)
+    k = draw(st.integers(0, 4))
+    bounds = sorted(draw(st.lists(st.integers(0, n), min_size=2 * k, max_size=2 * k)))
+    edits = []
+    for e in range(k):
+        block = [
+            _pointing(Turn(index=0, role=Role.ASSISTANT, text=f"b{e}.{j}"), draw(pointers))
+            for j in range(draw(st.integers(0, 3)))
+        ]
+        edits.append((bounds[2 * e], bounds[2 * e + 1], block))
+    return d, edits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dialogue_and_edits())
+def test_splice_turns_equals_its_edits_applied_right_to_left(case):
+    # Right to left, each edit's coordinates are still those of the input.
+    d, edits = case
+    expected = d
+    for edit in reversed(edits):
+        expected = splice_turns(expected, [edit])
+    assert splice_turns(d, edits) == expected
 
 
 class TestShiftSpans:

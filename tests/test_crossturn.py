@@ -13,7 +13,6 @@ from todvoice.crossturn import (
     CrossTurnConfig,
     apply_crossturn_stage,
     corrupt_chunk,
-    expand_turn,
     is_segmentable,
     reconstruct_value,
     render_dictation,
@@ -22,7 +21,7 @@ from todvoice.crossturn import (
 )
 from todvoice.seeding import rng_for
 
-from conftest import make_dialogue, states_of, with_states
+from conftest import dictate, make_dialogue, states_of, with_states
 
 
 class TestIsSegmentable:
@@ -88,8 +87,8 @@ def _dictation_dialogue(value="0123456789"):
 class TestExpandTurn:
     def test_no_error_block_shape(self):
         d = _dictation_dialogue()
-        out = expand_turn(d, 0, "phone", ["012", "345", "6789"],
-                          rng_for(0, "x"), CrossTurnConfig(p_error=0.0))
+        out = dictate(d, 0, "phone", ["012", "345", "6789"],
+                      rng_for(0, "x"), CrossTurnConfig(p_error=0.0))
         # one user turn per chunk, each with an assistant confirmation
         block = [t for t in out.turns if t.crossturn is not None]
         assert len(block) == 6
@@ -99,8 +98,8 @@ class TestExpandTurn:
 
     def test_error_appends_correction_pair(self):
         d = _dictation_dialogue()
-        out = expand_turn(d, 0, "phone", ["012", "345", "6789"],
-                          rng_for(1, "err"), CrossTurnConfig(p_error=1.0))
+        out = dictate(d, 0, "phone", ["012", "345", "6789"],
+                      rng_for(1, "err"), CrossTurnConfig(p_error=1.0))
         block = [t for t in out.turns if t.crossturn is not None]
         assert len(block) == 8
         errors = [t for t in block if t.crossturn.is_error and t.role is Role.USER]
@@ -113,20 +112,20 @@ class TestExpandTurn:
 
     def test_downstream_indices_renumbered(self):
         d = _dictation_dialogue()
-        out = expand_turn(d, 0, "phone", ["012", "345", "6789"],
-                          rng_for(0, "x"), CrossTurnConfig(p_error=0.0))
+        out = dictate(d, 0, "phone", ["012", "345", "6789"],
+                      rng_for(0, "x"), CrossTurnConfig(p_error=0.0))
         assert [t.index for t in out.turns] == list(range(len(out.turns)))
 
     def test_missing_span_rejected(self):
         d = _dictation_dialogue()
         with pytest.raises(ValueError):
-            expand_turn(d, 0, "absent", ["012", "345"], rng_for(0, "x"))
+            dictate(d, 0, "absent", ["012", "345"], rng_for(0, "x"))
 
     def test_zero_error_rate_boundary(self):
         cfg = CrossTurnConfig(p_error=0.0)
         rng = rng_for(3, "zero")
         for _ in range(300):
-            out = expand_turn(_dictation_dialogue(), 0, "phone", ["012", "345", "6789"], rng, cfg)
+            out = dictate(_dictation_dialogue(), 0, "phone", ["012", "345", "6789"], rng, cfg)
             assert not any(t.crossturn.is_error for t in out.turns if t.crossturn)
 
 
@@ -136,7 +135,7 @@ def test_error_rate_tracks_p_error():
     hits = 0
     n = 10_000
     for _ in range(n):
-        out = expand_turn(_dictation_dialogue(), 0, "phone", ["012", "345", "6789"], rng, cfg)
+        out = dictate(_dictation_dialogue(), 0, "phone", ["012", "345", "6789"], rng, cfg)
         if any(t.crossturn.is_error for t in out.turns if t.crossturn):
             hits += 1
     assert abs(hits / n - 0.20) <= 0.02
@@ -152,7 +151,7 @@ def test_reconstruction_property(value, seed):
     if len(chunks) < 2:
         return
     d = _dictation_dialogue(value)
-    out = expand_turn(d, 0, "phone", chunks, random.Random(seed), CrossTurnConfig(p_error=0.5))
+    out = dictate(d, 0, "phone", chunks, random.Random(seed), CrossTurnConfig(p_error=0.5))
     assert reconstruct_value(out, "phone") == value
 
 

@@ -11,11 +11,10 @@ from todvoice.corpus import CrossTurnMeta, Emotion, Role, Turn
 from todvoice.emotion import (
     annotate_dialogue,
     annotate_turn,
-    context_string,
     inherit_labels,
     parse_label,
 )
-from todvoice.prompts import EMOTION_LABELS_BLOCK, KEYWORDS
+from todvoice.prompts import EMOTION_LABELS_BLOCK, KEYWORDS, context_string
 from todvoice.seeding import rng_for
 from todvoice.synthesis import style_instruction
 
@@ -196,6 +195,10 @@ class TestKeywords:
 
 def test_context_string_includes_roles_and_window():
     d = make_dialogue()
-    ctx = context_string(d, 3)
+    ctx = context_string(d.turns[:3])
     assert "user:" in ctx and "assistant:" in ctx
     assert d.turns[2].text in ctx
+    long = make_dialogue(texts=[(Role.USER if i % 2 == 0 else Role.ASSISTANT, f"t{i}") for i in range(10)])
+    assert context_string(long.turns[:9]).splitlines() == [
+        f"{'user' if i % 2 == 0 else 'assistant'}: t{i}" for i in range(3, 9)
+    ]

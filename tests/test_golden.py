@@ -11,6 +11,11 @@ from the repository root, with
 GOLDEN_DIGEST is the sha256 of the output corpus, the synthesis manifest,
 quarantine.jsonl and every WAV (in path order). A refactor must leave it
 unchanged; a change that means to alter stub output updates it and says why.
+
+GOLDEN_PROMPT_DIGEST is the sha256 of every chat prompt of the run at workers
+1, in call order. The stub ignores most of what a prompt says (the barge-in
+context window, for one), so a refactor can change what a live service would
+be asked and still leave GOLDEN_DIGEST as it is; this digest catches that.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from click.testing import CliRunner
 
 from conftest import assistant_pool_profiles, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
+from todvoice.clients import StubChatClient
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 GOLDEN_DIGEST = "97e1dfce05894896479095424f0a5ffd026659bdf3341e71a067995cf42fbccc"
+GOLDEN_PROMPT_COUNT = 380
+GOLDEN_PROMPT_DIGEST = "834a9a961ebe83808579f9426c8d527fd0fb462cb878d4e4a03cdd143cef53ae"
 
 
 def _run_digest(tmp_path: Path, workers: int) -> str:
@@ -53,3 +61,17 @@ def _run_digest(tmp_path: Path, workers: int) -> str:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stub_augment_output_matches_golden_digest(tmp_path, workers):
     assert _run_digest(tmp_path, workers) == GOLDEN_DIGEST
+
+
+def test_stub_augment_prompts_match_golden_digest(tmp_path, monkeypatch):
+    prompts: list[str] = []
+    chat = StubChatClient.chat
+
+    def recording_chat(self, messages):
+        prompts.append(json.dumps(list(messages), sort_keys=True))
+        return chat(self, messages)
+
+    monkeypatch.setattr(StubChatClient, "chat", recording_chat)
+    assert _run_digest(tmp_path, 1) == GOLDEN_DIGEST
+    digest = hashlib.sha256("\n".join(prompts).encode()).hexdigest()
+    assert (len(prompts), digest) == (GOLDEN_PROMPT_COUNT, GOLDEN_PROMPT_DIGEST)

@@ -37,7 +37,6 @@ from todvoice.metrics import (
     judge_turn_coverage,
     parse_selection,
     similarity_pairs,
-    slot_f1,
     slot_f1_micro,
     wer,
 )
@@ -282,25 +281,25 @@ class TestDisclosureCurve:
 class TestSlotF1:
     def test_identical(self):
         state = {"area": "centre", "food": "thai"}
-        assert slot_f1(state, dict(state)) == Prf(1.0, 1.0, 1.0)
+        assert slot_f1_micro([(state, dict(state))]) == Prf(1.0, 1.0, 1.0)
 
     def test_pred_subset_half(self):
         gold = {"area": "centre", "food": "thai"}
         pred = {"area": "centre"}
-        got = slot_f1(pred, gold)
+        got = slot_f1_micro([(pred, gold)])
         assert got.precision == 1.0
         assert got.recall == 0.5
         assert got.f1 == pytest.approx(2 / 3)
 
     def test_disjoint(self):
-        assert slot_f1({"a": "1"}, {"b": "2"}) == Prf(0.0, 0.0, 0.0)
+        assert slot_f1_micro([({"a": "1"}, {"b": "2"})]) == Prf(0.0, 0.0, 0.0)
 
     def test_value_normalization(self):
-        assert slot_f1({"area": "  CENTRE "}, {"area": "centre"}).f1 == 1.0
-        assert slot_f1({"time": "7   pm"}, {"time": "7 pm"}).f1 == 1.0
+        assert slot_f1_micro([({"area": "  CENTRE "}, {"area": "centre"})]).f1 == 1.0
+        assert slot_f1_micro([({"time": "7   pm"}, {"time": "7 pm"})]).f1 == 1.0
 
     def test_name_must_match_exactly(self):
-        assert slot_f1({"Area": "centre"}, {"area": "centre"}).f1 == 0.0
+        assert slot_f1_micro([({"Area": "centre"}, {"area": "centre"})]).f1 == 0.0
 
     def test_micro_pools_pairs(self):
         pairs = [
@@ -313,7 +312,7 @@ class TestSlotF1:
         assert got.f1 == pytest.approx(2 / 3)
 
     def test_both_empty(self):
-        got = slot_f1({}, {})
+        got = slot_f1_micro([({}, {})])
         assert got.f1 == 0.0
 
 
