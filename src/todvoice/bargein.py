@@ -12,16 +12,17 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
 from dataclasses import dataclass
 
 from . import prompts
+from .checked import check
 from .clients import ChatClient, ClientError
 from .corpus import (
     BARGEIN_TOKEN,
     BargeInMeta,
     BargeInStyle,
     BargeInType,
+    CorpusError,
     Dialogue,
     Role,
     Turn,
@@ -78,21 +79,24 @@ def judge_validity(d: Dialogue, candidate: Candidate, context: str, judge: ChatC
     return judge.complete(prompt).strip().lower().startswith("y")
 
 
-_LINE_RE = re.compile(r"^\[(Assistant|User)\]:\s*(.*)$")
-
-
-def _parse_turns(reply: str) -> tuple[list[tuple[Role, str]], dict, dict]:
-    reply = reply.strip()
-    if reply.startswith("{"):
+def _parse_turns(reply: str) -> tuple[list[tuple[str, str]], dict[str, str], dict[str, str]]:
+    """The generator's JSON block: its (role, text) turns, and its erroneous and
+    corrected slots ({} when absent). A reply of any other shape is BlockRejected."""
+    try:
         data = json.loads(reply)
-        turns = [(Role(t["role"]), t["text"]) for t in data.get("turns", [])]
-        return turns, data.get("erroneous_slots") or {}, data.get("corrected_slots") or {}
+    except json.JSONDecodeError as exc:
+        raise BlockRejected(f"unparseable block: {exc}") from exc
+    check("reply", data, "dict", BlockRejected)
     turns = []
-    for line in reply.splitlines():
-        m = _LINE_RE.match(line.strip())
-        if m:
-            turns.append((Role(m.group(1).lower()), m.group(2)))
-    return turns, {}, {}
+    for i, t in enumerate(check("reply.turns", data.get("turns"), "list", BlockRejected)):
+        where = f"reply.turns[{i}]"
+        check(where, t, "dict", BlockRejected)
+        turns.append(tuple(check(f"{where}.{key}", t.get(key), "str", BlockRejected) for key in ("role", "text")))
+    erroneous, corrected = (
+        check(f"reply.{key}", data.get(key), "dict[str, str] | None", BlockRejected) or {}
+        for key in ("erroneous_slots", "corrected_slots")
+    )
+    return turns, erroneous, corrected
 
 
 def generate_insertion(d: Dialogue, candidate: Candidate, context: str, gen: ChatClient) -> list[Turn]:
@@ -106,17 +110,13 @@ def generate_insertion(d: Dialogue, candidate: Candidate, context: str, gen: Cha
         context,
         state,
     )
-    reply = gen.complete(prompt)
-    try:
-        turns, erroneous, corrected = _parse_turns(reply)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise BlockRejected(f"unparseable block: {exc}") from exc
+    turns, erroneous, corrected = _parse_turns(gen.complete(prompt))
 
     if len(turns) != 3:
         raise BlockRejected(f"expected 3 turns, got {len(turns)}")
     roles = [r for r, _ in turns]
-    if roles != [Role.ASSISTANT, Role.USER, Role.ASSISTANT]:
-        raise BlockRejected(f"bad role sequence: {[r.value for r in roles]}")
+    if roles != ["assistant", "user", "assistant"]:
+        raise BlockRejected(f"bad role sequence: {roles}")
     if not turns[0][1].endswith(BARGEIN_TOKEN):
         raise BlockRejected("truncated turn does not end with the truncation token")
     if any(BARGEIN_TOKEN in text for _, text in turns[1:]):
@@ -128,17 +128,15 @@ def generate_insertion(d: Dialogue, candidate: Candidate, context: str, gen: Cha
         for key, value in corrected.items():
             if state is None or state.get(key) != value:
                 raise BlockRejected(f"corrected value for {key!r} does not match dialogue state")
-        meta = BargeInMeta(
-            type=candidate.type,
-            style=candidate.style,
-            erroneous_slots=dict(erroneous),
-            corrected_slots=dict(corrected),
-        )
+        try:
+            meta = BargeInMeta(candidate.type, candidate.style, erroneous, corrected)
+        except CorpusError as exc:
+            raise BlockRejected(str(exc)) from exc
     else:
         meta = BargeInMeta(type=candidate.type, style=candidate.style)
 
     return [
-        Turn(index=0, role=role, text=text, bargein=meta if i < 2 else None)
+        Turn(index=0, role=Role(role), text=text, bargein=meta if i < 2 else None)
         for i, (role, text) in enumerate(turns)
     ]
 

@@ -13,7 +13,7 @@ import click
 from .checked import check
 from .clients import ClientError
 from .corpus import CorpusError, iter_records, load_corpus, save_corpus, validate_dialogue
-from .ingest import SOURCES, SourceRecord, adapt
+from .ingest import SOURCES, adapt
 from .metrics import (
     aggregate_similarity,
     dataset_stats,
@@ -83,7 +83,12 @@ def main(ctx: click.Context, seed: int | None, stub: bool | None, config_path: s
 @click.argument("output_path", type=click.Path(dir_okay=False))
 def ingest(source: str, input_path: str, output_path: str) -> None:
     """Convert source-corpus records into the unified schema."""
-    dialogues = [adapt(SourceRecord(source, raw)) for raw in iter_records(input_path)]
+    dialogues = []
+    for i, raw in enumerate(iter_records(input_path)):
+        try:
+            dialogues.append(adapt(source, raw))
+        except (LookupError, TypeError, AttributeError, ValueError, CorpusError) as exc:
+            raise click.ClickException(f"{input_path}[{i}]: {type(exc).__name__}: {exc}") from exc
     save_corpus(dialogues, output_path)
     click.echo(f"ingested {len(dialogues)} dialogues -> {output_path}")
 
@@ -176,8 +181,7 @@ def split(cfg: PipelineConfig, input_path: str, out_dir: str, ratios: str) -> No
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 def stats(input_path: str) -> None:
     """Corpus statistics with behavior breakdowns."""
-    report = dataset_stats(load_corpus(input_path))
-    click.echo(json.dumps(report.to_dict(), indent=2))
+    click.echo(json.dumps(dataset_stats(load_corpus(input_path)), indent=2))
 
 
 @main.command("eval-turn-taking")

@@ -25,6 +25,8 @@ DEFAULT_SAMPLE_RATE = 24_000
 
 ENV_TOKEN = "TODVOICE_API_TOKEN"
 
+_BACKOFF_S = 0.5  # the n-th retry waits n times this
+
 
 class ClientError(Exception):
     """A service call failed: at once on a permanent error, or after exhausting retries."""
@@ -60,7 +62,7 @@ def _is_transient(exc: BaseException) -> bool:
     return status is not None and (status == 429 or status >= 500)
 
 
-def with_retries(fn: Callable[[], Any], max_retries: int, backoff_s: float = 0.5) -> Any:
+def with_retries(fn: Callable[[], Any], max_retries: int) -> Any:
     """Shared retry policy: up to max_retries re-attempts with linear backoff,
     for transient failures only. Any other error fails after one attempt."""
     for attempt in range(max_retries + 1):
@@ -71,8 +73,7 @@ def with_retries(fn: Callable[[], Any], max_retries: int, backoff_s: float = 0.5
                 raise ClientError(f"call failed: {type(exc).__name__}: {exc}") from exc
             if attempt == max_retries:
                 raise ClientError(f"call failed after {max_retries + 1} attempts: {exc}") from exc
-            if backoff_s > 0:
-                time.sleep(backoff_s * (attempt + 1))
+            time.sleep(_BACKOFF_S * (attempt + 1))
 
 
 def _auth_headers() -> dict[str, str]:
@@ -411,20 +412,16 @@ def wav_duration_s(data: bytes) -> float:
 
 
 class StubTTSClient(TTSClient):
-    """Silence at 0.06 s per input character; mono 16-bit PCM."""
-
-    def __init__(self, sample_rate: int = DEFAULT_SAMPLE_RATE) -> None:
-        self.sample_rate = sample_rate
+    """Silence at 0.06 s per input character; mono 16-bit PCM at DEFAULT_SAMPLE_RATE."""
 
     def synthesize(self, text: str, speaker_ref: str | None = None, style: str | None = None) -> tuple[bytes, float]:
         duration = (6 * len(text)) / 100.0
-        return _silence_wav(duration, self.sample_rate), duration
+        return _silence_wav(duration, DEFAULT_SAMPLE_RATE), duration
 
 
 class HTTPTTSClient(_HTTPClient, TTSClient):
-    def __init__(self, config: ClientConfig, sample_rate: int = DEFAULT_SAMPLE_RATE) -> None:
+    def __init__(self, config: ClientConfig) -> None:
         super().__init__(config, "tts")
-        self.sample_rate = sample_rate
 
     def synthesize(self, text: str, speaker_ref: str | None = None, style: str | None = None) -> tuple[bytes, float]:
         payload = {
@@ -432,7 +429,7 @@ class HTTPTTSClient(_HTTPClient, TTSClient):
             "text": text,
             "speaker_ref": speaker_ref,
             "style": style,
-            "sample_rate": self.sample_rate,
+            "sample_rate": DEFAULT_SAMPLE_RATE,
         }
         return self._post(lambda resp: (resp.content, wav_duration_s(resp.content)), json=payload)
 
@@ -504,17 +501,19 @@ class EmbedClient:
         raise NotImplementedError
 
 
+_EMBED_DIM = 192
+
+
 class StubEmbedClient(EmbedClient):
     """Hash-seeded gaussian vector per speaker: all of a speaker's turns embed identically."""
 
-    def __init__(self, directory: StubDirectory, dim: int = 192) -> None:
+    def __init__(self, directory: StubDirectory) -> None:
         self.directory = directory
-        self.dim = dim
 
     def embed(self, audio_path: str) -> list[float]:
         speaker = self.directory.speaker_of.get(audio_path, audio_path)
         rng = rng_for("embed", speaker)
-        return [rng.gauss(0.0, 1.0) for _ in range(self.dim)]
+        return [rng.gauss(0.0, 1.0) for _ in range(_EMBED_DIM)]
 
 
 class HTTPEmbedClient(_HTTPClient, EmbedClient):

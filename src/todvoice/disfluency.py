@@ -163,7 +163,7 @@ def _inject_insertion(t: Turn, dtype: str, position: int, rng: random.Random) ->
 _COR_CONNECTORS = ("— no, ", "— wait, I mean ", "— actually, ")
 
 
-def _inject_cor(t: Turn, position: int, gen: ChatClient, rng: random.Random) -> Turn:
+def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
     word_spans = _word_char_spans(t.text)
     span = None
     for name, s, e in t.slot_spans:
@@ -238,18 +238,15 @@ def inject(
     t: Turn,
     dtype: str,
     position: int,
-    gen: ChatClient | None,
+    gen: ChatClient,
     rng: random.Random,
 ) -> Turn:
     """Apply one disfluency event; on client failure the turn stays fluent."""
     if dtype in _RULE_TYPES:
         return _inject_insertion(t, dtype, position, rng)
-    if gen is None:
-        log.warning("no generator client for %s; turn %d left fluent", dtype, t.index)
-        return t
     try:
         if dtype == "COR":
-            return _inject_cor(t, position, gen, rng)
+            return _inject_cor(t, position, gen)
         return _inject_rst(t, position, gen)
     except ClientError as exc:
         log.warning("generator failure (%s); turn %d left fluent", exc, t.index)
@@ -259,7 +256,7 @@ def inject(
 def apply_disfluency_stage(
     d_turns: tuple[Turn, ...],
     cfg: DisfluencyConfig,
-    gen: ChatClient | None,
+    gen: ChatClient,
     rng: random.Random,
 ) -> tuple[Turn, ...]:
     """One pass over a dialogue's turns; at most one event per selected turn."""

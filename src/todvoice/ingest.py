@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .corpus import (
@@ -32,20 +31,6 @@ log = logging.getLogger(__name__)
 SOURCES = ("sgd", "tm2", "abcd", "emowoz", "spokenwoz", "generic")
 
 
-class AdaptError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class SourceRecord:
-    source: str
-    raw: Mapping[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.source not in SOURCES:
-            raise AdaptError(f"unknown source {self.source!r}")
-
-
 def template_goal_text(goal_struct: Sequence[SubGoal]) -> str:
     """Fixed English skeleton for sources that ship no goal narrative."""
     sentences: list[str] = []
@@ -63,18 +48,19 @@ def template_goal_text(goal_struct: Sequence[SubGoal]) -> str:
     return " ".join(sentences)
 
 
-def adapt(rec: SourceRecord) -> Dialogue:
-    if rec.source == "generic":
-        return dialogue_from_dict(dict(rec.raw))
-    if rec.source == "sgd":
-        return _adapt_sgd(rec.raw)
-    if rec.source == "tm2":
-        return _adapt_tm2(rec.raw)
-    if rec.source == "abcd":
-        return _adapt_abcd(rec.raw)
-    if rec.source in ("emowoz", "spokenwoz"):
-        return _adapt_woz(rec.raw, rec.source)
-    raise AdaptError(f"unknown source {rec.source!r}")  # pragma: no cover - guarded by SourceRecord
+def adapt(source: str, raw: Mapping[str, Any]) -> Dialogue:
+    """The unified dialogue for one record of a source corpus."""
+    if source == "generic":
+        return dialogue_from_dict(dict(raw))
+    if source == "sgd":
+        return _adapt_sgd(raw)
+    if source == "tm2":
+        return _adapt_tm2(raw)
+    if source == "abcd":
+        return _adapt_abcd(raw)
+    if source in ("emowoz", "spokenwoz"):
+        return _adapt_woz(raw, source)
+    raise ValueError(f"unknown source {source!r}")
 
 
 # --- SGD ------------------------------------------------------------------------

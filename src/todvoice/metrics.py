@@ -7,7 +7,8 @@ import logging
 import math
 import re
 import statistics
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .clients import ChatClient, ClientError
@@ -19,15 +20,6 @@ log = logging.getLogger(__name__)
 
 
 # --- word error rate ------------------------------------------------------------
-
-
-def wer(ref_words: Sequence[str] | str, hyp_words: Sequence[str] | str) -> float:
-    """Word-level Levenshtein distance at unit costs, normalized by |ref|."""
-    ref = ref_words.split() if isinstance(ref_words, str) else list(ref_words)
-    hyp = hyp_words.split() if isinstance(hyp_words, str) else list(hyp_words)
-    if not ref:
-        raise ValueError("WER is undefined for an empty reference")
-    return edit_distance(ref, hyp) / len(ref)
 
 
 def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
@@ -89,9 +81,6 @@ class GoalCoverageState:
     @property
     def complete(self) -> bool:
         return not self.remaining()
-
-    def coverage(self) -> float:
-        return len(self.covered) / len(self.items) if self.items else 1.0
 
 
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
@@ -312,96 +301,50 @@ def aggregate_similarity(
 # --- corpus statistics ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StatsReport:
-    n_dialogues: int = 0
-    n_utterances: int = 0
-    avg_words_per_utterance: float = 0.0
-    n_speakers: int = 0
-    total_duration_s: float = 0.0
-    n_crossturn: int = 0
-    n_bargein: int = 0
-    n_disfluency: int = 0
-    n_emotion: int = 0
-    bargein_by_subtype: dict[str, int] = field(default_factory=dict)
-    disfluency_by_type: dict[str, int] = field(default_factory=dict)
-    emotion_by_label: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total_duration_h(self) -> float:
-        return self.total_duration_s / 3600.0
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "dialogues": self.n_dialogues,
-            "utterances": self.n_utterances,
-            "avg_words_per_utterance": self.avg_words_per_utterance,
-            "speakers": self.n_speakers,
-            "total_duration_s": self.total_duration_s,
-            "total_duration_h": self.total_duration_h,
-            "behaviors": {
-                "crossturn": self.n_crossturn,
-                "bargein": self.n_bargein,
-                "disfluency": self.n_disfluency,
-                "emotion": self.n_emotion,
-            },
-            "bargein_by_subtype": dict(sorted(self.bargein_by_subtype.items())),
-            "disfluency_by_type": dict(sorted(self.disfluency_by_type.items())),
-            "emotion_by_label": dict(sorted(self.emotion_by_label.items())),
-        }
-
-
-def dataset_stats(corpus: Iterable[Dialogue]) -> StatsReport:
+def dataset_stats(corpus: Iterable[Dialogue]) -> dict[str, object]:
     """Counts dialogues, utterances, words, speakers, duration, and behaviors.
 
     Cross-turn counts dictation segment turns; barge-in counts interruption
     events (the interrupting user turn); disfluency counts injected events;
     emotion counts labeled user turns.
     """
-    n_dialogues = n_utterances = n_words = 0
-    n_crossturn = n_bargein = n_disfluency = n_emotion = 0
+    n_dialogues = n_utterances = n_words = n_crossturn = 0
     total_s = 0.0
     speakers: set[str] = set()
-    bargein_cells: dict[str, int] = {}
-    disf_types: dict[str, int] = {}
-    emo_labels: dict[str, int] = {}
+    bargein = Counter[str]()
+    disfluency = Counter[str]()
+    emotion = Counter[str]()
     for d in corpus:
         n_dialogues += 1
-        for sp in (d.user_speaker, d.assistant_speaker):
-            if sp is not None:
-                speakers.add(sp.speaker_id)
+        speakers.update(sp.speaker_id for sp in (d.user_speaker, d.assistant_speaker) if sp is not None)
         for t in d.turns:
             n_utterances += 1
             n_words += len(t.text.split())
             if t.duration_s is not None:
                 total_s += t.duration_s
-            if t.crossturn is not None:
-                n_crossturn += 1
+            n_crossturn += t.crossturn is not None
             if t.bargein is not None and t.role is Role.USER:
-                n_bargein += 1
-                sub = t.bargein.subtype
-                bargein_cells[sub] = bargein_cells.get(sub, 0) + 1
-            for meta in t.disfluency:
-                n_disfluency += 1
-                disf_types[meta.type] = disf_types.get(meta.type, 0) + 1
+                bargein[t.bargein.subtype] += 1
+            disfluency.update(meta.type for meta in t.disfluency)
             if t.role is Role.USER and t.emotion is not None:
-                n_emotion += 1
-                name = t.emotion.label_name
-                emo_labels[name] = emo_labels.get(name, 0) + 1
-    return StatsReport(
-        n_dialogues=n_dialogues,
-        n_utterances=n_utterances,
-        avg_words_per_utterance=n_words / n_utterances if n_utterances else 0.0,
-        n_speakers=len(speakers),
-        total_duration_s=total_s,
-        n_crossturn=n_crossturn,
-        n_bargein=n_bargein,
-        n_disfluency=n_disfluency,
-        n_emotion=n_emotion,
-        bargein_by_subtype=bargein_cells,
-        disfluency_by_type=disf_types,
-        emotion_by_label=emo_labels,
-    )
+                emotion[t.emotion.label_name] += 1
+    return {
+        "dialogues": n_dialogues,
+        "utterances": n_utterances,
+        "avg_words_per_utterance": n_words / n_utterances if n_utterances else 0.0,
+        "speakers": len(speakers),
+        "total_duration_s": total_s,
+        "total_duration_h": total_s / 3600.0,
+        "behaviors": {
+            "crossturn": n_crossturn,
+            "bargein": bargein.total(),
+            "disfluency": disfluency.total(),
+            "emotion": emotion.total(),
+        },
+        "bargein_by_subtype": dict(sorted(bargein.items())),
+        "disfluency_by_type": dict(sorted(disfluency.items())),
+        "emotion_by_label": dict(sorted(emotion.items())),
+    }
 
 
 # --- ASR validation report ----------------------------------------------------------

@@ -50,6 +50,7 @@ from .speakers import (
     build_pool,
     load_speaker_manifest,
     sample_user_speaker,
+    validate_assistant_pool,
 )
 from .synthesis import ManifestRow, synthesize_dialogue
 
@@ -187,6 +188,10 @@ class RunContext:
         assistant_ids: set[str] = set()
         if cfg.assistant_manifest:
             assistant_profiles = load_speaker_manifest(cfg.assistant_manifest)
+            try:
+                validate_assistant_pool(assistant_profiles)
+            except ConfigError as exc:
+                raise ConfigError(f"{cfg.assistant_manifest}: {exc}") from exc
             assistant_ids = {sp.speaker_id for sp in assistant_profiles}
         pool = None
         if cfg.speaker_manifest:

@@ -159,7 +159,7 @@ def validate_assistant_pool(profiles: Sequence[SpeakerProfile]) -> None:
 def assign_assistant_speaker(
     assistant_pool: Sequence[SpeakerProfile], rng: random.Random
 ) -> SpeakerProfile:
-    validate_assistant_pool(assistant_pool)
+    """One speaker of a pool that validate_assistant_pool accepted."""
     return rng.choice(list(assistant_pool))
 
 

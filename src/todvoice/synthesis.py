@@ -1,8 +1,8 @@
 """Batch speech rendering for finalized dialogues.
 
-Each labeled turn becomes one SynthesisJob: normalized text, an emotion-keyword
-style instruction, the role's speaker reference, and a deterministic output
-path. Jobs dispatch to a TTS client; failures land in the manifest as
+Each labeled turn's normalized text goes to a TTS client with an
+emotion-keyword style instruction and the role's speaker reference, and is
+written to a deterministic path. Failures land in the manifest as
 status=failed and the run continues.
 """
 
@@ -13,7 +13,7 @@ import logging
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .clients import ClientError, TTSClient, wav_duration_s
 from .corpus import Dialogue, Emotion, Role, Turn, Violation
@@ -25,20 +25,6 @@ log = logging.getLogger(__name__)
 AUDIO_SUBDIR = "data/audio"
 MIN_TURN_S = 0.3
 MAX_TURN_S = 30.0
-
-
-@dataclass(frozen=True)
-class SynthesisJob:
-    dialogue_id: str
-    turn_index: int
-    normalized_text: str
-    style_instruction: str
-    speaker_ref: str | None
-    out_path: str
-
-    def __post_init__(self) -> None:
-        if not self.normalized_text.strip():
-            raise ValueError("normalized_text must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -57,45 +43,8 @@ class ManifestRow:
         }
 
 
-def style_instruction(label: Emotion, keyword_map: Mapping[Emotion, Sequence[str]], rng: random.Random) -> str:
-    keywords = keyword_map[label]
-    return f"Please speak in a {rng.choice(list(keywords))} tone."
-
-
-def turn_out_path(dialogue_id: str, turn_index: int) -> str:
-    return f"{AUDIO_SUBDIR}/{dialogue_id}/turn{turn_index:02d}.wav"
-
-
-def build_job(d: Dialogue, turn_idx: int, normalized_text: str, rng: random.Random) -> SynthesisJob:
-    """The job for turn turn_idx, whose text normalizes to normalized_text."""
-    t = d.turns[turn_idx]
-    if t.emotion is None:
-        raise ValueError(f"turn {turn_idx} is unlabeled; run emotion annotation first")
-    speaker = d.user_speaker if t.role is Role.USER else d.assistant_speaker
-    return SynthesisJob(
-        dialogue_id=d.dialogue_id,
-        turn_index=turn_idx,
-        normalized_text=normalized_text,
-        style_instruction=style_instruction(t.emotion, KEYWORDS, rng),
-        speaker_ref=speaker.ref_audio if speaker is not None else None,
-        out_path=turn_out_path(d.dialogue_id, turn_idx),
-    )
-
-
-def synthesize(job: SynthesisJob, tts: TTSClient, root: str | Path) -> ManifestRow:
-    """Render one job to disk. Retries happen inside the client; a job that
-    still fails is recorded as status=failed."""
-    target = Path(root) / job.out_path
-    try:
-        audio, duration = tts.synthesize(
-            job.normalized_text, speaker_ref=job.speaker_ref, style=job.style_instruction
-        )
-    except ClientError as exc:
-        log.warning("synthesis failed for %s turn %d: %s", job.dialogue_id, job.turn_index, exc)
-        return ManifestRow(job.dialogue_id, job.turn_index, "failed")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(audio)
-    return ManifestRow(job.dialogue_id, job.turn_index, "ok", duration)
+def style_instruction(label: Emotion, rng: random.Random) -> str:
+    return f"Please speak in a {rng.choice(list(KEYWORDS[label]))} tone."
 
 
 def synthesize_dialogue(
@@ -104,20 +53,36 @@ def synthesize_dialogue(
     root: str | Path,
     rng: random.Random,
 ) -> tuple[Dialogue, list[ManifestRow]]:
+    """Render each turn of d to a WAV under root; d with its audio attached, and
+    one manifest row per turn. Retries happen inside the client; a turn with no
+    speakable text, or whose call still fails, is recorded as status=failed."""
     rows: list[ManifestRow] = []
     turns: list[Turn] = []
     for t in d.turns:
         text = normalize_text(t.text)
+        row = ManifestRow(d.dialogue_id, t.index, "failed")
         if not text.strip():
             log.warning("turn %d of %s has no speakable text; skipped", t.index, d.dialogue_id)
-            rows.append(ManifestRow(d.dialogue_id, t.index, "failed"))
-            turns.append(t)
-            continue
-        job = build_job(d, t.index, text, rng)
-        row = synthesize(job, tts, root)
+        elif t.emotion is None:
+            raise ValueError(f"turn {t.index} is unlabeled; run emotion annotation first")
+        else:
+            speaker = d.user_speaker if t.role is Role.USER else d.assistant_speaker
+            try:
+                audio, duration = tts.synthesize(
+                    text,
+                    speaker_ref=speaker.ref_audio if speaker is not None else None,
+                    style=style_instruction(t.emotion, rng),
+                )
+            except ClientError as exc:
+                log.warning("synthesis failed for %s turn %d: %s", d.dialogue_id, t.index, exc)
+            else:
+                out_path = f"{AUDIO_SUBDIR}/{d.dialogue_id}/turn{t.index:02d}.wav"
+                target = Path(root) / out_path
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_bytes(audio)
+                row = ManifestRow(d.dialogue_id, t.index, "ok", duration)
+                t = t.with_(audio_ref=out_path, duration_s=duration)
         rows.append(row)
-        if row.status == "ok":
-            t = t.with_(audio_ref=job.out_path, duration_s=row.duration_s)
         turns.append(t)
     return d.with_turns(tuple(turns)), rows
 

@@ -72,7 +72,7 @@ class RejectingChat(ChatClient):
             resp.status_code = 400
             raise requests.HTTPError("400 Bad Request", response=resp)
 
-        return with_retries(call, max_retries=2, backoff_s=0)
+        return with_retries(call, max_retries=2)
 
 
 def user_pool_profiles(countries=("US", "NG"), duration=12.0) -> list[SpeakerProfile]:

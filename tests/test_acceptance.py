@@ -34,9 +34,9 @@ from todvoice.metrics import (
     GoalItem,
     aggregate_similarity,
     disclosure_curve,
+    edit_distance,
     ga_smr,
     slot_f1_micro,
-    wer,
 )
 from todvoice.pipeline import PipelineConfig, largest_remainder_sizes, run_pipeline, split_corpus
 from todvoice.speakers import (
@@ -314,14 +314,11 @@ class TestWerOracle:
             for k in range(0, 9)
             for p in itertools.product("ab", repeat=k)
         ]
-        refs = [s for s in seqs if s]
         checked = 0
-        for ref in refs:
+        for ref in seqs:
             for hyp in seqs:
-                assert wer(ref, hyp) == oracle(ref, hyp) / len(ref), (ref, hyp)
+                assert edit_distance(ref, hyp) == oracle(ref, hyp), (ref, hyp)
                 checked += 1
-        with pytest.raises(ValueError):
-            wer((), ("a",))
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
         _report(

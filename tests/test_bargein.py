@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from todvoice.bargein import (
     BargeInConfig,
+    BlockRejected,
     Candidate,
     apply_bargein_stage,
     generate_insertion,
     judge_validity,
     sample_candidates,
 )
-from todvoice.clients import StubChatClient
+from todvoice.clients import ChatClient, StubChatClient
 from todvoice.crossturn import CrossTurnConfig, reconstruct_value
 from todvoice.corpus import (
     BargeInMeta,
@@ -20,6 +23,8 @@ from todvoice.corpus import (
     BargeInType,
     Role,
     Turn,
+    dumps_dialogue,
+    loads_dialogue,
     splice_turns,
     validate_dialogue,
 )
@@ -129,6 +134,65 @@ class TestGeneration:
         cand = Candidate(2, BargeInType.CLARIFICATION, BargeInStyle.INTERPRETED)
         block = generate_insertion(d, cand, _context(d, cand), _chat())
         assert "?" in block[1].text
+
+
+class _Fixed(ChatClient):
+    """A chat service that gives every prompt the same reply."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def chat(self, messages):
+        return self.reply
+
+
+_TURNS = [
+    {"role": "assistant", "text": "Your destination is Lon<bargein>"},
+    {"role": "user", "text": "No, Paris."},
+    {"role": "assistant", "text": "Sorry, Paris it is."},
+]
+_PARIS = {"destination": "Paris"}
+
+_BAD_REPLIES = {
+    "not-json": "{",
+    "not-an-object": "[1, 2]",
+    "line-format": "[Assistant]: Your destination is Lon<bargein>\n[User]: No, Paris.\n[Assistant]: Sorry.",
+    "turns-string": json.dumps({"turns": "abc"}),
+    "turn-not-object": json.dumps({"turns": [_TURNS[0], "hi", _TURNS[2]]}),
+    "text-5": json.dumps({"turns": [{"role": "assistant", "text": 5}, *_TURNS[1:]]}),
+    "role-missing": json.dumps({"turns": [{"text": "Lon<bargein>"}, *_TURNS[1:]]}),
+    "erroneous-array": json.dumps({"turns": _TURNS, "erroneous_slots": ["ab"], "corrected_slots": _PARIS}),
+    "slot-value-5": json.dumps({"turns": _TURNS, "erroneous_slots": {"destination": 5}, "corrected_slots": _PARIS}),
+    "mismatched-keys": json.dumps({"turns": _TURNS, "erroneous_slots": {"day": "Monday"}, "corrected_slots": _PARIS}),
+}
+
+
+class TestBadReply:
+    """A malformed generator reply rejects the candidate, never the dialogue."""
+
+    def _dialogue(self):
+        return with_states(_six_turn_dialogue(), {0: _PARIS})
+
+    def test_good_reply_accepted(self):
+        reply = json.dumps({"turns": _TURNS, "erroneous_slots": {"destination": "London"}, "corrected_slots": _PARIS})
+        cand = Candidate(0, BargeInType.ERROR_RECOVERY, BargeInStyle.INTERPRETED)
+        block = generate_insertion(self._dialogue(), cand, "", _Fixed(reply))
+        assert [t.text for t in block] == [t["text"] for t in _TURNS]
+        assert block[0].bargein.erroneous_slots == {"destination": "London"}
+
+    @pytest.mark.parametrize("reply", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
+    def test_block_rejected(self, reply):
+        cand = Candidate(0, BargeInType.ERROR_RECOVERY, BargeInStyle.INTERPRETED)
+        with pytest.raises(BlockRejected):
+            generate_insertion(self._dialogue(), cand, "", _Fixed(reply))
+
+    @pytest.mark.parametrize("reply", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
+    def test_stage_output_reloads(self, reply):
+        d = self._dialogue()
+        out = apply_bargein_stage(d, BargeInConfig(sample_rate=1.0), _Fixed("yes"), _Fixed(reply),
+                                  rng_for(3, d.dialogue_id, "bi"))
+        assert validate_dialogue(out) == []
+        assert loads_dialogue(dumps_dialogue(out)) == out
 
 
 class TestApplyInsertion:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_dialogue, set_path, user_pool_profiles, write_speaker_manifest
+from conftest import assistant_pool_profiles, make_dialogue, set_path, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
 from todvoice.corpus import Emotion, Role, dialogue_to_dict, load_corpus, save_corpus
 
@@ -55,6 +55,22 @@ class TestIngest:
         src.write_text("{}\n")
         result = runner.invoke(main, ["ingest", "--source", "mystery", str(src), str(tmp_path / "o")])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("source,records,message", [
+        pytest.param("sgd", [{"dialogue_id": "s1", "turns": []}, {"dialogue_id": "s2"}],
+                     "[1]: KeyError: 'turns'", id="sgd-no-turns"),
+        pytest.param("sgd", [{"dialogue_id": "s1", "turns": [{"speaker": 5, "utterance": "Hi."}]}],
+                     "[0]: AttributeError: 'int' object has no attribute 'upper'", id="sgd-speaker-5"),
+        pytest.param("abcd", [{"convo_id": 1, "original": [["customer"]]}],
+                     "[0]: ValueError: not enough values to unpack (expected 2, got 1)", id="abcd-short-row"),
+    ])
+    def test_bad_record_is_one_line_naming_it(self, runner, tmp_path, source, records, message):
+        src = tmp_path / "raw.json"
+        src.write_text(json.dumps(records))
+        result = runner.invoke(main, ["ingest", "--source", source, str(src), str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {src}{message}"]
 
 
 class TestCorpusFileLayouts:
@@ -328,6 +344,20 @@ class TestCleanErrorBoundary:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: {manifest}[3].{message}"]
+
+    def test_bad_assistant_pool_is_one_line(self, runner, tmp_path):
+        users, assistants = tmp_path / "speakers.json", tmp_path / "assistants.json"
+        write_speaker_manifest(user_pool_profiles(), users)
+        write_speaker_manifest(assistant_pool_profiles()[:9], assistants)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_manifest": str(users), "assistant_manifest": str(assistants)}))
+        result = runner.invoke(main, ["--config", str(cfg), "augment", str(_corpus_file(tmp_path)),
+                                      str(tmp_path / "out.jsonl"), "--out-dir", str(tmp_path / "o"), "--no-synthesis"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"Error: {assistants}: assistant pool must hold exactly 10 speakers, got 9"
+        ]
 
     @pytest.mark.parametrize("preds,message", [
         pytest.param([1, 2], " must be an object, not [1, 2]", id="array"),

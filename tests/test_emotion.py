@@ -156,7 +156,7 @@ class TestAnnotateDialogue:
 
 def _keyword(label, rng):
     """The keyword synthesis puts in a turn's style instruction."""
-    return style_instruction(label, KEYWORDS, rng).removeprefix("Please speak in a ").removesuffix(" tone.")
+    return style_instruction(label, rng).removeprefix("Please speak in a ").removesuffix(" tone.")
 
 
 class TestKeywords:

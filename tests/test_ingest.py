@@ -6,8 +6,6 @@ import pytest
 
 from todvoice.corpus import Emotion, Role, dialogue_to_dict
 from todvoice.ingest import (
-    AdaptError,
-    SourceRecord,
     adapt,
     align_placeholders,
     locate_slot_spans,
@@ -55,12 +53,12 @@ class TestLocateSlotSpans:
 class TestGenericAdapter:
     def test_identity_round_trip(self):
         d = make_dialogue(spans={0: (("price", 9, 14),)})
-        got = adapt(SourceRecord("generic", dialogue_to_dict(d)))
+        got = adapt("generic", dialogue_to_dict(d))
         assert got == d
 
     def test_unknown_source_rejected(self):
-        with pytest.raises(AdaptError):
-            SourceRecord("mystery", {})
+        with pytest.raises(ValueError, match="unknown source 'mystery'"):
+            adapt("mystery", {})
 
 
 def _sgd_turn(speaker, text, slots=(), state=None, service="Restaurants_1"):
@@ -106,7 +104,7 @@ def _sgd_fixture():
 
 class TestSgdAdapter:
     def test_spans_copied_verbatim(self):
-        d = adapt(SourceRecord("sgd", _sgd_fixture()))
+        d = adapt("sgd", _sgd_fixture())
         t0 = d.turns[0]
         values = {"city": "Oakland", "cuisine": "thai"}
         assert {n for n, _, _ in t0.slot_spans} == set(values)
@@ -114,7 +112,7 @@ class TestSgdAdapter:
             assert t0.text[s:e] == values[name]
 
     def test_goal_reconstruction(self):
-        d = adapt(SourceRecord("sgd", _sgd_fixture()))
+        d = adapt("sgd", _sgd_fixture())
         (sg,) = d.goal.sub_goals
         assert sg.domain == "Restaurants_1"
         assert sg.intent == "FindRestaurants"
@@ -123,7 +121,7 @@ class TestSgdAdapter:
         assert "Restaurants_1" in d.goal.text
 
     def test_state_on_user_turns(self):
-        d = adapt(SourceRecord("sgd", _sgd_fixture()))
+        d = adapt("sgd", _sgd_fixture())
         assert set(states_of(d)) == {0, 2}
         assert d.turns[0].state == {
             "Restaurants_1.city": "Oakland",
@@ -131,7 +129,7 @@ class TestSgdAdapter:
         }
 
     def test_roles_and_renumbering(self):
-        d = adapt(SourceRecord("sgd", _sgd_fixture()))
+        d = adapt("sgd", _sgd_fixture())
         assert [t.role for t in d.turns] == [Role.USER, Role.ASSISTANT, Role.USER]
         assert [t.index for t in d.turns] == [0, 1, 2]
 
@@ -139,7 +137,7 @@ class TestSgdAdapter:
         raw = _sgd_fixture()
         raw["turns"][0]["frames"][0]["slots"].append(
             {"slot": "bogus", "start": 400, "exclusive_end": 410})
-        d = adapt(SourceRecord("sgd", raw))
+        d = adapt("sgd", raw)
         assert "bogus" not in {n for n, _, _ in d.turns[0].slot_spans}
 
     def test_overlapping_span_skipped(self):
@@ -148,7 +146,7 @@ class TestSgdAdapter:
         s = text.find("Oakland")
         raw["turns"][0]["frames"][0]["slots"].append(
             {"slot": "shadow", "start": s + 2, "exclusive_end": s + 6})
-        d = adapt(SourceRecord("sgd", raw))
+        d = adapt("sgd", raw)
         names = [n for n, _, _ in d.turns[0].slot_spans]
         assert "shadow" not in names
 
@@ -186,14 +184,14 @@ def _tm2_fixture():
 
 class TestTm2Adapter:
     def test_segments_become_spans(self):
-        d = adapt(SourceRecord("tm2", _tm2_fixture()))
+        d = adapt("tm2", _tm2_fixture())
         (span,) = d.turns[0].slot_spans
         name, s, e = span
         assert name == "name.restaurant"
         assert d.turns[0].text[s:e] == "Olive Garden"
 
     def test_goal_collects_user_segments(self):
-        d = adapt(SourceRecord("tm2", _tm2_fixture()))
+        d = adapt("tm2", _tm2_fixture())
         (sg,) = d.goal.sub_goals
         assert sg.domain == "restaurant_reservation"
         assert sg.constraints == {
@@ -204,13 +202,13 @@ class TestTm2Adapter:
     def test_mismatched_segment_text_dropped(self):
         raw = _tm2_fixture()
         raw["utterances"][0]["segments"][0]["text"] = "Olive Gardens"
-        d = adapt(SourceRecord("tm2", raw))
+        d = adapt("tm2", raw)
         assert d.turns[0].slot_spans == ()
 
     def test_unannotated_segment_gets_default_name(self):
         raw = _tm2_fixture()
         raw["utterances"][2]["segments"][0]["annotations"] = []
-        d = adapt(SourceRecord("tm2", raw))
+        d = adapt("tm2", raw)
         (span,) = d.turns[2].slot_spans
         assert span[0] == "value"
 
@@ -268,18 +266,18 @@ def _abcd_fixture():
 
 class TestAbcdAdapter:
     def test_actions_dropped_and_agents_merged(self):
-        d = adapt(SourceRecord("abcd", _abcd_fixture()))
+        d = adapt("abcd", _abcd_fixture())
         assert [t.role for t in d.turns] == [Role.USER, Role.ASSISTANT, Role.USER]
         assert d.turns[1].text == "No problem. Can I get your email?"
 
     def test_placeholder_span_covers_literal(self):
-        d = adapt(SourceRecord("abcd", _abcd_fixture()))
+        d = adapt("abcd", _abcd_fixture())
         spans = {n: (s, e) for n, s, e in d.turns[2].slot_spans}
         s, e = spans["email"]
         assert d.turns[2].text[s:e] == "aphoenix939@email.com"
 
     def test_scenario_becomes_goal(self):
-        d = adapt(SourceRecord("abcd", _abcd_fixture()))
+        d = adapt("abcd", _abcd_fixture())
         (sg,) = d.goal.sub_goals
         assert sg.domain == "account_access"
         assert sg.intent == "recover_username"
@@ -299,7 +297,7 @@ class TestAbcdAdapter:
             ["agent", "Thanks."],
             ["agent", "I see the account for <username>."],
         ])
-        d = adapt(SourceRecord("abcd", raw))
+        d = adapt("abcd", raw)
         last = d.turns[-1]
         assert last.text == "Thanks. I see the account for chunkylover53."
         spans = {n: (s, e) for n, s, e in last.slot_spans}
@@ -311,7 +309,7 @@ class TestAbcdAdapter:
         # the utterance, so the exact-match fallback recovers the span
         raw = _abcd_fixture()
         raw["delexed"][4] = ["customer", "Totally different <email> sentence."]
-        d = adapt(SourceRecord("abcd", raw))
+        d = adapt("abcd", raw)
         spans = {n: (s, e) for n, s, e in d.turns[2].slot_spans}
         s, e = spans["email"]
         assert d.turns[2].text[s:e] == "aphoenix939@email.com"
@@ -321,7 +319,7 @@ class TestAbcdAdapter:
         raw = _abcd_fixture()
         raw["original"][4] = ["customer", "Sure, one moment please."]
         raw["delexed"][4] = ["customer", "Sure, one moment please."]
-        d = adapt(SourceRecord("abcd", raw))
+        d = adapt("abcd", raw)
         assert "email" not in {n for t in d.turns for n, _, _ in t.slot_spans}
         assert len(d.turns) == 3
 
@@ -329,7 +327,7 @@ class TestAbcdAdapter:
         raw = _abcd_fixture()
         raw["original"][0] = ["customer", "Hi, this is Alessandro Phoenix, I forgot my username."]
         raw["delexed"][0] = ["customer", "Hi, this is Alessandro Phoenix, I forgot my username."]
-        d = adapt(SourceRecord("abcd", raw))
+        d = adapt("abcd", raw)
         spans = {n for n, _, _ in d.turns[0].slot_spans}
         assert "customer_name" in spans
 
@@ -361,7 +359,7 @@ def _woz_fixture():
 
 class TestWozAdapter:
     def test_goal_flattening(self):
-        d = adapt(SourceRecord("emowoz", _woz_fixture()))
+        d = adapt("emowoz", _woz_fixture())
         (sg,) = d.goal.sub_goals
         assert sg.domain == "restaurant"
         assert sg.intent == "find_and_book"
@@ -371,16 +369,16 @@ class TestWozAdapter:
         assert sg.requests == frozenset({"phone"})
 
     def test_message_tags_stripped(self):
-        d = adapt(SourceRecord("emowoz", _woz_fixture()))
+        d = adapt("emowoz", _woz_fixture())
         assert d.goal.text == "You are looking for a thai restaurant."
 
     def test_roles_alternate_by_parity(self):
-        d = adapt(SourceRecord("emowoz", _woz_fixture()))
+        d = adapt("emowoz", _woz_fixture())
         assert [t.role for t in d.turns] == [
             Role.USER, Role.ASSISTANT, Role.USER, Role.ASSISTANT]
 
     def test_emotions_on_user_turns(self):
-        d = adapt(SourceRecord("emowoz", _woz_fixture()))
+        d = adapt("emowoz", _woz_fixture())
         assert d.turns[0].emotion is Emotion.NEUTRAL
         assert d.turns[2].emotion is Emotion.SATISFIED
         assert d.turns[1].emotion is None
@@ -389,18 +387,18 @@ class TestWozAdapter:
         raw = _woz_fixture()
         raw["log"][0]["emotion"] = -1
         raw["log"][2]["emotion"] = 6
-        d = adapt(SourceRecord("emowoz", raw))
+        d = adapt("emowoz", raw)
         assert d.turns[0].emotion is None
         assert d.turns[2].emotion is Emotion.SATISFIED
 
     def test_state_keyed_domain_slot(self):
-        d = adapt(SourceRecord("emowoz", _woz_fixture()))
+        d = adapt("emowoz", _woz_fixture())
         assert d.turns[1].state == {
             "restaurant-food": "thai", "restaurant-area": "centre"}
         assert d.turns[3].state["restaurant-day"] == "friday"
 
     def test_new_state_values_located_in_preceding_user_turn(self):
-        d = adapt(SourceRecord("emowoz", _woz_fixture()))
+        d = adapt("emowoz", _woz_fixture())
         spans = {n: (s, e) for n, s, e in d.turns[0].slot_spans}
         s, e = spans["restaurant-food"]
         assert d.turns[0].text[s:e] == "thai"
@@ -409,11 +407,11 @@ class TestWozAdapter:
     def test_not_mentioned_values_skipped(self):
         raw = _woz_fixture()
         raw["log"][1]["metadata"]["restaurant"]["semi"]["name"] = "not mentioned"
-        d = adapt(SourceRecord("emowoz", raw))
+        d = adapt("emowoz", raw)
         assert "restaurant-name" not in d.turns[1].state
 
     def test_spokenwoz_source_tag(self):
-        d = adapt(SourceRecord("spokenwoz", _woz_fixture()))
+        d = adapt("spokenwoz", _woz_fixture())
         assert d.source == "spokenwoz"
 
 

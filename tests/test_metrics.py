@@ -38,7 +38,6 @@ from todvoice.metrics import (
     parse_selection,
     similarity_pairs,
     slot_f1_micro,
-    wer,
 )
 
 from conftest import RejectingChat, make_dialogue, make_goal
@@ -57,25 +56,23 @@ def _oracle_ed(ref: tuple, hyp: tuple) -> int:
     )
 
 
+def _wer(ref: str, hyp: str) -> float:
+    """The WER of one utterance, as the report gives it."""
+    return build_wer_report([("native", ref, hyp)])["overall"].wer
+
+
 class TestWer:
     def test_identity(self):
-        assert wer("the cat sat", "the cat sat") == 0.0
+        assert _wer("the cat sat", "the cat sat") == 0.0
 
     def test_single_substitution(self):
-        assert wer("a b c", "a x c") == pytest.approx(1 / 3)
-
-    def test_accepts_word_lists(self):
-        assert wer(["a", "b", "c"], ["a", "x", "c"]) == pytest.approx(1 / 3)
-
-    def test_empty_reference_rejected(self):
-        with pytest.raises(ValueError):
-            wer("", "anything")
+        assert _wer("a b c", "a x c") == pytest.approx(1 / 3)
 
     def test_empty_hypothesis_is_all_deletions(self):
-        assert wer("a b c d", "") == 1.0
+        assert _wer("a b c d", "") == 1.0
 
     def test_can_exceed_one(self):
-        assert wer("a", "x y z") == 3.0
+        assert _wer("a", "x y z") == 3.0
 
     def test_exhaustive_small_alphabet(self):
         # full enumeration up to length 5 here; the acceptance suite goes to 8
@@ -146,7 +143,7 @@ class TestJudgeTurnCoverage:
         state = _state(3)
         out = judge_turn_coverage(state, "", "u", _ScriptedJudge(["[2, 2, 2]"]))
         assert len(out.covered) == 1
-        assert out.coverage() == pytest.approx(1 / 3)
+        assert len(out.remaining()) == 2
 
     def test_out_of_range_indices_ignored(self):
         state = _state(2)
@@ -376,9 +373,9 @@ class TestDatasetStats:
         d1 = make_dialogue(texts=pairs, dialogue_id="a")
         d2 = make_dialogue(texts=pairs, dialogue_id="b")
         stats = dataset_stats([d1, d2])
-        assert stats.n_dialogues == 2
-        assert stats.n_utterances == 8
-        assert stats.avg_words_per_utterance == pytest.approx(2.0)
+        assert stats["dialogues"] == 2
+        assert stats["utterances"] == 8
+        assert stats["avg_words_per_utterance"] == pytest.approx(2.0)
 
     def test_behavior_counts(self):
         d = make_dialogue()
@@ -391,32 +388,35 @@ class TestDatasetStats:
         )
         turns[2] = turns[2].with_(bargein=meta, emotion=Emotion.NEUTRAL)
         stats = dataset_stats([dataclasses.replace(d, turns=tuple(turns))])
-        assert stats.n_bargein == 2
-        assert stats.bargein_by_subtype == {"REF_RAW": 2}
-        assert stats.n_disfluency == 1
-        assert stats.disfluency_by_type == {"FP": 1}
-        assert stats.n_emotion == 2
-        assert stats.emotion_by_label == {"neutral": 1, "satisfied": 1}
+        assert stats["behaviors"] == {"crossturn": 0, "bargein": 2, "disfluency": 1, "emotion": 2}
+        assert stats["bargein_by_subtype"] == {"REF_RAW": 2}
+        assert stats["disfluency_by_type"] == {"FP": 1}
+        assert stats["emotion_by_label"] == {"neutral": 1, "satisfied": 1}
 
     def test_empty_corpus_is_all_zeros(self):
         stats = dataset_stats([])
-        assert stats.n_dialogues == 0
-        assert stats.n_utterances == 0
-        assert stats.avg_words_per_utterance == 0.0
-        assert stats.total_duration_s == 0.0
+        assert stats["dialogues"] == 0
+        assert stats["utterances"] == 0
+        assert stats["avg_words_per_utterance"] == 0.0
+        assert stats["total_duration_s"] == 0.0
+        assert stats["behaviors"] == {"crossturn": 0, "bargein": 0, "disfluency": 0, "emotion": 0}
 
     def test_duration_and_speakers(self):
         d = make_dialogue()
         turns = tuple(t.with_(duration_s=2.0) for t in d.turns)
         stats = dataset_stats([dataclasses.replace(d, turns=turns)])
-        assert stats.total_duration_s == pytest.approx(8.0)
-        assert stats.total_duration_h == pytest.approx(8.0 / 3600.0)
-        assert stats.n_speakers == 0  # no manifests attached
+        assert stats["total_duration_s"] == pytest.approx(8.0)
+        assert stats["total_duration_h"] == pytest.approx(8.0 / 3600.0)
+        assert stats["speakers"] == 0  # no manifests attached
 
     def test_to_dict_shape(self):
-        got = dataset_stats([make_dialogue()]).to_dict()
+        got = dataset_stats([make_dialogue()])
+        assert list(got) == [
+            "dialogues", "utterances", "avg_words_per_utterance", "speakers", "total_duration_s",
+            "total_duration_h", "behaviors", "bargein_by_subtype", "disfluency_by_type", "emotion_by_label",
+        ]
         assert got["dialogues"] == 1
-        assert set(got["behaviors"]) == {"crossturn", "bargein", "disfluency", "emotion"}
+        assert list(got["behaviors"]) == ["crossturn", "bargein", "disfluency", "emotion"]
 
 
 class TestEvaluateDialogueCoverage:

@@ -374,8 +374,7 @@ class TestQuarantine:
             "reason": "turns.alternation@1; turns.alternation@2",
         }
 
-    def test_stage_exception_recorded_with_stage_name(self, tmp_path):
-        dialogues = _pipeline_corpus(2)
+    def test_bad_assistant_pool_fails_at_load(self, tmp_path):
         user_m, _ = _manifests(tmp_path)
         short_path = tmp_path / "short.json"
         write_speaker_manifest(assistant_pool_profiles()[:3], short_path)
@@ -384,11 +383,9 @@ class TestQuarantine:
             speaker_manifest=user_m,
             assistant_manifest=str(short_path),
         )
-        result = run_pipeline(dialogues, cfg)
-        assert result.dialogues == []
-        assert len(result.quarantined) == 2
-        assert all(q.stage == "speakers" for q in result.quarantined)
-        assert "10 speakers" in result.quarantined[0].reason
+        with pytest.raises(speakers.ConfigError) as info:
+            run_pipeline(_pipeline_corpus(2), cfg)
+        assert str(info.value) == f"{short_path}: assistant pool must hold exactly 10 speakers, got 3"
 
     # The public function each STAGES row calls into.
     _CALLEES = {

@@ -1,4 +1,4 @@
-"""Synthesis jobs, stub rendering, duration checks, and manifests."""
+"""Per-turn synthesis, stub rendering, duration checks, and manifests."""
 
 from __future__ import annotations
 
@@ -12,12 +12,8 @@ from todvoice.corpus import Emotion, Role, Turn
 from todvoice.seeding import rng_for
 from todvoice.synthesis import (
     ManifestRow,
-    SynthesisJob,
-    build_job,
     style_instruction,
-    synthesize,
     synthesize_dialogue,
-    turn_out_path,
     verify_durations,
     write_manifest,
 )
@@ -37,49 +33,63 @@ def _labeled_dialogue(dialogue_id="abcd_10083"):
     )
 
 
+class _Recording(TTSClient):
+    """The stub TTS, remembering each call's (text, speaker_ref, style)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def synthesize(self, text, speaker_ref=None, style=None):
+        self.calls.append((text, speaker_ref, style))
+        return StubTTSClient().synthesize(text)
+
+
 class TestJobs:
-    def test_out_path_scheme(self):
-        assert turn_out_path("abcd_10083", 3) == "data/audio/abcd_10083/turn03.wav"
-        assert turn_out_path("x", 0) == "data/audio/x/turn00.wav"
+    def test_out_path_scheme(self, tmp_path):
+        d = _labeled_dialogue("abcd_10083")
+        out, _ = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "path"))
+        assert [t.audio_ref for t in out.turns] == [f"data/audio/abcd_10083/turn{i:02d}.wav" for i in range(4)]
 
-    def test_singleton_keyword_map_forces_instruction(self):
-        rng = rng_for(0, "style")
-        got = style_instruction(Emotion.NEUTRAL, {Emotion.NEUTRAL: ("calm",)}, rng)
-        assert got == "Please speak in a calm tone."
-
-    def test_build_job_uses_role_speaker(self):
+    def test_build_job_uses_role_speaker(self, tmp_path):
         d = _labeled_dialogue()
-        user_job = build_job(d, 0, "hello", rng=rng_for(0, "j0"))
-        asst_job = build_job(d, 1, "hi", rng=rng_for(0, "j1"))
-        assert user_job.speaker_ref == d.user_speaker.ref_audio
-        assert asst_job.speaker_ref == d.assistant_speaker.ref_audio
+        tts = _Recording()
+        synthesize_dialogue(d, tts, tmp_path, rng_for(0, "j0"))
+        refs = [ref for _, ref, _ in tts.calls]
+        assert refs == [d.user_speaker.ref_audio, d.assistant_speaker.ref_audio] * 2
 
-    def test_build_job_requires_label(self):
+    def test_build_job_requires_label(self, tmp_path):
         d = _labeled_dialogue()
         d = dataclasses.replace(d, turns=tuple(t.with_(emotion=None) for t in d.turns))
         with pytest.raises(ValueError):
-            build_job(d, 0, "hello", rng=rng_for(0, "x"))
+            synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "x"))
 
-    def test_empty_normalized_text_rejected(self):
-        with pytest.raises(ValueError):
-            SynthesisJob(dialogue_id="d", turn_index=0, normalized_text="  ",
-                         style_instruction="s", speaker_ref="r", out_path="p")
+    def test_empty_normalized_text_rejected(self, tmp_path):
+        d = _labeled_dialogue()
+        d = d.with_turns((d.turns[0].with_(text="  ", emotion=None),) + d.turns[1:])
+        tts = _Recording()
+        out, rows = synthesize_dialogue(d, tts, tmp_path, rng_for(0, "empty"))
+        assert rows[0].to_dict() == {"dialogue_id": d.dialogue_id, "turn": 0, "status": "failed", "duration_s": None}
+        assert out.turns[0] == d.turns[0]
+        assert [r.status for r in rows[1:]] == ["ok"] * 3
+        assert len(tts.calls) == 3
+
+    def test_style_instruction_per_turn_follows_the_rng(self, tmp_path):
+        d = _labeled_dialogue()
+        tts = _Recording()
+        synthesize_dialogue(d, tts, tmp_path, rng_for(0, "style"))
+        rng = rng_for(0, "style")
+        assert [style for _, _, style in tts.calls] == [style_instruction(Emotion.NEUTRAL, rng) for _ in d.turns]
 
 
 class TestSynthesize:
     def test_stub_duration_formula(self, tmp_path):
-        job = SynthesisJob(
-            dialogue_id="d", turn_index=0,
-            normalized_text="x" * 50,
-            style_instruction="Please speak in a calm tone.",
-            speaker_ref="ref.wav",
-            out_path="data/audio/d/turn00.wav",
-        )
-        row = synthesize(job, StubTTSClient(), tmp_path)
-        assert row.status == "ok"
-        assert row.duration_s == pytest.approx(3.0)
+        d = _labeled_dialogue("d")
+        d = d.with_turns((d.turns[0].with_(text="x" * 50),) + d.turns[1:])
+        out, rows = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "dur"))
+        assert rows[0].status == "ok"
+        assert rows[0].duration_s == pytest.approx(3.0)
         written = tmp_path / "data/audio/d/turn00.wav"
-        assert written.exists()
+        assert out.turns[0].audio_ref == "data/audio/d/turn00.wav"
         assert wav_duration_s(written.read_bytes()) == pytest.approx(3.0, abs=1e-3)
 
     def test_failed_job_marked_and_run_continues(self, tmp_path):
@@ -91,13 +101,14 @@ class TestSynthesize:
         out, rows = synthesize_dialogue(d, Broken(), tmp_path, rng_for(0, "fail"))
         assert all(r.status == "failed" for r in rows)
         assert all(t.audio_ref is None for t in out.turns)
+        assert not (tmp_path / "data").exists()
 
     def test_synthesize_dialogue_attaches_audio(self, tmp_path):
         d = _labeled_dialogue()
         out, rows = synthesize_dialogue(d, StubTTSClient(), tmp_path / "r1", rng_for(0, "ok"))
         assert [r.status for r in rows] == ["ok"] * len(d.turns)
         for t in out.turns:
-            assert t.audio_ref == turn_out_path(d.dialogue_id, t.index)
+            assert t.audio_ref == f"data/audio/{d.dialogue_id}/turn{t.index:02d}.wav"
             assert t.duration_s is not None
             assert (tmp_path / "r1" / t.audio_ref).exists()
         again, rows_again = synthesize_dialogue(d, StubTTSClient(), tmp_path / "r2", rng_for(0, "ok"))
@@ -135,7 +146,7 @@ class TestVerifyDurations:
         d = _labeled_dialogue()
         turns = []
         for i in range(5):
-            ref = turn_out_path(d.dialogue_id, i)
+            ref = f"data/audio/{d.dialogue_id}/turn{i:02d}.wav"
             target = tmp_path / ref
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(b"")
