@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum, IntEnum
-from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -113,13 +111,13 @@ class Goal:
 
 @dataclass(frozen=True)
 class CrossTurnMeta:
-    """Marks a turn as part of a segmented-dictation exchange."""
+    """Marks a turn as part of a segmented-dictation exchange; which turn
+    corrects an erroneous chunk follows from the turns (see corrections)."""
 
     slot_name: str
     chunk_index: int
     chunk_text: str
     is_error: bool = False
-    corrected_in_turn: int | None = None
 
 
 @dataclass(frozen=True)
@@ -257,33 +255,35 @@ def splice_turns(d: Dialogue, edits: Sequence[tuple[int, int, Sequence[Turn]]]) 
     """Apply every edit (start, stop, block), each replacing d.turns[start:stop]
     with block, in one pass, and renumber once; no edits return d itself.
 
-    Edits are in d's coordinates, in order and not overlapping. A kept turn's
-    cross-turn correction pointer p moves with the turn it points at: by the
-    change in length of every edit whose stop is at or before p. A block
-    turn's pointer counts from the first turn of its block.
+    Edits are in d's coordinates, in order and not overlapping.
     """
     if not edits:
         return d
-    stops = [stop for _, stop, _ in edits]
-    shifts = list(accumulate((len(block) - (stop - start) for start, stop, block in edits), initial=0))
-
-    def moved(t: Turn, base: int | None) -> Turn:
-        ct = t.crossturn
-        if ct is None or ct.corrected_in_turn is None:
-            return t
-        p = ct.corrected_in_turn
-        p = p + shifts[bisect_right(stops, p)] if base is None else base + p
-        return t if p == ct.corrected_in_turn else t.with_(crossturn=replace(ct, corrected_in_turn=p))
-
     turns: list[Turn] = []
     at = 0
     for start, stop, block in edits:
-        turns += [moved(t, None) for t in d.turns[at:start]]
-        base = len(turns)
-        turns += [moved(t, base) for t in block]
+        turns += [*d.turns[at:start], *block]
         at = stop
-    turns += [moved(t, None) for t in d.turns[at:]]
+    turns += d.turns[at:]
     return d.with_turns(renumber(turns))
+
+
+def corrections(turns: Sequence[Turn]) -> dict[int, int]:
+    """Erroneous user chunk -> the user turn that corrects it: the next user
+    turn dictating the same slot, if it re-dictates that chunk without error.
+    The cross-turn stage puts it two turns on; a barge-in may land between."""
+    out: dict[int, int] = {}
+    pending: dict[str, int] = {}  # slot -> its erroneous user chunk
+    for i, t in enumerate(turns):
+        m = t.crossturn
+        if m is None or t.role is not Role.USER:
+            continue
+        j = pending.pop(m.slot_name, None)
+        if j is not None and not m.is_error and turns[j].crossturn.chunk_index == m.chunk_index:
+            out[j] = i
+        if m.is_error:
+            pending[m.slot_name] = i
+    return out
 
 
 def shift_spans(
@@ -332,6 +332,8 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
 
     if not d.goal.sub_goals:
         out.append(Violation("goal.sub_goals", "goal has no sub-goals"))
+    if not d.turns:
+        out.append(Violation("turns.empty", "dialogue has no turns"))
 
     for i, t in enumerate(d.turns):
         if t.index != i:
@@ -381,19 +383,6 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
                 out.append(Violation("turn.truncation", "truncation token not at end of turn", t.index))
             if t.text.endswith(BARGEIN_TOKEN) and t.bargein is None:
                 out.append(Violation("turn.truncation_meta", "truncated turn lacks barge-in metadata", t.index))
-
-        # A correction pointer leads from an erroneous user chunk to the later
-        # user turn that re-dictates the same chunk correctly.
-        ct = t.crossturn
-        if ct is not None and ct.corrected_in_turn is not None:
-            j = ct.corrected_in_turn
-            fix = d.turns[j].crossturn if t.index < j < len(d.turns) and d.turns[j].role is Role.USER else None
-            if t.role is not Role.USER or not ct.is_error:
-                detail = "pointer from a turn that is not an erroneous user chunk"
-                out.append(Violation("turn.crossturn_pointer", detail, t.index))
-            elif fix is None or (fix.slot_name, fix.chunk_index, fix.is_error) != (ct.slot_name, ct.chunk_index, False):
-                detail = f"turn {j} is not a later user turn correcting chunk {ct.chunk_index}"
-                out.append(Violation("turn.crossturn_pointer", detail, t.index))
 
         if t.bargein is not None and t.bargein.type is BargeInType.ERROR_RECOVERY:
             state = d.state_at(t.index)
@@ -522,15 +511,7 @@ def turn_to_dict(t: Turn) -> dict[str, Any]:
             for m in t.disfluency
         ]
     if t.crossturn is not None:
-        c: dict[str, Any] = {
-            "slot_name": t.crossturn.slot_name,
-            "chunk_index": t.crossturn.chunk_index,
-            "chunk_text": t.crossturn.chunk_text,
-            "is_error": t.crossturn.is_error,
-        }
-        if t.crossturn.corrected_in_turn is not None:
-            c["corrected_in_turn"] = t.crossturn.corrected_in_turn
-        out["crossturn"] = c
+        out["crossturn"] = asdict(t.crossturn)
     if t.audio_ref is not None:
         out["audio_path"] = t.audio_ref
     if t.duration_s is not None:
@@ -630,11 +611,14 @@ def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
             for sg in d.goal.sub_goals
         ],
     }
+    turns = [turn_to_dict(t) for t in d.turns]
+    for i, j in corrections(d.turns).items():
+        turns[i]["crossturn"]["corrected_in_turn"] = j
     out: dict[str, Any] = {
         "dialogue_id": d.dialogue_id,
         "source": d.source,
         "goal": {"text": d.goal.text, "structured": structured},
-        "turns": [turn_to_dict(t) for t in d.turns],
+        "turns": turns,
     }
     if d.user_speaker is not None:
         out["speaker"] = _speaker_to_dict(d.user_speaker)
@@ -645,7 +629,8 @@ def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
 
 def dialogue_from_dict(data: Any) -> Dialogue:
     """A Dialogue from its JSON object; a bad value is one CorpusError naming
-    the dialogue (and the turn, if the value is in one)."""
+    the dialogue (and the turn, if the value is in one). A stored correction
+    pointer must be the one corrections derives from the turns."""
     check("dialogue", data, "dict", CorpusError)
     dialogue_id = check("dialogue_id", data.get("dialogue_id"), "str", CorpusError)
     try:
@@ -658,12 +643,20 @@ def dialogue_from_dict(data: Any) -> Dialogue:
                 build(SubGoal, f"goal.structured.sub_goals[{i}]", sg, CorpusError) for i, sg in enumerate(sub_goals)
             ),
         )
-        turns = check("turns", data.get("turns"), "list", CorpusError)
+        raw = check("turns", data.get("turns"), "list", CorpusError)
+        turns = tuple(turn_from_dict(t, i) for i, t in enumerate(raw))
+        fixes = corrections(turns)
+        for i, t in enumerate(turns):
+            if t.crossturn is not None:
+                where = f"turn {i}: crossturn.corrected_in_turn"
+                stored = check(where, raw[i]["crossturn"].get("corrected_in_turn"), "int | None", CorpusError)
+                if stored != fixes.get(i):
+                    raise CorpusError(must(where, json.dumps(fixes.get(i)), stored))
         return Dialogue(
             dialogue_id=dialogue_id,
             source=check("source", data.get("source", "generic"), "str", CorpusError),
             goal=goal,
-            turns=tuple(turn_from_dict(t, i) for i, t in enumerate(turns)),
+            turns=turns,
             user_speaker=_speaker_from_dict(data.get("speaker"), "speaker"),
             assistant_speaker=_speaker_from_dict(data.get("assistant_speaker"), "assistant_speaker"),
         )
@@ -684,15 +677,22 @@ def iter_records(path: str | Path) -> Iterator[dict[str, Any]]:
 
     A file that opens with "{" is one object unless a later line also opens
     with "{" at its first column, which makes it NDJSON.
+    A text that is not JSON is a CorpusError naming the file and its line.
     """
+    def parse(text: str, lines_before: int = 0) -> Any:
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lines_before + exc.lineno}: {exc.msg} (column {exc.colno})") from exc
+
     text = Path(path).read_text(encoding="utf-8")
     head = text.lstrip()
     if head.startswith("["):
-        yield from json.loads(text)
+        yield from parse(text)
     elif head.startswith("{") and "\n{" not in head:
-        yield json.loads(text)
+        yield parse(text)
     else:
-        yield from (json.loads(line) for line in text.splitlines() if line.strip())
+        yield from (parse(line, n) for n, line in enumerate(text.splitlines()) if line.strip())
 
 
 def load_corpus(path: str | Path) -> list[Dialogue]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .corpus import CrossTurnMeta, Dialogue, Role, Turn, shift_spans, splice_turns
+from .corpus import CrossTurnMeta, Dialogue, Role, Turn, corrections, shift_spans, splice_turns
 
 _DIGIT_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
 
@@ -104,9 +104,7 @@ def corrupt_chunk(chunk: str, rng: random.Random) -> str:
     i = rng.choice(positions)
     ch = chunk[i]
     if ch.isdigit():
-        repl = str((int(ch) + 1 + rng.randrange(9)) % 10)
-        while repl == ch:  # pragma: no cover - offset construction prevents this
-            repl = str(rng.randrange(10))
+        repl = str((int(ch) + 1 + rng.randrange(9)) % 10)  # an offset of 1-9, so never ch
     else:
         alphabet = "abcdefghijklmnopqrstuvwxyz"
         pool = [c for c in alphabet if c != ch.lower()]
@@ -124,7 +122,7 @@ def dictation_block(
     cfg: CrossTurnConfig = CrossTurnConfig(),
 ) -> list[Turn]:
     """Rewrite one user turn into a chunk-dictation exchange, to be spliced in
-    its place; a correction pointer counts from the first turn of the block."""
+    its place; a mis-spoken chunk is corrected in the next user turn."""
     span = next(((s, e) for name, s, e in turn.slot_spans if name == slot), None)
     if turn.role is not Role.USER or span is None:
         raise ValueError(f"turn {turn.index} has no user slot span for {slot!r}")
@@ -143,8 +141,6 @@ def dictation_block(
     for i, chunk in enumerate(spoken):
         dictated = render_dictation(chunk)
         meta = CrossTurnMeta(slot_name=slot, chunk_index=i, chunk_text=chunk, is_error=(i == error_at))
-        # An erroneous chunk is corrected by the user turn two places on.
-        said = replace(meta, corrected_in_turn=len(block) + 2) if i == error_at else meta
         if i == 0:
             first_text = turn.text[:start] + dictated + turn.text[end:]
             kept = [sp for sp in turn.slot_spans if not (sp[0] == slot and sp[1] <= start < sp[2])]
@@ -154,11 +150,11 @@ def dictation_block(
                     text=first_text,
                     tagged=None,
                     slot_spans=shift_spans(kept, start, delta),
-                    crossturn=said,
+                    crossturn=meta,
                 )
             )
         else:
-            add(Role.USER, f"Then {dictated}.", said)
+            add(Role.USER, f"Then {dictated}.", meta)
         add(Role.ASSISTANT, f"Got it, {dictated}.", meta)
         if i == error_at:
             fix = render_dictation(chunks[i])
@@ -168,25 +164,28 @@ def dictation_block(
     return block
 
 
-def reconstruct_value(d: Dialogue, slot: str) -> str:
-    """Rebuild the dictated value from chunk metadata, applying corrections."""
-    by_chunk: dict[int, str] = {}
-    for t in d.turns:
+def reconstruct_value(d: Dialogue, slot: str) -> list[str]:
+    """The value of each dictation block of slot, in dialogue order, rebuilt
+    from its user chunks; a correction replaces the chunk it corrects. Each
+    block is one run of turns from chunk 0, so a chunk 0 that is not a
+    correction opens the next block."""
+    fixes = set(corrections(d.turns).values())
+    blocks: list[dict[int, str]] = []
+    for i, t in enumerate(d.turns):
         m = t.crossturn
         if m is None or m.slot_name != slot or t.role is not Role.USER:
             continue
-        if m.chunk_index not in by_chunk or not m.is_error:
-            by_chunk[m.chunk_index] = m.chunk_text
-        if m.is_error and m.corrected_in_turn is not None:
-            fix = d.turns[m.corrected_in_turn].crossturn
-            if fix is not None:
-                by_chunk[m.chunk_index] = fix.chunk_text
-    chunks = [by_chunk[i] for i in sorted(by_chunk)]
-    if len(chunks) == 2 and chunks[1].startswith("at "):
-        local = chunks[0].replace(" dot ", ".")
-        domain = chunks[1][3:].replace(" dot ", ".")
-        return f"{local}@{domain}"
-    return "".join(chunks)
+        if not blocks or (m.chunk_index == 0 and i not in fixes):
+            blocks.append({})
+        blocks[-1][m.chunk_index] = m.chunk_text
+    values = []
+    for by_chunk in blocks:
+        first, *rest = [by_chunk[k] for k in sorted(by_chunk)]
+        if len(rest) == 1 and rest[0].startswith("at "):  # an email: local part, "at" domain
+            values.append(f"{first}@{rest[0][3:]}".replace(" dot ", "."))
+        else:
+            values.append(first + "".join(rest))
+    return values
 
 
 def segmentable_slots(turn: Turn, cfg: CrossTurnConfig) -> list[tuple[str, str]]:

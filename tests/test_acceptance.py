@@ -145,7 +145,7 @@ class TestCrossTurnReconstruction:
                 spans={0: (("ref", at, at + len(value)),)},
             )
             expanded = dictate(d, 0, "ref", segment_value(value, cfg), rng, cfg)
-            assert reconstruct_value(expanded, "ref") == value
+            assert reconstruct_value(expanded, "ref") == [value]
             if any(t.crossturn is not None and t.crossturn.is_error for t in expanded.turns):
                 errors += 1
         rate = errors / n

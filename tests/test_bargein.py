@@ -23,6 +23,7 @@ from todvoice.corpus import (
     BargeInType,
     Role,
     Turn,
+    corrections,
     dumps_dialogue,
     loads_dialogue,
     splice_turns,
@@ -263,10 +264,11 @@ class TestApplyInsertion:
                     CrossTurnConfig(p_error=1.0))
         (err,) = [t.index for t in d.turns if t.crossturn and t.crossturn.is_error and t.role is Role.USER]
         out = splice_turns(d, [(err + 1, err + 1, self._block())])
-        pointer = out.turns[err].crossturn.corrected_in_turn
+        assert corrections(d.turns) == {err: err + 2}
+        pointer = corrections(out.turns)[err]
         assert pointer == err + 5
         assert out.turns[pointer].text.startswith("Wait, I meant")
-        assert reconstruct_value(out, "phone") == value
+        assert reconstruct_value(out, "phone") == [value]
 
 
 class TestStage:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from conftest import assistant_pool_profiles, make_dialogue, set_path, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
-from todvoice.corpus import Emotion, Role, dialogue_to_dict, load_corpus, save_corpus
+from todvoice.corpus import CrossTurnMeta, Emotion, Role, dialogue_to_dict, dumps_dialogue, load_corpus, save_corpus
 
 
 @pytest.fixture
@@ -22,6 +22,15 @@ def _corpus_file(tmp_path: Path, n: int = 2, name: str = "in.jsonl") -> Path:
     dialogues = [make_dialogue(dialogue_id=f"cli-{i:04d}") for i in range(n)]
     path = tmp_path / name
     save_corpus(dialogues, path)
+    return path
+
+
+def _empty_dialogue_file(tmp_path: Path) -> Path:
+    """A corpus of one dialogue with no turns, then a well-formed one."""
+    empty = dialogue_to_dict(make_dialogue(dialogue_id="a"))
+    empty["turns"] = []
+    path = tmp_path / "empty.jsonl"
+    path.write_text(json.dumps(empty) + "\n" + dumps_dialogue(make_dialogue(dialogue_id="b")) + "\n")
     return path
 
 
@@ -129,6 +138,16 @@ class TestAugment:
         assert not (out_dir / "synthesis_manifest.jsonl").exists()
         assert all(t.audio_ref is None for d in load_corpus(out) for t in d.turns)
 
+    def test_empty_dialogue_quarantined_at_validate(self, runner, tmp_path):
+        out_dir = tmp_path / "artifacts"
+        result = runner.invoke(main, ["--stub", "augment", str(_empty_dialogue_file(tmp_path)),
+                                      str(tmp_path / "aug.jsonl"), "--out-dir", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        assert "augmented 1 dialogues (1 quarantined)" in result.output
+        assert [d.dialogue_id for d in load_corpus(tmp_path / "aug.jsonl")] == ["b"]
+        (row,) = [json.loads(line) for line in (out_dir / "quarantine.jsonl").read_text().splitlines()]
+        assert row == {"dialogue_id": "a", "stage": "validate", "reason": "turns.empty@None"}
+
     def test_seed_changes_output(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=6)
         blobs = {}
@@ -211,6 +230,11 @@ class TestValidate:
         assert result.exit_code == 1
         assert "turns.alternation" in result.output
         assert "bad-cli" in result.output
+
+    def test_empty_dialogue_fails(self, runner, tmp_path):
+        result = runner.invoke(main, ["validate", str(_empty_dialogue_file(tmp_path))])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == ["a\tturn None\tturns.empty\tdialogue has no turns"]
 
 
 class TestSplit:
@@ -370,6 +394,42 @@ class TestCleanErrorBoundary:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: {pred_path}{message}"]
+
+    @pytest.mark.parametrize("pointer,message", [
+        pytest.param(7, "must be 2, not 7", id="dangling"),
+        pytest.param(None, "must be 2, not None", id="missing"),
+        pytest.param("2", "must be an integer or null, not '2'", id="string"),
+    ])
+    def test_wrong_correction_pointer_is_one_line(self, runner, tmp_path, pointer, message):
+        err = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="123", is_error=True)
+        d = make_dialogue(dialogue_id="ct")
+        d = d.with_turns([d.turns[0].with_(crossturn=err), d.turns[1],
+                          d.turns[2].with_(crossturn=CrossTurnMeta("phone", 0, "124")), d.turns[3]])
+        doc = dialogue_to_dict(d)
+        doc["turns"][0]["crossturn"]["corrected_in_turn"] = pointer
+        src = tmp_path / "bad.jsonl"
+        src.write_text(json.dumps(doc) + "\n")
+        result = runner.invoke(main, ["validate", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: dialogue 'ct': turn 0: crossturn.corrected_in_turn {message}"]
+
+    @pytest.mark.parametrize("layout,text,message", [
+        pytest.param("ndjson", "{ok}\n\n{oops\n", "3: Expecting property name enclosed in double quotes (column 2)",
+                     id="ndjson"),
+        pytest.param("array", "[\n{ok},\n{oops}\n]\n", "3: Expecting property name enclosed in double quotes (column 2)",
+                     id="array"),
+        pytest.param("object", '\n{\n  "dialogue_id": oops\n}\n', "3: Expecting value (column 18)", id="object"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "ingest"])
+    def test_bad_json_names_file_and_line(self, runner, tmp_path, command, layout, text, message):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(text.replace("{ok}", dumps_dialogue(make_dialogue(dialogue_id="ok"))))
+        args = ["--source", "generic", str(src), str(tmp_path / "out.jsonl")] if command == "ingest" else [str(src)]
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {src}:{message}"]
 
     def test_malformed_corpus_is_one_line(self, runner, tmp_path):
         src = tmp_path / "bad.jsonl"

@@ -22,6 +22,7 @@ from todvoice.corpus import (
     Role,
     SubGoal,
     Turn,
+    corrections,
     dialogue_from_dict,
     dialogue_to_dict,
     dumps_dialogue,
@@ -86,13 +87,59 @@ class TestModel:
         assert all(a is b for a, b in zip(renumber(turns), turns, strict=True))
 
 
+def _dictation(is_error: bool = True, fix_chunk: int = 0) -> Dialogue:
+    """A user chunk (erroneous unless is_error is False) whose next user turn
+    re-dictates chunk fix_chunk of the same slot correctly."""
+    err = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="123", is_error=is_error)
+    fix = CrossTurnMeta(slot_name="phone", chunk_index=fix_chunk, chunk_text="124")
+    turns = (
+        Turn(index=0, role=Role.USER, text="Then one two three.", crossturn=err),
+        Turn(index=1, role=Role.ASSISTANT, text="Got it, one two three.", crossturn=err),
+        Turn(index=2, role=Role.USER, text="Wait, I meant one two four.", crossturn=fix),
+        Turn(index=3, role=Role.ASSISTANT, text="Got it, one two four.", crossturn=fix),
+    )
+    return Dialogue(dialogue_id="ct", source="generic", goal=make_goal(), turns=turns)
+
+
+def _load_with_pointer(d: Dialogue, at: int, pointer) -> Dialogue:
+    """d written out, with turn at's stored correction pointer set to pointer, and read back."""
+    doc = dialogue_to_dict(d)
+    doc["turns"][at]["crossturn"]["corrected_in_turn"] = pointer
+    return dialogue_from_dict(doc)
+
+
+class TestCorrections:
+    def test_the_next_user_turn_re_dictating_the_chunk_corrects_it(self):
+        assert corrections(_dictation().turns) == {0: 2}
+
+    def test_only_an_erroneous_user_chunk_is_corrected(self):
+        assert corrections(_dictation(is_error=False).turns) == {}
+        assert corrections(_dictation(fix_chunk=1).turns) == {}
+
+    def test_a_second_erroneous_try_is_not_the_correction(self):
+        d = _dictation()
+        again = d.turns[:2]  # the same chunk, mis-spoken once more
+        assert corrections(splice_turns(d, [(2, 2, again)]).turns) == {2: 4}
+
+    def test_a_user_turn_without_a_chunk_in_between_is_skipped(self):
+        d = _dictation()
+        aside = Turn(index=0, role=Role.USER, text="Uh-huh.")
+        assert corrections(splice_turns(d, [(1, 1, [aside, d.turns[1]])]).turns) == {0: 4}
+
+    def test_a_chunk_of_another_slot_in_between_is_skipped(self):
+        d = _dictation()
+        other = CrossTurnMeta(slot_name="code", chunk_index=0, chunk_text="AB")
+        block = [d.turns[1], Turn(index=0, role=Role.USER, text="A B.", crossturn=other)]
+        assert corrections(splice_turns(d, [(1, 2, block)]).turns) == {0: 3}
+
+
 class TestSpliceTurns:
     def _dialogue(self):
         d = make_dialogue(texts=[(Role.USER if i % 2 == 0 else Role.ASSISTANT, f"t{i}") for i in range(6)])
-        meta = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="012", is_error=True)
+        err = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="012", is_error=True)
         turns = list(d.turns)
-        turns[0] = turns[0].with_(crossturn=dataclasses.replace(meta, corrected_in_turn=4))
-        turns[1] = turns[1].with_(crossturn=dataclasses.replace(meta, corrected_in_turn=0))
+        turns[0] = turns[0].with_(crossturn=err)
+        turns[4] = turns[4].with_(crossturn=dataclasses.replace(err, is_error=False))
         return with_states(d.with_turns(turns), {0: {"a": "0"}, 2: {"a": "2"}, 4: {"a": "4"}})
 
     def test_block_replaces_range_and_indices_are_dense(self):
@@ -103,36 +150,28 @@ class TestSpliceTurns:
         assert (out.dialogue_id, out.goal) == (d.dialogue_id, d.goal)
 
     def test_pointers_at_or_past_stop_move_by_the_length_change(self):
+        # The correction pointer is derived from the turns, so it follows the
+        # correcting turn wherever the splice puts it.
+        d = self._dialogue()
+        assert corrections(d.turns) == {0: 4}
         block = [Turn(index=0, role=Role.ASSISTANT, text=f"n{i}") for i in range(3)]
-        out = splice_turns(self._dialogue(), [(2, 2, block)])
-        assert out.turns[0].crossturn.corrected_in_turn == 7
-        assert out.turns[1].crossturn.corrected_in_turn == 0
+        out = splice_turns(d, [(2, 2, block)])
+        assert corrections(out.turns) == {0: 7}
         assert out.turns[7].text == "t4"
+        assert dialogue_to_dict(out)["turns"][0]["crossturn"]["corrected_in_turn"] == 7
         assert states_of(out) == {0: {"a": "0"}, 5: {"a": "2"}, 7: {"a": "4"}}
-
-
-def _pointing(t: Turn, pointer: int | None) -> Turn:
-    meta = CrossTurnMeta(slot_name="s", chunk_index=0, chunk_text="c", is_error=True, corrected_in_turn=pointer)
-    return t if pointer is None else t.with_(crossturn=meta)
 
 
 @st.composite
 def _dialogue_and_edits(draw):
-    """A dialogue of 0-8 turns and 0-4 ordered, non-overlapping edits; kept and
-    block turns may carry a correction pointer (block ones count from their
-    block's first turn)."""
-    pointers = st.none() | st.integers(0, 12)
+    """A dialogue of 0-8 turns and 0-4 ordered, non-overlapping edits."""
     n = draw(st.integers(0, 8))
     d = make_dialogue(texts=[(Role.USER, f"t{i}") for i in range(n)])
-    d = d.with_turns(_pointing(t, draw(pointers)) for t in d.turns)
     k = draw(st.integers(0, 4))
     bounds = sorted(draw(st.lists(st.integers(0, n), min_size=2 * k, max_size=2 * k)))
     edits = []
     for e in range(k):
-        block = [
-            _pointing(Turn(index=0, role=Role.ASSISTANT, text=f"b{e}.{j}"), draw(pointers))
-            for j in range(draw(st.integers(0, 3)))
-        ]
+        block = [Turn(index=0, role=Role.ASSISTANT, text=f"b{e}.{j}") for j in range(draw(st.integers(0, 3)))]
         edits.append((bounds[2 * e], bounds[2 * e + 1], block))
     return d, edits
 
@@ -176,34 +215,36 @@ class TestValidator:
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turn.span_overlap" in rules
 
-    @staticmethod
-    def _dictation(pointer: int, is_error: bool = True, fix_chunk: int = 0) -> Dialogue:
-        err = CrossTurnMeta(slot_name="phone", chunk_index=0, chunk_text="123", is_error=is_error,
-                            corrected_in_turn=pointer)
-        fix = CrossTurnMeta(slot_name="phone", chunk_index=fix_chunk, chunk_text="124")
-        turns = (
-            Turn(index=0, role=Role.USER, text="Then one two three.", crossturn=err),
-            Turn(index=1, role=Role.ASSISTANT, text="Got it, one two three.",
-                 crossturn=dataclasses.replace(err, corrected_in_turn=None)),
-            Turn(index=2, role=Role.USER, text="Wait, I meant one two four.", crossturn=fix),
-            Turn(index=3, role=Role.ASSISTANT, text="Got it, one two four.", crossturn=fix),
-        )
-        return Dialogue(dialogue_id="ct", source="generic", goal=make_goal(), turns=turns)
+    def test_empty_dialogue_flagged(self):
+        d = Dialogue(dialogue_id="e", source="generic", goal=make_goal(), turns=())
+        assert [(v.rule, v.turn_index) for v in validate_dialogue(d)] == [("turns.empty", None)]
 
+    # A dialogue in memory holds no correction pointer: it is derived when the
+    # dialogue is written, and a stored one is checked against it when read,
+    # so `todvoice validate` reports a wrong one as the load error.
     def test_crossturn_pointer_names_the_correction(self):
-        assert validate_dialogue(self._dictation(2)) == []
-        dangling = validate_dialogue(self._dictation(99))
-        misdirected = validate_dialogue(self._dictation(2, fix_chunk=1))
-        for violations in (dangling, misdirected):
-            assert [(v.rule, v.turn_index) for v in violations] == [("turn.crossturn_pointer", 0)]
-        assert "turn 99 is not a later user turn correcting chunk 0" in str(dangling[0])
+        d = _dictation()
+        assert validate_dialogue(d) == []
+        assert dialogue_to_dict(d)["turns"][0]["crossturn"]["corrected_in_turn"] == 2
+        assert _load_with_pointer(d, 0, 2) == d
+        # dangling, on the assistant's confirmation, and missing
+        for pointer in (99, 3, None):
+            with pytest.raises(CorpusError) as info:
+                _load_with_pointer(d, 0, pointer)
+            assert str(info.value) == f"dialogue 'ct': turn 0: crossturn.corrected_in_turn must be 2, not {pointer}"
+        misdirected = _dictation(fix_chunk=1)  # turn 2 re-dictates chunk 1, so nothing corrects chunk 0
+        assert "corrected_in_turn" not in dialogue_to_dict(misdirected)["turns"][0]["crossturn"]
+        with pytest.raises(CorpusError, match="^dialogue 'ct': turn 0: crossturn.corrected_in_turn must be null, not 2$"):
+            _load_with_pointer(misdirected, 0, 2)
 
     def test_crossturn_pointer_only_on_erroneous_user_chunks(self):
-        correct_chunk = self._dictation(2, is_error=False)
-        d = self._dictation(2)
-        on_assistant = d.with_turns([d.turns[0], d.turns[1].with_(crossturn=d.turns[0].crossturn), *d.turns[2:]])
-        for d, at in ((correct_chunk, 0), (on_assistant, 1)):
-            assert [(v.rule, v.turn_index) for v in validate_dialogue(d)] == [("turn.crossturn_pointer", at)]
+        correct_chunk = _dictation(is_error=False)
+        assert "corrected_in_turn" not in dialogue_to_dict(correct_chunk)["turns"][0]["crossturn"]
+        # an erroneous chunk on an assistant turn is a confirmation, which no turn corrects
+        for d, at in ((correct_chunk, 0), (_dictation(), 1)):
+            assert _load_with_pointer(d, at, None) == d
+            with pytest.raises(CorpusError, match=f"^dialogue 'ct': turn {at}: crossturn.corrected_in_turn must be null, not 2$"):
+                _load_with_pointer(d, at, 2)
 
     def test_consecutive_same_role_flagged(self):
         d = make_dialogue(texts=[(Role.USER, "a"), (Role.USER, "b")])
@@ -359,13 +400,18 @@ class TestJsonRoundTrip:
                 turn_from_dict({"role": "user", "text": "hi", "state": bad}, 3)
 
     def test_correction_pointer_loads_only_as_an_integer_or_null(self):
-        ct = {"slot_name": "phone", "chunk_index": 0, "chunk_text": "123", "is_error": True}
-        for pointer in (None, 2):
-            t = turn_from_dict({"role": "user", "text": "hi", "crossturn": {**ct, "corrected_in_turn": pointer}}, 0)
-            assert t.crossturn.corrected_in_turn == pointer
+        d = _dictation()
+        assert _load_with_pointer(d, 0, 2) == d
+        assert _load_with_pointer(d, 1, None) == d
         for bad in ("2", 2.0, True):
-            with pytest.raises(CorpusError, match="^turn 0: crossturn.corrected_in_turn must be an integer or null"):
-                turn_from_dict({"role": "user", "text": "hi", "crossturn": {**ct, "corrected_in_turn": bad}}, 0)
+            with pytest.raises(CorpusError, match="^dialogue 'ct': turn 0: crossturn.corrected_in_turn must be an integer or null"):
+                _load_with_pointer(d, 0, bad)
+
+    def test_round_trip_writes_the_derived_correction_pointer(self):
+        d = _dictation()
+        text = dumps_dialogue(d)
+        assert '"is_error": true, "corrected_in_turn": 2}' in text
+        assert loads_dialogue(text) == d
 
     def test_corpus_file_round_trip(self, tmp_path, dialogue):
         other = make_dialogue(dialogue_id="dlg-0002")

@@ -8,7 +8,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todvoice.corpus import Role, Turn, validate_dialogue
+from todvoice.corpus import Role, Turn, corrections, dumps_dialogue, loads_dialogue, validate_dialogue
 from todvoice.crossturn import (
     CrossTurnConfig,
     apply_crossturn_stage,
@@ -94,7 +94,7 @@ class TestExpandTurn:
         assert len(block) == 6
         roles = [t.role for t in block]
         assert roles == [Role.USER, Role.ASSISTANT] * 3
-        assert reconstruct_value(out, "phone") == "0123456789"
+        assert reconstruct_value(out, "phone") == ["0123456789"]
 
     def test_error_appends_correction_pair(self):
         d = _dictation_dialogue()
@@ -104,11 +104,17 @@ class TestExpandTurn:
         assert len(block) == 8
         errors = [t for t in block if t.crossturn.is_error and t.role is Role.USER]
         assert len(errors) == 1
-        assert errors[0].crossturn.corrected_in_turn is not None
-        corr = out.turns[errors[0].crossturn.corrected_in_turn]
+        (fix,) = corrections(out.turns).values()
+        corr = out.turns[fix]
         assert corr.role is Role.USER
         assert corr.text.startswith("Wait, I meant")
-        assert reconstruct_value(out, "phone") == "0123456789"
+        assert reconstruct_value(out, "phone") == ["0123456789"]
+
+    def test_email_reconstructs_from_its_spoken_chunks(self):
+        value = "john.doe@mail.com"
+        out = dictate(_dictation_dialogue(value), 0, "phone", segment_value(value),
+                      rng_for(1, "err"), CrossTurnConfig(p_error=1.0))
+        assert reconstruct_value(out, "phone") == [value]
 
     def test_downstream_indices_renumbered(self):
         d = _dictation_dialogue()
@@ -152,7 +158,7 @@ def test_reconstruction_property(value, seed):
         return
     d = _dictation_dialogue(value)
     out = dictate(d, 0, "phone", chunks, random.Random(seed), CrossTurnConfig(p_error=0.5))
-    assert reconstruct_value(out, "phone") == value
+    assert reconstruct_value(out, "phone") == [value]
 
 
 def test_corrupt_chunk_stays_in_class():
@@ -187,7 +193,7 @@ class TestStage:
         out = apply_crossturn_stage(d, CrossTurnConfig(p_error=1.0), rng_for(0, d.dialogue_id, "xt"))
         assert len(out.turns) > len(d.turns)
         assert validate_dialogue(out) == []
-        assert reconstruct_value(out, "phone") == "0123456789"
+        assert reconstruct_value(out, "phone") == ["0123456789"]
 
     def test_stage_merges_final_confirmation_into_next_assistant_turn(self):
         d = make_dialogue(
@@ -239,7 +245,28 @@ class TestStage:
         d = d.with_turns([d.turns[0].with_(slot_spans=(("phone", 11, 21),))] + list(d.turns[1:]))
         out = apply_crossturn_stage(d, CrossTurnConfig(p_error=0.0), rng_for(0, "phone", "xt"))
         (err,) = [t for t in out.user_turns() if t.crossturn and t.crossturn.is_error]
-        assert out.turns[err.crossturn.corrected_in_turn].text.startswith("Wait, I meant")
+        fix = corrections(out.turns)[err.index]
+        assert out.turns[fix].text.startswith("Wait, I meant")
+        assert f'"corrected_in_turn": {fix}' in dumps_dialogue(out)
+        assert loads_dialogue(dumps_dialogue(out)) == out
+        assert (reconstruct_value(out, "phone"), reconstruct_value(out, "code")) == (["0123456789"], ["AB12345"])
+
+    @pytest.mark.parametrize("p_error", [0.0, 1.0])
+    def test_two_blocks_of_one_slot_reconstruct_apart(self, p_error):
+        # Keyed by slot alone, these chunks once rebuilt as "987654326789".
+        d = make_dialogue(
+            texts=[
+                (Role.USER, "Call me at 0123456789 please."),
+                (Role.ASSISTANT, "Saved."),
+                (Role.USER, "No, use 98765432 instead."),
+                (Role.ASSISTANT, "Updated."),
+            ],
+            spans={0: (("phone", 11, 21),), 2: (("phone", 8, 16),)},
+        )
+        out = apply_crossturn_stage(d, CrossTurnConfig(p_error=p_error), rng_for(0, "two", "xt"))
+        assert validate_dialogue(out) == []
+        assert len(corrections(out.turns)) == (2 if p_error else 0)
+        assert reconstruct_value(out, "phone") == ["0123456789", "98765432"]
 
     def test_stage_ignores_dialogues_without_segmentable_slots(self, dialogue):
         out = apply_crossturn_stage(dialogue, CrossTurnConfig(), rng_for(0, "none", "xt"))

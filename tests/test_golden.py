@@ -11,6 +11,8 @@ from the repository root, with
 GOLDEN_DIGEST is the sha256 of the output corpus, the synthesis manifest,
 quarantine.jsonl and every WAV (in path order). A refactor must leave it
 unchanged; a change that means to alter stub output updates it and says why.
+The output corpus must also load and save again to the same bytes, so what
+the writer derives (correction pointers) the reader accepts.
 
 GOLDEN_PROMPT_DIGEST is the sha256 of every chat prompt of the run at workers
 1, in call order. The stub ignores most of what a prompt says (the barge-in
@@ -31,6 +33,7 @@ from click.testing import CliRunner
 from conftest import assistant_pool_profiles, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
 from todvoice.clients import StubChatClient
+from todvoice.corpus import load_corpus, save_corpus
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 GOLDEN_DIGEST = "97e1dfce05894896479095424f0a5ffd026659bdf3341e71a067995cf42fbccc"
@@ -54,6 +57,9 @@ def _run_digest(tmp_path: Path, workers: int) -> str:
     files = [out, audio / "synthesis_manifest.jsonl", audio / "quarantine.jsonl"]
     for p in files + sorted(audio.rglob("*.wav")):
         h.update(p.read_bytes())
+    again = tmp_path / "again.jsonl"
+    save_corpus(load_corpus(out), again)
+    assert again.read_bytes() == out.read_bytes()
     shutil.rmtree(audio)  # about 90 MB of WAVs per run
     return h.hexdigest()
 

@@ -28,10 +28,11 @@ GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 def _full_record() -> dict:
     """The last golden record (pre-augmented: speakers, emotions, audio) with a
     cross-turn chunk and a disfluency on turn 0 and a barge-in on turn 1, so
-    every kind of field the reader knows is present."""
+    every kind of field the reader knows is present. No later user turn
+    re-dictates the chunk, so its correction pointer is null."""
     rec = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8").splitlines()[-1])
     rec["turns"][0]["crossturn"] = {
-        "slot_name": "day", "chunk_index": 0, "chunk_text": "wed", "is_error": True, "corrected_in_turn": 2,
+        "slot_name": "day", "chunk_index": 0, "chunk_text": "wed", "is_error": True, "corrected_in_turn": None,
     }
     rec["turns"][0]["disfluency"] = [{"type": "COR", "position": 1, "inserted_span": "tuesday", "original_value": "wednesday"}]
     rec["turns"][1]["bargein"] = {
@@ -66,7 +67,8 @@ PATHS = {
     "turns.1.bargein.corrected_slots": _OBJECT | _NULLABLE,
     "turns.0.crossturn.slot_name": _TEXT, "turns.0.crossturn.chunk_index": {"int"},
     "turns.0.crossturn.chunk_text": _TEXT, "turns.0.crossturn.is_error": {"bool"},
-    "turns.0.crossturn.corrected_in_turn": {"int", "null"},
+    # A stored pointer loads only as the one derived from the turns.
+    "turns.0.crossturn.corrected_in_turn": _NULLABLE,
     "turns.0.disfluency.0.type": _TEXT, "turns.0.disfluency.0.position": {"int"},
     "turns.0.disfluency.0.inserted_span": _TEXT, "turns.0.disfluency.0.original_value": _TEXT | _NULLABLE,
     "speaker": _OBJECT | _NULLABLE, "assistant_speaker": _OBJECT | _NULLABLE,
