@@ -86,9 +86,14 @@ def ingest(source: str, input_path: str, output_path: str) -> None:
     dialogues = []
     for i, raw in enumerate(iter_records(input_path)):
         try:
-            dialogues.append(adapt(source, raw))
+            d = adapt(source, raw)
         except (LookupError, TypeError, AttributeError, ValueError, CorpusError) as exc:
             raise click.ClickException(f"{input_path}[{i}]: {type(exc).__name__}: {exc}") from exc
+        violations = validate_dialogue(d)
+        if violations:
+            found = "; ".join(f"{v.rule}{v.at('@')}: {v.detail}" for v in violations)
+            raise click.ClickException(f"{input_path}[{i}]: {found}")
+        dialogues.append(d)
     save_corpus(dialogues, output_path)
     click.echo(f"ingested {len(dialogues)} dialogues -> {output_path}")
 
@@ -151,7 +156,7 @@ def validate(input_path: str) -> None:
     for d in load_corpus(input_path):
         violations = validate_dialogue(d)
         for v in violations:
-            click.echo(f"{d.dialogue_id}\tturn {v.turn_index}\t{v.rule}\t{v.detail}")
+            click.echo(f"{d.dialogue_id}\t{v.at('turn ') or '-'}\t{v.rule}\t{v.detail}")
         bad += bool(violations)
     if bad:
         click.echo(f"{bad} dialogues with violations", err=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -238,9 +238,9 @@ class Violation:
     detail: str
     turn_index: int | None = None
 
-    def __str__(self) -> str:
-        where = f"turn {self.turn_index}: " if self.turn_index is not None else ""
-        return f"[{self.rule}] {where}{self.detail}"
+    def at(self, prefix: str) -> str:
+        """prefix and the turn index, or "" for a violation of the whole dialogue."""
+        return "" if self.turn_index is None else f"{prefix}{self.turn_index}"
 
 
 def renumber(turns: Iterable[Turn]) -> tuple[Turn, ...]:
@@ -293,6 +293,11 @@ def shift_spans(
     return tuple((name, s + delta, e + delta) if s >= at else (name, s, e) for name, s, e in spans)
 
 
+def clear_of(spans: Iterable[tuple[str, int, int]], start: int, end: int) -> bool:
+    """Whether [start, end) overlaps none of spans."""
+    return all(end <= s or e <= start for _, s, e in spans)
+
+
 @dataclass(frozen=True)
 class SpanReport:
     matched: tuple[tuple[str, int, int], ...]
@@ -303,26 +308,14 @@ def locate_slot_spans(utterance: str, values: Sequence[tuple[str, str]]) -> Span
     """Leftmost non-overlapping exact matches; misses are reported, not guessed."""
     matched: list[tuple[str, int, int]] = []
     unmatched: list[tuple[str, str]] = []
-    taken: list[tuple[int, int]] = []
     for name, value in values:
-        if not value:
+        i = utterance.find(value) if value else -1
+        while i >= 0 and not clear_of(matched, i, i + len(value)):
+            i = utterance.find(value, i + 1)
+        if i < 0:
             unmatched.append((name, value))
-            continue
-        at = 0
-        placed = False
-        while True:
-            i = utterance.find(value, at)
-            if i < 0:
-                break
-            j = i + len(value)
-            if all(not (i < e and s < j) for s, e in taken):
-                matched.append((name, i, j))
-                taken.append((i, j))
-                placed = True
-                break
-            at = i + 1
-        if not placed:
-            unmatched.append((name, value))
+        else:
+            matched.append((name, i, i + len(value)))
     return SpanReport(tuple(matched), tuple(unmatched))
 
 
@@ -511,7 +504,13 @@ def turn_to_dict(t: Turn) -> dict[str, Any]:
             for m in t.disfluency
         ]
     if t.crossturn is not None:
-        out["crossturn"] = asdict(t.crossturn)
+        m = t.crossturn
+        out["crossturn"] = {
+            "slot_name": m.slot_name,
+            "chunk_index": m.chunk_index,
+            "chunk_text": m.chunk_text,
+            "is_error": m.is_error,
+        }
     if t.audio_ref is not None:
         out["audio_path"] = t.audio_ref
     if t.duration_s is not None:

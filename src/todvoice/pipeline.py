@@ -255,7 +255,7 @@ def _synthesis(d: Dialogue, ctx: RunContext) -> StageResult:
 def _validate(d: Dialogue, ctx: RunContext) -> StageResult:
     violations = validate_dialogue(d)
     if violations:
-        raise _InvalidDialogue("; ".join(f"{v.rule}@{v.turn_index}" for v in violations[:5]))
+        raise _InvalidDialogue("; ".join(v.rule + v.at("@") for v in violations[:5]))
     return d, ()
 
 

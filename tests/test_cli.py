@@ -65,9 +65,31 @@ class TestIngest:
         result = runner.invoke(main, ["ingest", "--source", "mystery", str(src), str(tmp_path / "o")])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("source,record", [
+        ("sgd", {"dialogue_id": "s", "turns": [{"speaker": "USER", "utterance": "Hi."},
+                                               {"speaker": "USER", "utterance": "A table?"},
+                                               {"speaker": "SYSTEM", "utterance": "Sure."}]}),
+        ("tm2", {"conversation_id": "t", "utterances": [{"speaker": "USER", "text": "Hi."},
+                                                        {"speaker": "USER", "text": "A table?"},
+                                                        {"speaker": "ASSISTANT", "text": "Sure."}]}),
+    ])
+    def test_run_of_one_speaker_ingests_as_one_valid_turn(self, runner, tmp_path, source, record):
+        src, out = tmp_path / "raw.json", tmp_path / "out.jsonl"
+        src.write_text(json.dumps(record))
+        result = runner.invoke(main, ["ingest", "--source", source, str(src), str(out)])
+        assert result.exit_code == 0, result.output
+        assert [t.text for t in load_corpus(out)[0].turns] == ["Hi. A table?", "Sure."]
+        result = runner.invoke(main, ["validate", str(out)])
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("source,records,message", [
-        pytest.param("sgd", [{"dialogue_id": "s1", "turns": []}, {"dialogue_id": "s2"}],
+        pytest.param("sgd", [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "Hi."}]},
+                             {"dialogue_id": "s2"}],
                      "[1]: KeyError: 'turns'", id="sgd-no-turns"),
+        pytest.param("sgd", [{"dialogue_id": "s1", "turns": []}],
+                     "[0]: turns.empty: dialogue has no turns", id="sgd-empty"),
+        pytest.param("generic", [{**dialogue_to_dict(make_dialogue()), "turns": [{"role": "user", "text": "a"}] * 2}],
+                     "[0]: turns.alternation@1: consecutive user turns at 0, 1", id="generic-two-user-turns"),
         pytest.param("sgd", [{"dialogue_id": "s1", "turns": [{"speaker": 5, "utterance": "Hi."}]}],
                      "[0]: AttributeError: 'int' object has no attribute 'upper'", id="sgd-speaker-5"),
         pytest.param("abcd", [{"convo_id": 1, "original": [["customer"]]}],
@@ -146,7 +168,7 @@ class TestAugment:
         assert "augmented 1 dialogues (1 quarantined)" in result.output
         assert [d.dialogue_id for d in load_corpus(tmp_path / "aug.jsonl")] == ["b"]
         (row,) = [json.loads(line) for line in (out_dir / "quarantine.jsonl").read_text().splitlines()]
-        assert row == {"dialogue_id": "a", "stage": "validate", "reason": "turns.empty@None"}
+        assert row == {"dialogue_id": "a", "stage": "validate", "reason": "turns.empty"}
 
     def test_seed_changes_output(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=6)
@@ -234,7 +256,7 @@ class TestValidate:
     def test_empty_dialogue_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", str(_empty_dialogue_file(tmp_path))])
         assert result.exit_code == 1
-        assert result.stdout.splitlines() == ["a\tturn None\tturns.empty\tdialogue has no turns"]
+        assert result.stdout.splitlines() == ["a\t-\tturns.empty\tdialogue has no turns"]
 
 
 class TestSplit:

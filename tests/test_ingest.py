@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
 
-from todvoice.corpus import Emotion, Role, dialogue_to_dict
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from todvoice.corpus import Emotion, Role, dialogue_to_dict, dumps_dialogue, validate_dialogue
 from todvoice.ingest import (
     adapt,
     align_placeholders,
@@ -102,6 +105,21 @@ def _sgd_fixture():
     }
 
 
+def _sgd_out_of_bounds():
+    raw = _sgd_fixture()
+    raw["turns"][0]["frames"][0]["slots"].append(
+        {"slot": "bogus", "start": 400, "exclusive_end": 410})
+    return raw
+
+
+def _sgd_overlapping():
+    raw = _sgd_fixture()
+    s = raw["turns"][0]["utterance"].find("Oakland")
+    raw["turns"][0]["frames"][0]["slots"].append(
+        {"slot": "shadow", "start": s + 2, "exclusive_end": s + 6})
+    return raw
+
+
 class TestSgdAdapter:
     def test_spans_copied_verbatim(self):
         d = adapt("sgd", _sgd_fixture())
@@ -134,19 +152,11 @@ class TestSgdAdapter:
         assert [t.index for t in d.turns] == [0, 1, 2]
 
     def test_out_of_bounds_span_dropped(self):
-        raw = _sgd_fixture()
-        raw["turns"][0]["frames"][0]["slots"].append(
-            {"slot": "bogus", "start": 400, "exclusive_end": 410})
-        d = adapt("sgd", raw)
+        d = adapt("sgd", _sgd_out_of_bounds())
         assert "bogus" not in {n for n, _, _ in d.turns[0].slot_spans}
 
     def test_overlapping_span_skipped(self):
-        raw = _sgd_fixture()
-        text = raw["turns"][0]["utterance"]
-        s = text.find("Oakland")
-        raw["turns"][0]["frames"][0]["slots"].append(
-            {"slot": "shadow", "start": s + 2, "exclusive_end": s + 6})
-        d = adapt("sgd", raw)
+        d = adapt("sgd", _sgd_overlapping())
         names = [n for n, _, _ in d.turns[0].slot_spans]
         assert "shadow" not in names
 
@@ -182,6 +192,18 @@ def _tm2_fixture():
     }
 
 
+def _tm2_mismatched():
+    raw = _tm2_fixture()
+    raw["utterances"][0]["segments"][0]["text"] = "Olive Gardens"
+    return raw
+
+
+def _tm2_unannotated():
+    raw = _tm2_fixture()
+    raw["utterances"][2]["segments"][0]["annotations"] = []
+    return raw
+
+
 class TestTm2Adapter:
     def test_segments_become_spans(self):
         d = adapt("tm2", _tm2_fixture())
@@ -200,15 +222,11 @@ class TestTm2Adapter:
         }
 
     def test_mismatched_segment_text_dropped(self):
-        raw = _tm2_fixture()
-        raw["utterances"][0]["segments"][0]["text"] = "Olive Gardens"
-        d = adapt("tm2", raw)
+        d = adapt("tm2", _tm2_mismatched())
         assert d.turns[0].slot_spans == ()
 
     def test_unannotated_segment_gets_default_name(self):
-        raw = _tm2_fixture()
-        raw["utterances"][2]["segments"][0]["annotations"] = []
-        d = adapt("tm2", raw)
+        d = adapt("tm2", _tm2_unannotated())
         (span,) = d.turns[2].slot_spans
         assert span[0] == "value"
 
@@ -264,6 +282,39 @@ def _abcd_fixture():
     }
 
 
+def _abcd_two_agent_rows():
+    raw = _abcd_fixture()
+    raw["original"].extend([
+        ["agent", "Thanks."],
+        ["agent", "I see the account for chunkylover53."],
+    ])
+    raw["delexed"].extend([
+        ["agent", "Thanks."],
+        ["agent", "I see the account for <username>."],
+    ])
+    return raw
+
+
+def _abcd_misaligned():
+    raw = _abcd_fixture()
+    raw["delexed"][4] = ["customer", "Totally different <email> sentence."]
+    return raw
+
+
+def _abcd_value_absent():
+    raw = _abcd_fixture()
+    raw["original"][4] = ["customer", "Sure, one moment please."]
+    raw["delexed"][4] = ["customer", "Sure, one moment please."]
+    return raw
+
+
+def _abcd_name_in_user_turn():
+    raw = _abcd_fixture()
+    raw["original"][0] = ["customer", "Hi, this is Alessandro Phoenix, I forgot my username."]
+    raw["delexed"][0] = ["customer", "Hi, this is Alessandro Phoenix, I forgot my username."]
+    return raw
+
+
 class TestAbcdAdapter:
     def test_actions_dropped_and_agents_merged(self):
         d = adapt("abcd", _abcd_fixture())
@@ -288,16 +339,7 @@ class TestAbcdAdapter:
         assert d.goal.text == "You forgot your username and need it back."
 
     def test_merged_spans_are_shifted(self):
-        raw = _abcd_fixture()
-        raw["original"].extend([
-            ["agent", "Thanks."],
-            ["agent", "I see the account for chunkylover53."],
-        ])
-        raw["delexed"].extend([
-            ["agent", "Thanks."],
-            ["agent", "I see the account for <username>."],
-        ])
-        d = adapt("abcd", raw)
+        d = adapt("abcd", _abcd_two_agent_rows())
         last = d.turns[-1]
         assert last.text == "Thanks. I see the account for chunkylover53."
         spans = {n: (s, e) for n, s, e in last.slot_spans}
@@ -307,27 +349,19 @@ class TestAbcdAdapter:
     def test_failed_alignment_recovered_by_exact_match(self):
         # the placeholder fails to align, but the scenario value still sits in
         # the utterance, so the exact-match fallback recovers the span
-        raw = _abcd_fixture()
-        raw["delexed"][4] = ["customer", "Totally different <email> sentence."]
-        d = adapt("abcd", raw)
+        d = adapt("abcd", _abcd_misaligned())
         spans = {n: (s, e) for n, s, e in d.turns[2].slot_spans}
         s, e = spans["email"]
         assert d.turns[2].text[s:e] == "aphoenix939@email.com"
         assert len(d.turns) == 3
 
     def test_unrecoverable_value_left_spanless(self):
-        raw = _abcd_fixture()
-        raw["original"][4] = ["customer", "Sure, one moment please."]
-        raw["delexed"][4] = ["customer", "Sure, one moment please."]
-        d = adapt("abcd", raw)
+        d = adapt("abcd", _abcd_value_absent())
         assert "email" not in {n for t in d.turns for n, _, _ in t.slot_spans}
         assert len(d.turns) == 3
 
     def test_scenario_value_located_in_user_turn(self):
-        raw = _abcd_fixture()
-        raw["original"][0] = ["customer", "Hi, this is Alessandro Phoenix, I forgot my username."]
-        raw["delexed"][0] = ["customer", "Hi, this is Alessandro Phoenix, I forgot my username."]
-        d = adapt("abcd", raw)
+        d = adapt("abcd", _abcd_name_in_user_turn())
         spans = {n for n, _, _ in d.turns[0].slot_spans}
         assert "customer_name" in spans
 
@@ -357,6 +391,19 @@ def _woz_fixture():
     }
 
 
+def _woz_bare_emotions():
+    raw = _woz_fixture()
+    raw["log"][0]["emotion"] = -1
+    raw["log"][2]["emotion"] = 6
+    return raw
+
+
+def _woz_not_mentioned():
+    raw = _woz_fixture()
+    raw["log"][1]["metadata"]["restaurant"]["semi"]["name"] = "not mentioned"
+    return raw
+
+
 class TestWozAdapter:
     def test_goal_flattening(self):
         d = adapt("emowoz", _woz_fixture())
@@ -384,10 +431,7 @@ class TestWozAdapter:
         assert d.turns[1].emotion is None
 
     def test_unlabeled_emotion_forms(self):
-        raw = _woz_fixture()
-        raw["log"][0]["emotion"] = -1
-        raw["log"][2]["emotion"] = 6
-        d = adapt("emowoz", raw)
+        d = adapt("emowoz", _woz_bare_emotions())
         assert d.turns[0].emotion is None
         assert d.turns[2].emotion is Emotion.SATISFIED
 
@@ -405,9 +449,7 @@ class TestWozAdapter:
         assert "restaurant-area" in spans
 
     def test_not_mentioned_values_skipped(self):
-        raw = _woz_fixture()
-        raw["log"][1]["metadata"]["restaurant"]["semi"]["name"] = "not mentioned"
-        d = adapt("emowoz", raw)
+        d = adapt("emowoz", _woz_not_mentioned())
         assert "restaurant-name" not in d.turns[1].state
 
     def test_spokenwoz_source_tag(self):
@@ -422,3 +464,119 @@ def test_template_goal_text_shape():
     assert "find restaurant" in text
     assert "food = thai" in text
     assert "Find out: phone." in text
+
+
+# Every fixture record and variant above, as (source, record builder).
+RECORDS = [
+    ("sgd", _sgd_fixture), ("sgd", _sgd_out_of_bounds), ("sgd", _sgd_overlapping),
+    ("tm2", _tm2_fixture), ("tm2", _tm2_mismatched), ("tm2", _tm2_unannotated),
+    ("abcd", _abcd_fixture), ("abcd", _abcd_two_agent_rows), ("abcd", _abcd_misaligned),
+    ("abcd", _abcd_value_absent), ("abcd", _abcd_name_in_user_turn),
+    ("emowoz", _woz_fixture), ("emowoz", _woz_bare_emotions), ("emowoz", _woz_not_mentioned),
+    ("spokenwoz", _woz_fixture),
+]
+# sha256 over the serialized adapter output of RECORDS, one line each. A change
+# to an adapter must leave it as it is, or update it and say why.
+INGEST_DIGEST = "c1c56985eb0cead94da68bbe5fedaea466036aae04782fc8bacaf2d094d502b7"
+
+
+def test_adapter_output_is_pinned():
+    blob = "".join(dumps_dialogue(adapt(source, build())) + "\n" for source, build in RECORDS)
+    assert hashlib.sha256(blob.encode()).hexdigest() == INGEST_DIGEST
+
+
+# --- properties over generated records ----------------------------------------
+# Each strategy draws a record with any speaker sequence (runs of one speaker
+# included) and spans in bounds, out of bounds and overlapping, together with
+# slot name -> source value for every span the adapter may keep.
+
+_TEXT = st.text(alphabet="ab ", max_size=8)
+_VALUE = st.text(alphabet="ab", min_size=1, max_size=3)
+_BOUNDS = st.lists(st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=3)
+
+
+def _in_bounds(text, start, end):
+    return 0 <= start < end <= len(text)
+
+
+@st.composite
+def _sgd_records(draw):
+    turns, expected = [], {}
+    for i in range(draw(st.integers(0, 6))):
+        text = draw(_TEXT)
+        slots = []
+        for k, (start, end) in enumerate(draw(_BOUNDS)):
+            slots.append({"slot": f"s{i}_{k}", "start": start, "exclusive_end": end})
+            if _in_bounds(text, start, end):
+                expected[f"s{i}_{k}"] = text[start:end]
+        state = {"slot_values": {f"s{i}": [draw(_VALUE)]}} if draw(st.booleans()) else None
+        turns.append({"speaker": draw(st.sampled_from(["USER", "SYSTEM"])), "utterance": text,
+                      "frames": [{"service": "svc", "slots": slots, "state": state}]})
+    return {"dialogue_id": "p", "turns": turns}, expected
+
+
+@st.composite
+def _tm2_records(draw):
+    utterances, expected = [], {}
+    for i in range(draw(st.integers(0, 6))):
+        text = draw(_TEXT)
+        segments = []
+        for k, (start, end) in enumerate(draw(_BOUNDS)):
+            piece = text[start:end] if _in_bounds(text, start, end) else "zz"
+            claimed = piece if draw(st.booleans()) else "zz"
+            segments.append({"start_index": start, "end_index": end, "text": claimed,
+                             "annotations": [{"name": f"dom.s{i}_{k}"}]})
+            if claimed == piece != "zz":
+                expected[f"s{i}_{k}"] = piece
+        utterances.append({"speaker": draw(st.sampled_from(["USER", "ASSISTANT"])), "text": text,
+                           "segments": segments})
+    return {"conversation_id": "p", "utterances": utterances}, expected
+
+
+@st.composite
+def _abcd_records(draw):
+    values = {f"v{k}": v for k, v in enumerate(draw(st.lists(_VALUE, max_size=3)))}
+    original, delexed, expected = [], [], dict(values)
+    for i in range(draw(st.integers(0, 6))):
+        speaker = draw(st.sampled_from(["customer", "agent", "action"]))
+        text = draw(_TEXT)
+        name = "p" + "_" * i
+        start, end = draw(st.integers(-2, 10)), draw(st.integers(-2, 10))
+        mode = draw(st.sampled_from(["plain", "placeholder", "misaligned"]))
+        if mode == "placeholder" and _in_bounds(text, start, end):
+            delexed_text = f"{text[:start]}<{name}>{text[end:]}"
+            expected[name] = text[start:end]
+        else:
+            delexed_text = f"zz <{name}>" if mode == "misaligned" else text
+        original.append([speaker, text])
+        delexed.append([speaker, delexed_text])
+    scenario = {"flow": "f", "personal": values}
+    return {"convo_id": "p", "scenario": scenario, "original": original, "delexed": delexed}, expected
+
+
+@st.composite
+def _woz_records(draw):
+    log, expected = [], {}
+    for i in range(draw(st.integers(0, 6))):
+        entry = {"text": draw(_TEXT)}
+        if i % 2:
+            semi = {f"s{i}_{k}": v for k, v in enumerate(draw(st.lists(_VALUE, max_size=3)))}
+            entry["metadata"] = {"d": {"semi": semi}}
+            expected.update({f"d-{k}": v for k, v in semi.items()})
+        log.append(entry)
+    return {"dialogue_id": "p", "log": log}, expected
+
+
+@pytest.mark.parametrize("source,records", [
+    ("sgd", _sgd_records()), ("tm2", _tm2_records()), ("abcd", _abcd_records()), ("emowoz", _woz_records()),
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_adapted_record_validates_and_its_spans_reslice(source, records, data):
+    raw, expected = data.draw(records)
+    d = adapt(source, raw)
+    if d.turns:
+        assert validate_dialogue(d) == []
+    for t in d.turns:
+        for name, s, e in t.slot_spans:
+            assert t.text[s:e] == expected[name]
