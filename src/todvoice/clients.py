@@ -11,15 +11,21 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import logging
 import os
 import re
 import time
 import wave
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from . import prompts
 from .seeding import rng_for, stable_seed
+
+log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 DEFAULT_SAMPLE_RATE = 24_000
 
@@ -119,6 +125,22 @@ class ChatClient:
 
     def complete(self, prompt: str) -> str:
         return self.chat([{"role": "user", "content": prompt}])
+
+    def ask(self, prompt: str, parse: Callable[[str], T | None], what: str) -> T | None:
+        """parse(reply) for the first of two replies that parse accepts (maps to
+        something other than None). None, with one warning naming `what`, when
+        both are rejected or when the call fails; the failed call is not repeated,
+        since the HTTP layer already retried it if it was transient."""
+        for _ in (1, 2):
+            try:
+                value = parse(self.complete(prompt))
+            except ClientError as exc:
+                log.warning("%s: call failed (%s)", what, exc)
+                return None
+            if value is not None:
+                return value
+        log.warning("%s: no usable reply in two tries", what)
+        return None
 
 
 class HTTPChatClient(_HTTPClient, ChatClient):
@@ -465,7 +487,11 @@ def _corrupt_word(word: str) -> str:
 
 
 class StubASRClient(ASRClient):
-    """Returns registered ground truth, optionally corrupted word-by-word."""
+    """Returns registered ground truth, optionally corrupted word-by-word.
+
+    The corruption is seeded by the path's last two parts (`<dialogue_id>/turnNN.wav`
+    as synthesis writes it), so a corpus scores the same wherever its audio sits.
+    """
 
     def __init__(self, directory: StubDirectory, corruption_rate: float = 0.0, seed: int = 0) -> None:
         if not 0.0 <= corruption_rate <= 1.0:
@@ -480,7 +506,7 @@ class StubASRClient(ASRClient):
         text = self.directory.text_of[audio_path]
         if self.corruption_rate == 0.0:
             return text
-        rng = rng_for(self.seed, "asr", audio_path)
+        rng = rng_for(self.seed, "asr", *Path(audio_path).parts[-2:])
         words = [
             _corrupt_word(w) if rng.random() < self.corruption_rate else w
             for w in text.split()

@@ -354,18 +354,16 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
 
     for t in d.turns:
         n = len(t.text)
-        taken: list[tuple[int, int]] = []
+        taken: list[tuple[str, int, int]] = []
         for name, start, end in t.slot_spans:
             if not (0 <= start < end <= n):
                 out.append(
                     Violation("turn.span_bounds", f"span {name!r} [{start}:{end}) outside text of length {n}", t.index)
                 )
                 continue
-            for s0, e0 in taken:
-                if start < e0 and s0 < end:
-                    out.append(Violation("turn.span_overlap", f"span {name!r} overlaps another span", t.index))
-                    break
-            taken.append((start, end))
+            if not clear_of(taken, start, end):
+                out.append(Violation("turn.span_overlap", f"span {name!r} overlaps another span", t.index))
+            taken.append((name, start, end))
 
         if t.role is Role.USER and BARGEIN_TOKEN in t.text:
             out.append(Violation("turn.bargein_token", "user turn contains the truncation token", t.index))

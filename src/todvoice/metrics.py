@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .clients import ChatClient, ClientError
+from .clients import ChatClient
 from . import prompts
 from .corpus import Dialogue, Goal, Role
 from .textnorm import normalize_text
@@ -102,28 +102,15 @@ def parse_selection(reply: str) -> list[int] | None:
 def judge_turn_coverage(
     state: GoalCoverageState, history: str, utterance: str, judge: ChatClient
 ) -> GoalCoverageState:
-    """Ask the judge which remaining items this user turn mentions.
-
-    Unparseable output retries once, then counts as an empty selection; a
-    client failure counts as an empty selection at once.
-    """
+    """Ask the judge which remaining items this user turn mentions; no usable
+    reply (see `ChatClient.ask`) counts as an empty selection."""
     turn_ordinal = state.turns_seen + 1
     remaining = state.remaining()
     if not remaining:
         return replace(state, turns_seen=turn_ordinal)
     prompt = prompts.coverage_prompt([item.render() for item in remaining], history, utterance)
-    selection: list[int] | None = None
-    for _ in (1, 2):
-        try:
-            selection = parse_selection(judge.complete(prompt))
-        except ClientError as exc:
-            log.warning("coverage judge failed (%s); treating as empty selection", exc)
-            selection = []
-        if selection is not None:
-            break
-    if selection is None:
-        log.warning("coverage judge output unparseable twice; treating as empty selection")
-        selection = []
+    what = f"coverage judge on user turn {turn_ordinal} (falls back to no items)"
+    selection = judge.ask(prompt, parse_selection, what) or []
     newly: list[GoalItem] = []
     for i in selection:
         if 1 <= i <= len(remaining) and remaining[i - 1] not in newly:

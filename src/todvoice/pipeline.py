@@ -89,7 +89,11 @@ class PipelineConfig:
 
 
 _SECTION_TYPES = {key: t for key, t in get_type_hints(PipelineConfig).items() if dataclasses.is_dataclass(t)}
-_CLIENT_ROLES = ("generator", "judge", "tts", "asr", "embed")
+# Each client role's config keys: only the chat roles send a temperature.
+_CLIENT_KEYS = {
+    role: [k for k in ClientConfig.__dataclass_fields__ if k != "temperature" or role in ("generator", "judge")]
+    for role in ("generator", "judge", "tts", "asr", "embed")
+}
 
 
 def _section(where: str, section_type: Any, value: Any) -> Any:
@@ -109,8 +113,12 @@ def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
         if key in _SECTION_TYPES:
             kwargs[key] = _section(key, _SECTION_TYPES[key], value)
         elif key == "clients":
-            roles = known_keys(key, value, _CLIENT_ROLES, ConfigError)
-            kwargs[key] = {role: _section(f"clients.{role}", ClientConfig, cc) for role, cc in roles.items()}
+            roles = known_keys(key, value, _CLIENT_KEYS, ConfigError)
+            kwargs[key] = {
+                role: build(ClientConfig, f"clients.{role}",
+                            known_keys(f"clients.{role}", cc, _CLIENT_KEYS[role], ConfigError), ConfigError)
+                for role, cc in roles.items()
+            }
         else:
             kwargs[key] = check(key, value, annotations[key], ConfigError)
     return PipelineConfig(**kwargs)
@@ -331,8 +339,8 @@ def split_corpus(
     seed: int = 0,
 ) -> tuple[list[Dialogue], list[Dialogue], list[Dialogue]]:
     """Disjoint, exhaustive train/valid/test split by seeded shuffle."""
-    if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
-        raise ConfigError("ratios must be three numbers summing to 1")
+    if len(ratios) != 3 or not all(0 <= r <= 1 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ConfigError("ratios must be three numbers in [0, 1] summing to 1")
     ordered = sorted(dialogues, key=lambda d: d.dialogue_id)
     rng_for(seed, "split").shuffle(ordered)
     n_train, n_valid, n_test = largest_remainder_sizes(len(ordered), ratios)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -290,13 +291,12 @@ class TestSplit:
 
     def test_bad_ratios_render_as_clean_error(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=10)
-        result = runner.invoke(
-            main, ["split", str(src), str(tmp_path / "x"), "--ratios", "0.5,0.5,0.1"]
-        )
-        assert result.exit_code != 0
-        assert result.exception is None or isinstance(result.exception, SystemExit)
-        assert "ratios must be three numbers summing to 1" in result.output
-        assert "Traceback" not in result.output
+        for ratios in ("0.5,0.5,0.1", "1.5,-0.25,-0.25", "nan,0.5,0.5"):
+            result = runner.invoke(main, ["split", str(src), str(tmp_path / "x"), "--ratios", ratios])
+            assert result.exit_code != 0
+            assert result.exception is None or isinstance(result.exception, SystemExit)
+            assert result.output == "Error: ratios must be three numbers in [0, 1] summing to 1\n"
+            assert not (tmp_path / "x").exists()
 
 
 _ABSENT = object()  # a key the manifest row leaves out
@@ -317,7 +317,8 @@ class TestCleanErrorBoundary:
         '{"stages": ["crossturn"]}',
         '{"stub": "no"}',
         '{"stages": {"bargein": "no"}}',
-        '{"clients": {"tts": {"max_retries": 1.5, "endpoint": 5, "temperature": "hot"}}}',
+        '{"clients": {"tts": {"max_retries": 1.5, "endpoint": 5}, "judge": {"temperature": "hot"}}}',
+        '{"clients": {"asr": {"temperature": 0.7}}}',
         '{"crossturn": {"min_digits": "7"}}',
         '{"disfluency": {"slot_window_words": "2"}}',
         '{"crossturn": {"p_error": true}}',
@@ -527,6 +528,23 @@ class TestEvalDialogue:
         for key in ("ga", "smr", "smr_constraints", "smr_requests", "disclosure_curve"):
             assert key in report
         assert 0.0 <= report["smr"] <= 1.0
+
+    def test_report_does_not_depend_on_where_the_audio_sits(self, runner, tmp_path):
+        src, out, first = _corpus_file(tmp_path, n=8), tmp_path / "aug.jsonl", tmp_path / "A"
+        result = runner.invoke(main, ["augment", str(src), str(out), "--out-dir", str(first)])
+        assert result.exit_code == 0, result.output
+        second = tmp_path / "B" / "nested"
+        shutil.copytree(first, second)
+        reports = []
+        for root in (first, second):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"asr_corruption": 0.15, "out_dir": str(root)}))
+            result = runner.invoke(main, ["--config", str(cfg), "eval-dialogue", str(out),
+                                          "--wer-sample", "8", "--similarity"])
+            assert result.exit_code == 0, result.output
+            reports.append(result.stdout)
+        assert json.loads(reports[0])["wer"]["overall"]["wer_pct"] > 0
+        assert reports[0] == reports[1]
 
     def test_curve_csv_and_predictions(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=2)

@@ -8,6 +8,7 @@ import email.parser
 import email.policy
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -39,9 +40,10 @@ from todvoice.clients import (
     wav_duration_s,
     with_retries,
 )
-from conftest import make_dialogue
-from todvoice.corpus import BargeInStyle, BargeInType, save_corpus
-from todvoice.metrics import cosine, edit_distance
+from conftest import RejectingChat, make_dialogue, make_goal
+from todvoice.corpus import BargeInStyle, BargeInType, Emotion, Role, save_corpus
+from todvoice.emotion import annotate_dialogue
+from todvoice.metrics import GoalCoverageState, cosine, edit_distance, goal_items, judge_turn_coverage
 from todvoice.pipeline import PipelineConfig, build_clients
 
 _ROLES = ("generator", "judge", "tts", "asr", "embed")
@@ -158,6 +160,55 @@ class TestWithRetries:
             with_retries(_failing(exc, calls), max_retries=2)
         assert len(calls) == 1
         assert info.value.__cause__ is exc
+
+
+# --- the two LLM judges: ChatClient.ask ----------------------------------------
+
+
+class _Scripted(clients.ChatClient):
+    """Gives the listed replies in turn; counts the calls."""
+
+    def __init__(self, *replies: str) -> None:
+        self.replies, self.calls = list(replies), 0
+
+    def chat(self, messages):
+        self.calls += 1
+        return self.replies.pop(0)
+
+
+def _emotion_of(judge):
+    d = make_dialogue(texts=[(Role.USER, "Thank you so much!"), (Role.ASSISTANT, "Glad to help.")])
+    return annotate_dialogue(d, judge).turns[0].emotion
+
+
+def _covered_by(judge):
+    state = GoalCoverageState(items=goal_items(make_goal(food="italian", area="centre")))
+    state = judge_turn_coverage(state, "", "Italian food in the centre.", judge)
+    return [item.slot for _, item in state.covered]
+
+
+# name -> (run the judge, a reply it accepts, what that reply gives, the fallback)
+_JUDGES = {
+    "emotion": (_emotion_of, "6", Emotion.SATISFIED, Emotion.NEUTRAL),
+    "coverage": (_covered_by, "[2]", ["food"], []),
+}
+
+
+@pytest.mark.parametrize("name", _JUDGES)
+@pytest.mark.parametrize("case", ["unparseable twice", "unparseable then valid", "permanent error"])
+def test_judge_asks_twice_then_falls_back(name, case, caplog):
+    run, valid, value, fallback = _JUDGES[name]
+    judge, calls, expected = {
+        "unparseable twice": (_Scripted("hmm", "hmm"), 2, fallback),
+        "unparseable then valid": (_Scripted("hmm", valid), 2, value),
+        "permanent error": (RejectingChat(), 1, fallback),
+    }[case]
+    with caplog.at_level(logging.WARNING, logger="todvoice"):
+        assert run(judge) == expected
+    assert judge.calls == calls
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == (expected is fallback)
+    assert all(w.startswith(f"{name} judge on ") for w in warnings)
 
 
 # --- live clients against a loopback server ---------------------------------

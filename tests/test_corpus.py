@@ -214,6 +214,11 @@ class TestValidator:
         d = make_dialogue(spans={0: (("a", 0, 6), ("b", 3, 9))})
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turn.span_overlap" in rules
+        # one violation per span that overlaps an earlier in-bounds span
+        spans = (("a", 0, 6), ("b", 3, 9), ("c", 5, 7), ("d", 0, 999), ("e", 8, 10), ("f", 10, 12))
+        found = [(v.rule, v.detail.split()[1]) for v in validate_dialogue(make_dialogue(spans={0: spans}))]
+        assert found == [("turn.span_overlap", "'b'"), ("turn.span_overlap", "'c'"),
+                         ("turn.span_bounds", "'d'"), ("turn.span_overlap", "'e'")]
 
     def test_empty_dialogue_flagged(self):
         d = Dialogue(dialogue_id="e", source="generic", goal=make_goal(), turns=())

@@ -6,15 +6,10 @@ import dataclasses
 
 import pytest
 
-from todvoice.clients import StubChatClient
+from todvoice.clients import ChatClient, StubChatClient
 from todvoice.corpus import CrossTurnMeta, Emotion, Role, Turn
-from todvoice.emotion import (
-    annotate_dialogue,
-    annotate_turn,
-    inherit_labels,
-    parse_label,
-)
-from todvoice.prompts import EMOTION_LABELS_BLOCK, KEYWORDS, context_string
+from todvoice.emotion import annotate_dialogue, parse_label
+from todvoice.prompts import EMOTION_LABELS_BLOCK, KEYWORDS, context_string, emotion_prompt
 from todvoice.seeding import rng_for
 from todvoice.synthesis import style_instruction
 
@@ -23,6 +18,17 @@ from conftest import RejectingChat, make_dialogue
 
 def _seg_meta(i=0):
     return CrossTurnMeta(slot_name="phone", chunk_index=i, chunk_text="012")
+
+
+def _dialogue_of(turns):
+    """make_dialogue()'s goal and ids around the given turns."""
+    return dataclasses.replace(make_dialogue(), turns=tuple(turns))
+
+
+def _label_of(text, judge):
+    """The label annotate_dialogue gives the one user turn of a two-turn dialogue."""
+    d = make_dialogue(texts=[(Role.USER, text), (Role.ASSISTANT, "Certainly.")])
+    return annotate_dialogue(d, judge).turns[0].emotion
 
 
 class TestParseLabel:
@@ -40,95 +46,95 @@ class TestParseLabel:
 
 class TestAnnotateTurn:
     def test_thank_you_maps_to_satisfied(self):
-        t = Turn(index=0, role=Role.USER, text="Thank you so much, that was great!")
-        got = annotate_turn("", t, StubChatClient())
-        assert got is Emotion.SATISFIED
+        assert _label_of("Thank you so much, that was great!", StubChatClient()) is Emotion.SATISFIED
 
     def test_default_path_is_neutral(self):
-        t = Turn(index=0, role=Role.USER, text="I want a table for two.")
-        assert annotate_turn("", t, StubChatClient()) is Emotion.NEUTRAL
-
-    def test_assistant_turn_rejected(self):
-        t = Turn(index=0, role=Role.ASSISTANT, text="Certainly.")
-        with pytest.raises(ValueError):
-            annotate_turn("", t, StubChatClient())
-
-    def test_segment_turn_rejected(self):
-        t = Turn(index=0, role=Role.USER, text="Then 345.", crossturn=_seg_meta(1))
-        with pytest.raises(ValueError):
-            annotate_turn("", t, StubChatClient())
+        assert _label_of("I want a table for two.", StubChatClient()) is Emotion.NEUTRAL
 
     def test_malformed_reply_falls_back_to_neutral(self):
         class Garbled(StubChatClient):
             def chat(self, messages):
                 return "no digits here"
 
-        t = Turn(index=0, role=Role.USER, text="whatever")
-        assert annotate_turn("", t, Garbled()) is Emotion.NEUTRAL
+        assert _label_of("Thank you so much, that was great!", Garbled()) is Emotion.NEUTRAL
 
     def test_permanent_client_error_is_sent_once(self):
         judge = RejectingChat()
-        t = Turn(index=0, role=Role.USER, text="Thank you so much, that was great!")
-        assert annotate_turn("", t, judge) is Emotion.NEUTRAL
+        assert _label_of("Thank you so much, that was great!", judge) is Emotion.NEUTRAL
         assert judge.calls == 1
+
+    def test_judge_asked_once_per_non_segment_user_turn(self):
+        class Recording(ChatClient):
+            def __init__(self):
+                self.prompts = []
+
+            def chat(self, messages):
+                self.prompts.append(messages[-1]["content"])
+                return "5"
+
+        d = _dialogue_of([
+            Turn(index=0, role=Role.USER, text="My number is 012."),
+            Turn(index=1, role=Role.ASSISTANT, text="Got it."),
+            Turn(index=2, role=Role.USER, text="Then 345.", crossturn=_seg_meta(1)),
+            Turn(index=3, role=Role.ASSISTANT, text="Got it."),
+            Turn(index=4, role=Role.USER, text="That is all, thanks."),
+            Turn(index=5, role=Role.ASSISTANT, text="Noted."),
+        ])
+        judge = Recording()
+        out = annotate_dialogue(d, judge)
+        assert judge.prompts == [emotion_prompt(context_string(d.turns[:i]), d.turns[i].text) for i in (0, 4)]
+        assert [t.emotion for t in out.turns] == [Emotion.EXCITED, Emotion.NEUTRAL] * 3
 
 
 class TestInheritance:
+    """Labels given and skip_labeled set, so no user turn is judged."""
+
     def test_segments_inherit_from_anchor(self):
-        turns = (
-            Turn(index=0, role=Role.USER, text="My number is 012.", emotion=Emotion.EXCITED,
-                 crossturn=None),
+        d = _dialogue_of([
+            Turn(index=0, role=Role.USER, text="My number is 012.", emotion=Emotion.EXCITED),
             Turn(index=1, role=Role.ASSISTANT, text="Got it."),
             Turn(index=2, role=Role.USER, text="Then 345.", crossturn=_seg_meta(1)),
             Turn(index=3, role=Role.ASSISTANT, text="Got it."),
             Turn(index=4, role=Role.USER, text="Then 678.", crossturn=_seg_meta(2)),
             Turn(index=5, role=Role.ASSISTANT, text="Noted."),
-        )
-        d = dataclasses.replace(make_dialogue(), turns=turns)
-        d = dataclasses.replace(d, turns=tuple(
-            t.with_(emotion=Emotion.EXCITED) if t.index == 0 else t for t in turns))
-        out = inherit_labels(d)
+        ])
+        out = annotate_dialogue(d, RejectingChat(), skip_labeled=True)
         assert out.turns[2].emotion is Emotion.EXCITED
         assert out.turns[4].emotion is Emotion.EXCITED
 
     def test_assistant_turns_are_neutral(self):
         d = make_dialogue()
-        d = dataclasses.replace(d, turns=tuple(
-            t.with_(emotion=Emotion.ABUSIVE) for t in d.turns))
-        out = inherit_labels(d)
-        for t in out.turns:
-            if t.role is Role.ASSISTANT:
-                assert t.emotion is Emotion.NEUTRAL
+        d = d.with_turns(tuple(t.with_(emotion=Emotion.ABUSIVE) for t in d.turns))
+        out = annotate_dialogue(d, RejectingChat(), skip_labeled=True)
+        assert [t.emotion for t in out.turns] == [Emotion.ABUSIVE, Emotion.NEUTRAL] * 2
 
     def test_leading_segment_defaults_to_neutral(self):
-        turns = (
+        d = _dialogue_of([
             Turn(index=0, role=Role.USER, text="012.", crossturn=_seg_meta(0)),
             Turn(index=1, role=Role.ASSISTANT, text="Got it."),
-        )
-        d = dataclasses.replace(make_dialogue(), turns=turns)
-        out = inherit_labels(d)
+        ])
+        out = annotate_dialogue(d, RejectingChat(), skip_labeled=True)
         assert out.turns[0].emotion is Emotion.NEUTRAL
 
     def test_dialogue_without_segments_keeps_user_labels(self):
         d = make_dialogue()
-        d = dataclasses.replace(d, turns=tuple(
+        d = d.with_turns(tuple(
             t.with_(emotion=Emotion.DISSATISFIED if t.role is Role.USER else None)
             for t in d.turns))
-        out = inherit_labels(d)
+        out = annotate_dialogue(d, RejectingChat(), skip_labeled=True)
         for t in out.turns:
             if t.role is Role.USER:
                 assert t.emotion is Emotion.DISSATISFIED
 
     def test_labelled_turns_kept_as_they_are(self):
-        turns = (
+        d = annotate_dialogue(_dialogue_of([
             Turn(index=0, role=Role.USER, text="My number is 012.", emotion=Emotion.EXCITED),
             Turn(index=1, role=Role.ASSISTANT, text="Got it."),
             Turn(index=2, role=Role.USER, text="Then 345.", crossturn=_seg_meta(1)),
             Turn(index=3, role=Role.ASSISTANT, text="Noted."),
-        )
-        d = inherit_labels(dataclasses.replace(make_dialogue(), turns=turns))
+        ]), RejectingChat(), skip_labeled=True)
         assert [t.emotion for t in d.turns] == [Emotion.EXCITED, Emotion.NEUTRAL] * 2
-        out = inherit_labels(d)
+        out = annotate_dialogue(d, RejectingChat(), skip_labeled=True)
         assert all(a is b for a, b in zip(out.turns, d.turns, strict=True))
 
     def test_every_turn_labeled_after_inherit(self):

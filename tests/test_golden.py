@@ -18,6 +18,11 @@ GOLDEN_PROMPT_DIGEST is the sha256 of every chat prompt of the run at workers
 1, in call order. The stub ignores most of what a prompt says (the barge-in
 context window, for one), so a refactor can change what a live service would
 be asked and still leave GOLDEN_DIGEST as it is; this digest catches that.
+
+Before the WAVs are deleted, `eval-dialogue --wer-sample <all> --similarity`
+runs on the output (stub ASR at the default corruption of 0). EVAL_DIGEST is
+the sha256 of its stdout, and EVAL_PROMPT_DIGEST that of the coverage-judge
+prompts it sends, in call order.
 """
 
 from __future__ import annotations
@@ -39,15 +44,20 @@ GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 GOLDEN_DIGEST = "97e1dfce05894896479095424f0a5ffd026659bdf3341e71a067995cf42fbccc"
 GOLDEN_PROMPT_COUNT = 380
 GOLDEN_PROMPT_DIGEST = "834a9a961ebe83808579f9426c8d527fd0fb462cb878d4e4a03cdd143cef53ae"
+EVAL_DIGEST = "62fdc16d18b7bbf6d10c1a200cdaa1e43e8addd0409e4f5d5dede25ae11d1d00"
+EVAL_PROMPT_COUNT = 347
+EVAL_PROMPT_DIGEST = "14f3a65c6bc9eb2d43090b8f76f5b4498fab6d71b42acb086251990f40fdcecb"
 
 
-def _run_digest(tmp_path: Path, workers: int) -> str:
+def _run_digest(tmp_path: Path, workers: int) -> tuple[str, str]:
+    """(sha256 of the augment output, sha256 of the eval-dialogue stdout on it)."""
     user_m, asst_m = tmp_path / "speakers.json", tmp_path / "assistants.json"
     write_speaker_manifest(user_pool_profiles(), user_m)
     write_speaker_manifest(assistant_pool_profiles(), asst_m)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"speaker_manifest": str(user_m), "assistant_manifest": str(asst_m)}))
     out, audio = tmp_path / "out.jsonl", tmp_path / "audio"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"speaker_manifest": str(user_m), "assistant_manifest": str(asst_m), "out_dir": str(audio)}))
     result = CliRunner().invoke(main, [
         "--config", str(cfg), "--seed", "7", "augment", str(GOLDEN_CORPUS), str(out),
         "--out-dir", str(audio), "--workers", str(workers),
@@ -60,13 +70,18 @@ def _run_digest(tmp_path: Path, workers: int) -> str:
     again = tmp_path / "again.jsonl"
     save_corpus(load_corpus(out), again)
     assert again.read_bytes() == out.read_bytes()
+    every = str(len(out.read_text(encoding="utf-8").splitlines()))
+    evaluated = CliRunner().invoke(main, [
+        "--config", str(cfg), "eval-dialogue", str(out), "--wer-sample", every, "--similarity",
+    ])
+    assert evaluated.exit_code == 0, evaluated.output
     shutil.rmtree(audio)  # about 90 MB of WAVs per run
-    return h.hexdigest()
+    return h.hexdigest(), hashlib.sha256(evaluated.stdout.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stub_augment_output_matches_golden_digest(tmp_path, workers):
-    assert _run_digest(tmp_path, workers) == GOLDEN_DIGEST
+    assert _run_digest(tmp_path, workers) == (GOLDEN_DIGEST, EVAL_DIGEST)
 
 
 def test_stub_augment_prompts_match_golden_digest(tmp_path, monkeypatch):
@@ -78,6 +93,9 @@ def test_stub_augment_prompts_match_golden_digest(tmp_path, monkeypatch):
         return chat(self, messages)
 
     monkeypatch.setattr(StubChatClient, "chat", recording_chat)
-    assert _run_digest(tmp_path, 1) == GOLDEN_DIGEST
-    digest = hashlib.sha256("\n".join(prompts).encode()).hexdigest()
-    assert (len(prompts), digest) == (GOLDEN_PROMPT_COUNT, GOLDEN_PROMPT_DIGEST)
+    assert _run_digest(tmp_path, 1) == (GOLDEN_DIGEST, EVAL_DIGEST)
+    augment, evaluate = prompts[:GOLDEN_PROMPT_COUNT], prompts[GOLDEN_PROMPT_COUNT:]
+    digest = hashlib.sha256("\n".join(augment).encode()).hexdigest()
+    assert (len(augment), digest) == (GOLDEN_PROMPT_COUNT, GOLDEN_PROMPT_DIGEST)
+    digest = hashlib.sha256("\n".join(evaluate).encode()).hexdigest()
+    assert (len(evaluate), digest) == (EVAL_PROMPT_COUNT, EVAL_PROMPT_DIGEST)

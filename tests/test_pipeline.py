@@ -136,6 +136,10 @@ class TestConfig:
             config_from_dict({"clients": {"tts": {"endpont": "x"}}})
         with pytest.raises(ConfigError, match=r"unknown keys in clients: \['speech'\]"):
             config_from_dict({"clients": {"speech": {"endpoint": "x"}}})
+        # Only the chat roles send a temperature.
+        for role in ("tts", "asr", "embed"):
+            with pytest.raises(ConfigError, match=rf"^unknown keys in clients\.{role}: \['temperature'\]$"):
+                config_from_dict({"clients": {role: {"temperature": 0.7}}})
 
     @pytest.mark.parametrize("data,message", [
         ({"workers": 1.5}, "workers must be an integer, not 1.5"),
@@ -174,7 +178,7 @@ class TestConfig:
         ({"clients": {"judge": {"model": None}}}, "clients.judge.model must be a string, not None"),
         ({"clients": {"asr": {"timeout_s": "30"}}}, "clients.asr.timeout_s must be a number, not '30'"),
         ({"clients": {"asr": {"timeout_s": False}}}, "clients.asr.timeout_s must be a number, not False"),
-        ({"clients": {"tts": {"temperature": "hot"}}}, "clients.tts.temperature must be a number or null, not 'hot'"),
+        ({"clients": {"generator": {"temperature": "hot"}}}, "clients.generator.temperature must be a number or null, not 'hot'"),
         ({"crossturn": {"min_digits": "7"}}, "crossturn.min_digits must be an integer, not '7'"),
         ({"disfluency": {"slot_window_words": "2"}}, "disfluency.slot_window_words must be an integer, not '2'"),
         ({"crossturn": {"p_error": True}}, "crossturn.p_error must be a number, not True"),
@@ -188,12 +192,13 @@ class TestConfig:
     def test_section_fields_accept_their_types(self):
         cfg = config_from_dict({
             "stages": {"bargein": False, "emotion": True},
-            "clients": {"tts": {"endpoint": "http://t", "model": "m", "timeout_s": 5,
-                                "max_retries": 0, "temperature": 0.7},
+            "clients": {"tts": {"endpoint": "http://t", "model": "m", "timeout_s": 5, "max_retries": 0},
+                        "generator": {"temperature": 0.7},
                         "judge": {"timeout_s": 2.5, "temperature": None}},
         })
         assert cfg.stages == StageToggles(bargein=False)
-        assert cfg.clients["tts"] == ClientConfig("http://t", "m", 5, 0, 0.7)
+        assert cfg.clients["tts"] == ClientConfig("http://t", "m", 5, 0)
+        assert cfg.clients["generator"] == ClientConfig(temperature=0.7)
         assert cfg.clients["judge"] == ClientConfig(timeout_s=2.5)
 
     @pytest.mark.parametrize("data,where", [
@@ -474,8 +479,9 @@ class TestSplitCorpus:
         assert valid == [] and test == []
 
     def test_bad_ratios_rejected(self):
-        with pytest.raises(ConfigError):
-            split_corpus([], ratios=(0.5, 0.5, 0.1))
+        for ratios in ((0.5, 0.5, 0.1), (1.5, -0.25, -0.25), (float("nan"), 0.5, 0.5), (0.5, 0.5)):
+            with pytest.raises(ConfigError, match=r"^ratios must be three numbers in \[0, 1\] summing to 1$"):
+                split_corpus([], ratios=ratios)
 
 
 def _word(i: int) -> str:
