@@ -12,13 +12,12 @@ from .corpus import (
     DisfluencyMeta,
     Emotion,
     Goal,
-    MalformedTagError,
     Role,
     SpeakerProfile,
     SubGoal,
     Turn,
     Violation,
-    fluent_projection,
+    fluent_text,
     load_corpus,
     save_corpus,
     validate_dialogue,
@@ -38,7 +37,6 @@ __all__ = [
     "DisfluencyMeta",
     "Emotion",
     "Goal",
-    "MalformedTagError",
     "PipelineConfig",
     "Role",
     "SpeakerProfile",
@@ -46,7 +44,7 @@ __all__ = [
     "Turn",
     "Violation",
     "__version__",
-    "fluent_projection",
+    "fluent_text",
     "load_corpus",
     "rng_for",
     "run_pipeline",

@@ -172,7 +172,10 @@ def validate(input_path: str) -> None:
 @click.pass_obj
 def split(cfg: PipelineConfig, input_path: str, out_dir: str, ratios: str) -> None:
     """Partition a corpus into train/valid/test files."""
-    parts = tuple(float(x) for x in ratios.split(","))
+    try:
+        parts = tuple(float(x) for x in ratios.split(","))
+    except ValueError:
+        parts = ()  # not numbers: split_corpus words the error
     dialogues = load_corpus(input_path)
     train, valid, test = split_corpus(dialogues, parts, seed=cfg.global_seed)
     root = Path(out_dir)

@@ -77,10 +77,6 @@ class CorpusError(Exception):
     """Structural error in corpus data."""
 
 
-class MalformedTagError(CorpusError):
-    """Tagged text does not parse against its disfluency metadata."""
-
-
 @dataclass(frozen=True)
 class SubGoal:
     domain: str
@@ -150,10 +146,16 @@ class BargeInMeta:
 
 @dataclass(frozen=True)
 class DisfluencyMeta:
+    """One disfluency event; [start, end) is what it put into the turn's text:
+    the filler and its ", " (FP/DM/EDIT), the ", copy" (REP), the reparandum
+    and its connector (COR), or the fragment and the gap after it (RST)."""
+
     type: str
     position: int
     inserted_span: str
     original_value: str | None = None
+    start: int = 0
+    end: int = 0
 
     def __post_init__(self) -> None:
         if self.type not in DISFLUENCY_TYPES:
@@ -183,15 +185,15 @@ class Turn:
     Fields are typed where untyped data enters (turn_from_dict and the ingest
     adapters); the constructor and with_ take them as given and coerce
     nothing: role is a Role, slot_spans a tuple of (name, start, end) tuples,
-    disfluency a tuple of DisfluencyMeta. state is the source's belief state
-    after this turn (slot -> value), or None where the source records none;
-    with_ copies keep it, and turns that augmentation inserts carry none.
+    disfluency a tuple of DisfluencyMeta in text order. state is the
+    source's belief state after this turn (slot -> value), or None where the
+    source records none; with_ copies keep it, and turns that augmentation
+    inserts carry none.
     """
 
     index: int
     role: Role
     text: str
-    tagged: str | None = None
     slot_spans: tuple[tuple[str, int, int], ...] = ()
     emotion: Emotion | None = None
     bargein: BargeInMeta | None = None
@@ -200,10 +202,6 @@ class Turn:
     audio_ref: str | None = None
     duration_s: float | None = None
     state: dict[str, str] | None = None
-
-    @property
-    def tagged_text(self) -> str:
-        return self.tagged if self.tagged is not None else self.text
 
     def with_(self, **changes: Any) -> "Turn":
         return replace(self, **changes)
@@ -293,6 +291,18 @@ def shift_spans(
     return tuple((name, s + delta, e + delta) if s >= at else (name, s, e) for name, s, e in spans)
 
 
+def shift_ranges(metas: Iterable[DisfluencyMeta], start: int, end: int, delta: int) -> tuple[DisfluencyMeta, ...]:
+    """The disfluency ranges once text[start:end] is replaced by a text delta
+    characters longer: a range at or after the edit moves, one that reaches
+    into it stretches, and one before it stays."""
+    return tuple(
+        replace(m, start=m.start + delta, end=m.end + delta) if m.start >= end
+        else replace(m, end=m.end + delta) if m.end > start
+        else m
+        for m in metas
+    )
+
+
 def clear_of(spans: Iterable[tuple[str, int, int]], start: int, end: int) -> bool:
     """Whether [start, end) overlaps none of spans."""
     return all(end <= s or e <= start for _, s, e in spans)
@@ -365,6 +375,11 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
                 out.append(Violation("turn.span_overlap", f"span {name!r} overlaps another span", t.index))
             taken.append((name, start, end))
 
+        if t.disfluency:
+            bounds = _bounds(t.disfluency, n)
+            if bounds != sorted(bounds):
+                out.append(Violation("turn.disfluency_range", "ranges must lie in the text, in order and apart", t.index))
+
         if t.role is Role.USER and BARGEIN_TOKEN in t.text:
             out.append(Violation("turn.bargein_token", "user turn contains the truncation token", t.index))
         if t.role is Role.ASSISTANT:
@@ -391,59 +406,76 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
     return out
 
 
-# --- fluent projection -------------------------------------------------------
+# --- tagged text and fluent reading --------------------------------------------
 
-_FILLER_TYPES = {"FP", "DM", "EDIT"}
-_MARKERS = tuple(f"[{t}]" for t in DISFLUENCY_TYPES)
-
-
-def _remove_once(text: str, piece: str, kind: str) -> str:
-    if piece not in text:
-        raise MalformedTagError(f"{kind}: expected segment {piece!r} not found in tagged text")
-    return text.replace(piece, "", 1)
+# The connectors a self-correction (COR) may join its reparandum and repair with.
+COR_CONNECTORS = ("— no, ", "— wait, I mean ", "— actually, ")
+# Each type's marker: REP's and RST's replace the ", " or gap at their place.
+_MARKS = {**{k: f"[{k}] " for k in DISFLUENCY_TYPES}, "REP": " [REP] ", "RST": " [RST] "}
+_MARKER = re.compile(r"\[(%s)\]" % "|".join(DISFLUENCY_TYPES))
 
 
-def fluent_projection(turn: Turn) -> str:
-    """Reconstruct the fluent reading of a turn from its tagged text.
+def _marked(text: str, metas: Iterable[DisfluencyMeta]) -> str:
+    out: list[str] = []
+    at = 0
+    for m in metas:
+        if m.type == "REP":  # ", copy" -> " [REP] copy"
+            cut, resume = m.start, m.start + 2
+        elif m.type == "COR":  # "wrong— no, " -> "wrong— [COR] no, "
+            cut = resume = text.rfind("— ", m.start, m.end) + 2
+        elif m.type == "RST":  # "fragment... " -> "fragment... [RST] "
+            cut, resume = m.start + len(text[m.start : m.end].rstrip()), m.end
+        else:  # "uh, " -> "[FP] uh, "
+            cut = resume = m.start
+        out += (text[at:cut], _MARKS[m.type])
+        at = resume
+    out.append(text[at:])
+    return "".join(out)
 
-    For FP/DM/EDIT/REP the result is exactly the pre-augmentation text; for
-    COR/RST it is the fluent remainder, which always contains the final
-    (correct) slot value.
-    """
-    text = turn.tagged_text
-    if not turn.disfluency:
-        if any(m in text for m in _MARKERS):
-            raise MalformedTagError("tagged text carries markers but no disfluency metadata")
-        return text
 
-    for meta in turn.disfluency:
-        if meta.type in _FILLER_TYPES:
-            text = _remove_once(text, f"[{meta.type}] {meta.inserted_span} ", meta.type)
-        elif meta.type == "REP":
-            # The recorded unit may keep trailing punctuation from its source
-            # words even though the spoken copy drops it.
-            bare = re.sub(r"[^\w'%]+$", "", meta.inserted_span) or meta.inserted_span
-            for piece in (f" [REP] {meta.inserted_span}", f" [REP] {bare}", f"[REP] {bare} "):
-                if piece in text:
-                    text = text.replace(piece, "", 1)
-                    break
-            else:
-                raise MalformedTagError("REP: recorded copy not found in tagged text")
-        elif meta.type == "COR":
-            text = _remove_once(text, "[COR] ", "COR")
-            lead_in = f"{meta.inserted_span}— no, "
-            if lead_in in text:
-                text = text.replace(lead_in, "", 1)
-            if meta.original_value and meta.original_value not in text:
-                raise MalformedTagError("COR projection lost the corrected value")
-        elif meta.type == "RST":
-            text = _remove_once(text, f"{meta.inserted_span} [RST] ", "RST")
-        else:  # pragma: no cover - DisfluencyMeta rejects unknown types
-            raise MalformedTagError(f"unknown disfluency type {meta.type!r}")
+def tagged_text(t: Turn) -> str:
+    """t's text with each disfluency's marker at its fixed place in its range."""
+    return _marked(t.text, t.disfluency)
 
-    if any(m in text for m in _MARKERS):
-        raise MalformedTagError("unconsumed disfluency markers remain after projection")
-    return text
+
+def _bounds(metas: Iterable[DisfluencyMeta], n: int) -> list[int]:
+    """0, each range's start and end, and n: ascending iff the ranges lie in a
+    text of length n, in order and apart; each pair from 0 or an end is fluent."""
+    return [0, *(p for m in metas for p in (m.start, m.end)), n]
+
+
+def fluent_text(t: Turn) -> str:
+    """t's text with every disfluency range cut out: the text before
+    augmentation, or for RST the restart alone."""
+    bounds = _bounds(t.disfluency, len(t.text))
+    return "".join(t.text[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
+
+
+def _with_ranges(text: str, tagged: str | None, metas: tuple[DisfluencyMeta, ...]) -> tuple[DisfluencyMeta, ...]:
+    """metas with each range read off where its marker sits in tagged; tagged
+    must be text with a marker for each of metas, in order, and nothing else."""
+    marks = list(_MARKER.finditer(tagged or ""))
+    ok = len(marks) == len(metas)
+    out: list[DisfluencyMeta] = []
+    for meta, mark in zip(metas, marks) if ok else ():
+        n, piece = len(meta.inserted_span), _MARKS[meta.type]
+        # Where the marker goes in text: its place in tagged, less what the markers before it add.
+        cut = mark.start() - piece.index("[") - (len(_marked(text, out)) - len(text))
+        if meta.type == "COR":  # "wrong— " before the marker, the rest of its connector after
+            conn = next((c for c in COR_CONNECTORS if text.startswith(c, cut - 2)), None)
+            start, end = cut - 2 - n, cut - 2 + len(conn) if conn else -1
+        elif meta.type == "RST":  # the fragment before the marker, which stands for the gap after it
+            start, end = cut - n, len(text) - len(text[cut:].lstrip())
+        else:  # "uh, " or ", copy" from the marker on
+            start, end = cut, cut + n + (2 if meta.type == "REP" else 1)
+        ok = mark[1] == meta.type and text.startswith(meta.inserted_span, start + 2 * (meta.type == "REP"))
+        if not ok:
+            break
+        out.append(DisfluencyMeta(meta.type, meta.position, meta.inserted_span, meta.original_value, start, end))
+    bounds = _bounds(out, len(text))
+    if not (ok and bounds == sorted(bounds) and _marked(text, out) == tagged):
+        raise CorpusError(must("tagged", "the text with a marker at each disfluency", tagged))
+    return tuple(out)
 
 
 # --- JSON serialization ------------------------------------------------------
@@ -479,8 +511,8 @@ def _speaker_from_dict(d: Any, where: str) -> SpeakerProfile | None:
 
 def turn_to_dict(t: Turn) -> dict[str, Any]:
     out: dict[str, Any] = {"role": t.role.value, "text": t.text}
-    if t.tagged is not None and t.tagged != t.text:
-        out["tagged"] = t.tagged
+    if t.disfluency:
+        out["tagged"] = tagged_text(t)
     if t.slot_spans:
         out["slot_spans"] = [[name, start, end] for name, start, end in t.slot_spans]
     if t.emotion is not None:
@@ -520,8 +552,9 @@ def turn_to_dict(t: Turn) -> dict[str, Any]:
 
 _ROLES = {r.value: r for r in Role}
 _EMOTIONS = tuple((e, e.label_name) for e in Emotion)
-# Turn fields read as they stand: JSON key -> field.
-_TURN_PLAIN = {"text": "text", "tagged": "tagged", "audio_path": "audio_ref", "duration_s": "duration_s", "state": "state"}
+# Turn keys read as they stand: JSON key -> its annotation.
+_TURN_PLAIN = {"text": "str", "tagged": "str | None", "audio_path": "str | None", "duration_s": "float | None",
+               "state": "dict[str, str] | None"}
 _BARGEIN_SLOTS = tuple((f.name, f.type) for f in fields(BargeInMeta) if f.name.endswith("_slots"))
 
 
@@ -541,8 +574,8 @@ def turn_from_dict(d: Any, index: int) -> Turn:
             and (duration is None or type(duration) is float or type(duration) is int)
             and (state is None or isinstance(state, dict) and all(isinstance(v, str) for v in state.values()))
         ):
-            for key, name in _TURN_PLAIN.items():
-                check(key, get(key), Turn.__dataclass_fields__[name].type, CorpusError)
+            for key, annotation in _TURN_PLAIN.items():
+                check(key, get(key), annotation, CorpusError)
         role = get("role")
         if not (isinstance(role, str) and role in _ROLES):
             raise CorpusError(must("role", " or ".join(map(repr, _ROLES)), role))
@@ -575,12 +608,13 @@ def turn_from_dict(d: Any, index: int) -> Turn:
         if "disfluency" in d:
             metas = check("disfluency", get("disfluency"), "list", CorpusError)
             disfluency = tuple(build(DisfluencyMeta, f"disfluency[{i}]", m, CorpusError) for i, m in enumerate(metas))
+        if disfluency or tagged is not None:
+            disfluency = _with_ranges(text, tagged, disfluency)
         crossturn = get("crossturn")
         return Turn(
             index=index,
             role=role,
             text=text,
-            tagged=tagged,
             slot_spans=slot_spans,
             emotion=emotion,
             bargein=bargein,

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 from .clients import ChatClient, ClientError
 from . import prompts
-from .corpus import DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn, locate_slot_spans, shift_spans
+from .corpus import (
+    COR_CONNECTORS, DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn,
+    clear_of, locate_slot_spans, shift_ranges, shift_spans,
+)
 
 log = logging.getLogger(__name__)
 
@@ -60,19 +63,6 @@ def _word_char_spans(text: str) -> list[tuple[int, int]]:
     return [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
 
 
-def _slot_word_indices(t: Turn, word_spans: list[tuple[int, int]]) -> set[int]:
-    out: set[int] = set()
-    for _, s, e in t.slot_spans:
-        for i, (ws, we) in enumerate(word_spans):
-            if ws < e and s < we:
-                out.add(i)
-    return out
-
-
-def _interior(k: int, spans: tuple[tuple[str, int, int], ...]) -> bool:
-    return any(s < k < e for _, s, e in spans)
-
-
 def choose_position(
     t: Turn, dtype: str, cfg: DisfluencyConfig, rng: random.Random
 ) -> tuple[str, int]:
@@ -86,7 +76,7 @@ def choose_position(
     n = len(word_spans)
     if n == 0:
         raise ValueError("cannot position a disfluency in an empty turn")
-    slot_words = sorted(_slot_word_indices(t, word_spans))
+    slot_words = [i for i, (ws, we) in enumerate(word_spans) if not clear_of(t.slot_spans, ws, we)]
 
     if dtype == "COR":
         if not slot_words:
@@ -100,7 +90,7 @@ def choose_position(
     def valid(i: int) -> bool:
         ws, we = word_spans[i]
         k = ws if dtype in FILLERS else we
-        return not _interior(k, t.slot_spans)
+        return not any(s < k < e for _, s, e in t.slot_spans)
 
     candidates = [i for i in range(n) if valid(i)] or list(range(n))
     if slot_words and rng.random() < cfg.p_slot_local:
@@ -132,7 +122,6 @@ def _inject_insertion(t: Turn, dtype: str, position: int, rng: random.Random) ->
         filler = rng.choice(FILLERS[dtype])
         k = word_spans[position][0]
         plain = f"{filler}, "
-        tagged_piece = f"[{dtype}] {filler}, "
         inserted_span = f"{filler},"
     else:  # REP
         lo = word_spans[max(0, position - 1)][0]
@@ -143,40 +132,23 @@ def _inject_insertion(t: Turn, dtype: str, position: int, rng: random.Random) ->
             copy = raw
         k = lo + len(copy)
         plain = f", {copy}"
-        tagged_piece = f" [REP] {copy}"
         inserted_span = copy
 
-    if t.tagged is not None and t.tagged != t.text:
-        log.warning("turn %d already carries markup; left as-is", t.index)
-        return t
-    new_text = t.text[:k] + plain + t.text[k:]
-    new_tagged = t.text[:k] + tagged_piece + t.text[k:]
-    meta = DisfluencyMeta(type=dtype, position=position, inserted_span=inserted_span)
+    meta = DisfluencyMeta(type=dtype, position=position, inserted_span=inserted_span, start=k, end=k + len(plain))
+    earlier = shift_ranges(t.disfluency, k, k, len(plain))
     return t.with_(
-        text=new_text,
-        tagged=new_tagged,
+        text=t.text[:k] + plain + t.text[k:],
         slot_spans=shift_spans(t.slot_spans, k, len(plain)),
-        disfluency=t.disfluency + (meta,),
+        disfluency=tuple(sorted((*earlier, meta), key=lambda m: m.start)),
     )
 
 
-_COR_CONNECTORS = ("— no, ", "— wait, I mean ", "— actually, ")
-
-
 def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
-    word_spans = _word_char_spans(t.text)
-    span = None
-    for name, s, e in t.slot_spans:
-        ws, we = word_spans[position]
-        if s < we and ws < e:
-            span = (name, s, e)
-            break
-    if span is None and t.slot_spans:
-        span = t.slot_spans[0]
-    if span is None:
+    if not t.slot_spans:
         log.warning("COR requested on slotless turn %d; left fluent", t.index)
         return t
-    name, s, e = span
+    ws, we = _word_char_spans(t.text)[position]
+    name, s, e = next((sp for sp in t.slot_spans if sp[1] < we and ws < sp[2]), t.slot_spans[0])
     value = t.text[s:e]
     reply = gen.complete(prompts.self_correction_prompt(t.text, name, value)).strip()
     if value not in reply or reply == t.text:
@@ -185,28 +157,25 @@ def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
 
     # Expected shape: text[:s] + wrong + connector + value + text[e:], so the
     # wrong segment is recovered positionally rather than by pattern.
-    wrong = tagged = None
-    for conn in _COR_CONNECTORS:
+    wrong = None
+    for conn in COR_CONNECTORS:
         idx = reply.find(conn + value, s)
         if idx < 0 or not reply.startswith(t.text[:s]):
             continue
         candidate = reply[s:idx]
         if not candidate or candidate == value:
             continue
-        wrong = candidate
-        # "— no, value" becomes "— [COR] no, value"
-        tagged = reply.replace(f"{conn}{value}", f"— [COR] {conn[2:]}{value}", 1)
+        wrong, end = candidate, idx + len(conn)
         break
     if wrong is None:
         log.warning("self-correction output unparseable; turn %d left fluent", t.index)
         return t
 
-    meta = DisfluencyMeta(type="COR", position=position, inserted_span=wrong, original_value=value)
+    meta = DisfluencyMeta(type="COR", position=position, inserted_span=wrong, original_value=value, start=s, end=end)
     return t.with_(
         text=reply,
-        tagged=tagged,
         slot_spans=relocate_spans(reply, t.slot_spans, t.text),
-        disfluency=t.disfluency + (meta,),
+        disfluency=(meta,),
     )
 
 
@@ -220,30 +189,28 @@ def _inject_rst(t: Turn, position: int, gen: ChatClient) -> Turn:
     if not m or reply == t.text:
         log.warning("restart output unparseable; turn %d left fluent", t.index)
         return t
-    fragment, restart = m.group(1), m.group(2)
+    fragment = m.group(1)
     frag_words = len(re.sub(r"(?:\.\.\.|—)$", "", fragment).split())
     if not 2 <= frag_words <= 5:
         log.warning("restart fragment of %d words out of range; turn %d left fluent", frag_words, t.index)
         return t
-    meta = DisfluencyMeta(type="RST", position=position, inserted_span=fragment)
+    meta = DisfluencyMeta(type="RST", position=position, inserted_span=fragment, start=0, end=m.start(2))
     return t.with_(
         text=reply,
-        tagged=f"{fragment} [RST] {restart}",
         slot_spans=relocate_spans(reply, t.slot_spans, t.text),
-        disfluency=t.disfluency + (meta,),
+        disfluency=(meta,),
     )
 
 
-def inject(
-    t: Turn,
-    dtype: str,
-    position: int,
-    gen: ChatClient,
-    rng: random.Random,
-) -> Turn:
-    """Apply one disfluency event; on client failure the turn stays fluent."""
+def inject(t: Turn, dtype: str, position: int, gen: ChatClient, rng: random.Random) -> Turn:
+    """Apply one disfluency event; on client failure the turn stays fluent.
+    COR and RST rewrite the whole turn, which the ranges of earlier events
+    could not follow, so they leave a disfluent turn as it is."""
     if dtype in _RULE_TYPES:
         return _inject_insertion(t, dtype, position, rng)
+    if t.disfluency:
+        log.warning("%s requested on disfluent turn %d; left as it is", dtype, t.index)
+        return t
     try:
         if dtype == "COR":
             return _inject_cor(t, position, gen)

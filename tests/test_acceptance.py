@@ -25,7 +25,7 @@ from conftest import (
 )
 from todvoice.bargein import BargeInConfig, sample_candidates
 from todvoice.clients import StubChatClient
-from todvoice.corpus import Dialogue, Role, Turn, dumps_dialogue, fluent_projection
+from todvoice.corpus import Dialogue, Role, Turn, dumps_dialogue, fluent_text, tagged_text
 from todvoice.crossturn import CrossTurnConfig, reconstruct_value, segment_value
 from todvoice.disfluency import DisfluencyConfig, apply_disfluency_stage, choose_position, inject
 from todvoice.metrics import (
@@ -504,8 +504,8 @@ class TestFluentRoundTrip:
             dtype, position = choose_position(turn, kinds[i % 4], cfg, rng)
             out = inject(turn, dtype, position, None, rng)
             assert out.disfluency, "injection must record metadata"
-            assert fluent_projection(out) == text, (dtype, text, out.tagged_text)
+            assert fluent_text(out) == text, (dtype, text, tagged_text(out))
             counts[dtype] += 1
         assert set(counts) == set(kinds)
         assert all(v == n // 4 for v in counts.values())
-        _report(f"PASS fluent projection: {n}/{n} insertions of FP/DM/EDIT/REP invert exactly")
+        _report(f"PASS fluent text: {n}/{n} insertions of FP/DM/EDIT/REP invert exactly")

@@ -291,7 +291,7 @@ class TestSplit:
 
     def test_bad_ratios_render_as_clean_error(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=10)
-        for ratios in ("0.5,0.5,0.1", "1.5,-0.25,-0.25", "nan,0.5,0.5"):
+        for ratios in ("0.5,0.5,0.1", "1.5,-0.25,-0.25", "nan,0.5,0.5", "a,b,c"):
             result = runner.invoke(main, ["split", str(src), str(tmp_path / "x"), "--ratios", ratios])
             assert result.exit_code != 0
             assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -18,7 +18,6 @@ from todvoice.corpus import (
     DisfluencyMeta,
     Emotion,
     Goal,
-    MalformedTagError,
     Role,
     SubGoal,
     Turn,
@@ -26,13 +25,14 @@ from todvoice.corpus import (
     dialogue_from_dict,
     dialogue_to_dict,
     dumps_dialogue,
-    fluent_projection,
+    fluent_text,
     load_corpus,
     loads_dialogue,
     renumber,
     save_corpus,
     shift_spans,
     splice_turns,
+    tagged_text,
     turn_from_dict,
     validate_dialogue,
 )
@@ -321,52 +321,54 @@ def test_single_mutation_catalog_is_detected(dialogue):
 
 
 class TestFluentProjection:
+    """fluent_text cuts the disfluency ranges out; tagged_text marks them."""
+
     def test_identity_without_markers(self):
         t = Turn(index=0, role=Role.USER, text="plain text")
-        assert fluent_projection(t) == "plain text"
+        assert fluent_text(t) == tagged_text(t) == "plain text"
 
     def test_fp_example(self):
         t = Turn(
             index=0, role=Role.USER, text="uh, we should go there.",
-            tagged="[FP] uh, we should go there.",
-            disfluency=(DisfluencyMeta(type="FP", position=0, inserted_span="uh,"),),
+            disfluency=(DisfluencyMeta(type="FP", position=0, inserted_span="uh,", start=0, end=4),),
         )
-        assert fluent_projection(t) == "we should go there."
+        assert fluent_text(t) == "we should go there."
+        assert tagged_text(t) == "[FP] uh, we should go there."
 
     def test_rep_example_with_punctuated_span(self):
-        t = Turn(
-            index=0, role=Role.USER, text="I mean, I mean I don't know.",
-            tagged="I mean, [REP] I mean I don't know.",
-            disfluency=(DisfluencyMeta(type="REP", position=1, inserted_span="I mean,"),),
-        )
-        assert fluent_projection(t) == "I mean, I don't know."
+        # The copy of "I mean," leaves its comma behind; the range is read
+        # back from where the marker sits in the stored tagged text.
+        t = turn_from_dict({
+            "role": "user", "text": "I mean, I mean, I don't know.", "tagged": "I mean [REP] I mean, I don't know.",
+            "disfluency": [{"type": "REP", "position": 1, "inserted_span": "I mean"}],
+        }, 0)
+        assert (t.disfluency[0].start, t.disfluency[0].end) == (6, 14)
+        assert fluent_text(t) == "I mean, I don't know."
 
     def test_rep_gold_member_example(self):
         t = Turn(
-            index=0, role=Role.USER, text="I'm a Gold member Gold member, not Bronze.",
-            tagged="I'm a Gold member [REP] Gold member, not Bronze.",
-            disfluency=(DisfluencyMeta(type="REP", position=3, inserted_span="Gold member"),),
+            index=0, role=Role.USER, text="I'm a Gold member, Gold member, not Bronze.",
+            disfluency=(DisfluencyMeta(type="REP", position=3, inserted_span="Gold member", start=17, end=30),),
         )
-        assert fluent_projection(t) == "I'm a Gold member, not Bronze."
+        assert fluent_text(t) == "I'm a Gold member, not Bronze."
+        assert tagged_text(t) == "I'm a Gold member [REP] Gold member, not Bronze."
 
     def test_cor_projection_contains_correct_value(self):
         t = Turn(
             index=0, role=Role.USER, text="on Friday— no, Saturday.",
-            tagged="on Friday— [COR] no, Saturday.",
-            disfluency=(DisfluencyMeta(type="COR", position=1,
-                                       inserted_span="Friday", original_value="Saturday"),),
+            disfluency=(DisfluencyMeta(type="COR", position=1, inserted_span="Friday",
+                                       original_value="Saturday", start=3, end=15),),
         )
-        assert "Saturday" in fluent_projection(t)
-        assert "[COR]" not in fluent_projection(t)
+        assert fluent_text(t) == "on Saturday."
+        assert tagged_text(t) == "on Friday— [COR] no, Saturday."
 
     def test_malformed_tag_raises(self):
-        t = Turn(
-            index=0, role=Role.USER, text="whatever",
-            tagged="no such [REP] marker content here",
-            disfluency=(DisfluencyMeta(type="REP", position=0, inserted_span="absent"),),
-        )
-        with pytest.raises(MalformedTagError):
-            fluent_projection(t)
+        record = {
+            "role": "user", "text": "whatever", "tagged": "no such [REP] marker content here",
+            "disfluency": [{"type": "REP", "position": 0, "inserted_span": "absent"}],
+        }
+        with pytest.raises(CorpusError, match="^turn 3: tagged must be the text with a marker at each disfluency"):
+            turn_from_dict(record, 3)
 
 
 class TestJsonRoundTrip:
@@ -376,9 +378,9 @@ class TestJsonRoundTrip:
 
     def test_round_trip_preserves_behavior_metadata(self):
         meta = BargeInMeta(type=BargeInType.CLARIFICATION, style=BargeInStyle.INTERPRETED)
-        dmeta = DisfluencyMeta(type="FP", position=0, inserted_span="uh,")
+        dmeta = DisfluencyMeta(type="FP", position=0, inserted_span="uh,", start=0, end=4)
         turns = (
-            Turn(index=0, role=Role.USER, text="uh, hello", tagged="[FP] uh, hello",
+            Turn(index=0, role=Role.USER, text="uh, hello",
                  disfluency=(dmeta,), emotion=Emotion.EXCITED, state={"x": "1"}),
             Turn(index=1, role=Role.ASSISTANT, text="one moment <bargein>", bargein=meta),
             Turn(index=2, role=Role.USER, text="What's a PNR?", bargein=meta),

@@ -8,7 +8,9 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from todvoice.corpus import Role, Turn, corrections, dumps_dialogue, loads_dialogue, validate_dialogue
+from todvoice.corpus import (
+    DisfluencyMeta, Role, Turn, corrections, dumps_dialogue, fluent_text, loads_dialogue, tagged_text, validate_dialogue,
+)
 from todvoice.crossturn import (
     CrossTurnConfig,
     apply_crossturn_stage,
@@ -208,6 +210,26 @@ class TestStage:
         assert last.role is Role.ASSISTANT
         assert "Saved. Anything else?" in last.text
         assert last.crossturn is not None
+
+    def test_disfluency_ranges_move_with_the_text_they_are_in(self):
+        d = make_dialogue(
+            texts=[(Role.USER, "uh, call me at 0123456789 um, please."), (Role.ASSISTANT, "well, saved.")],
+            spans={0: (("phone", 15, 25),)},
+        )
+        user, assistant = d.turns
+        d = d.with_turns([
+            user.with_(disfluency=(DisfluencyMeta("FP", 0, "uh,", start=0, end=4),
+                                   DisfluencyMeta("FP", 5, "um,", start=26, end=30))),
+            assistant.with_(disfluency=(DisfluencyMeta("DM", 0, "well,", start=0, end=6),)),
+        ])
+        out = apply_crossturn_stage(d, CrossTurnConfig(p_error=0.0), rng_for(0, d.dialogue_id, "xt"))
+        first, last = out.turns[0], out.turns[-1]
+        assert tagged_text(first) == "[FP] uh, call me at zero one two [FP] um, please."
+        assert fluent_text(first) == "call me at zero one two please."
+        assert tagged_text(last) == "Got it, six seven eight nine. [DM] well, saved."
+        assert fluent_text(last) == "Got it, six seven eight nine. saved."
+        assert validate_dialogue(out) == []
+        assert loads_dialogue(dumps_dialogue(out)) == out
 
     def test_states_stay_on_their_turns(self):
         d = make_dialogue(

@@ -7,9 +7,12 @@ import string
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from todvoice.clients import StubChatClient
-from todvoice.corpus import DisfluencyMeta, Role, Turn, fluent_projection
+from todvoice.corpus import (
+    COR_CONNECTORS, Role, Turn, dumps_dialogue, fluent_text, loads_dialogue, locate_slot_spans, tagged_text,
+)
 from todvoice.disfluency import (
     DISFLUENCY_TYPES,
     DisfluencyConfig,
@@ -139,9 +142,9 @@ class TestInject:
         out = inject(t, "FP", 0, _stub(), rng)
         filler = out.disfluency[0].inserted_span.rstrip(",")
         assert filler in FILLERS["FP"]
-        assert out.tagged.startswith("[FP] ")
+        assert tagged_text(out).startswith("[FP] ")
         assert out.text == f"{filler}, we should go there."
-        assert fluent_projection(out) == "we should go there."
+        assert fluent_text(out) == "we should go there."
 
     def test_rep_duplicates_up_to_two_words(self):
         text = "I'm a Gold member, not Bronze."
@@ -150,8 +153,8 @@ class TestInject:
         meta = out.disfluency[0]
         assert meta.type == "REP"
         assert meta.inserted_span == "Gold member"
-        assert out.tagged == "I'm a Gold member [REP] Gold member, not Bronze."
-        assert fluent_projection(out) == text
+        assert tagged_text(out) == "I'm a Gold member [REP] Gold member, not Bronze."
+        assert fluent_text(out) == text
 
     def test_cor_contains_gold_value_and_wrong_differs(self):
         text = "I need it on Saturday for sure."
@@ -163,7 +166,7 @@ class TestInject:
         assert meta.original_value == "Saturday"
         assert meta.inserted_span != "Saturday"
         assert "Saturday" in out.text
-        assert "Saturday" in fluent_projection(out)
+        assert fluent_text(out) == text
 
     def test_rst_fragment_two_to_five_words(self):
         t = Turn(index=0, role=Role.USER, text="Can you find me a hotel in the north part please?")
@@ -173,7 +176,7 @@ class TestInject:
             pytest.skip("stub restart rejected for this input")
         words = meta.inserted_span.rstrip(".-—").split()
         assert 2 <= len(words) <= 5
-        assert "[RST]" in out.tagged
+        assert "[RST]" in tagged_text(out)
 
     def test_client_failure_leaves_turn_fluent(self):
         class Failing(StubChatClient):
@@ -192,7 +195,7 @@ class TestInject:
 
 @pytest.mark.parametrize("dtype", ["FP", "DM", "EDIT", "REP"])
 def test_round_trip_property_per_type(dtype):
-    """fluent_projection inverts rule-based injection at every position."""
+    """fluent_text inverts rule-based injection at every position."""
     rng = random.Random(17)
     words = ["alpha", "bravo", "charlie's", "delta", "echo5", "foxtrot"]
     for n in range(1, len(words) + 1):
@@ -201,7 +204,7 @@ def test_round_trip_property_per_type(dtype):
             t = Turn(index=0, role=Role.USER, text=text)
             out = inject(t, dtype, pos, _stub(), rng)
             assert out.disfluency, f"{dtype} at {pos} did not inject"
-            assert fluent_projection(out) == text, f"{dtype} at {pos}"
+            assert fluent_text(out) == text, f"{dtype} at {pos}"
 
 
 def test_round_trip_bulk_random_utterances():
@@ -219,7 +222,75 @@ def test_round_trip_bulk_random_utterances():
         pos = rng.randrange(n_words)
         t = Turn(index=0, role=Role.USER, text=text)
         out = inject(t, dtype, pos, _stub(), rng)
-        assert fluent_projection(out) == text, f"case {i}: {dtype}@{pos} on {text!r}"
+        assert fluent_text(out) == text, f"case {i}: {dtype}@{pos} on {text!r}"
+
+
+class _Connector(StubChatClient):
+    """The stub, with its self-correction joined by another connector."""
+
+    def __init__(self, connector: str) -> None:
+        self.connector = connector
+
+    def _self_correction(self, prompt: str) -> str:
+        return super()._self_correction(prompt).replace(COR_CONNECTORS[0], self.connector, 1)
+
+
+@pytest.mark.parametrize("connector", COR_CONNECTORS)
+def test_cor_fluent_text_cuts_every_connector(connector):
+    text = "I need it on Saturday for sure."
+    start = text.index("Saturday")
+    t = Turn(index=0, role=Role.USER, text=text, slot_spans=(("day", start, start + 8),))
+    out = inject(t, "COR", 4, _Connector(connector), random.Random(0))
+    assert out.text == f"I need it on Friday{connector}Saturday for sure."
+    assert tagged_text(out) == f"I need it on Friday— [COR] {connector[2:]}Saturday for sure."
+    assert fluent_text(out) == text
+
+
+def test_insertions_stack_and_cut_back():
+    text = "we should go there today."
+    rng = random.Random(5)
+    out = inject(inject(Turn(index=0, role=Role.USER, text=text), "REP", 3, _stub(), rng), "FP", 0, _stub(), rng)
+    assert [m.type for m in out.disfluency] == ["FP", "REP"]
+    assert fluent_text(out) == text
+    d = make_dialogue(texts=[(Role.USER, text)]).with_turns([out])
+    assert loads_dialogue(dumps_dialogue(d)) == d
+
+
+_WORDS = st.sampled_from(["alpha", "bravo", "charlie's", "delta", "echo5", "I", "mean", "no", "well"])
+_VALUES = ("Saturday", "cambridge", "HB676BP71", "two")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    words=st.lists(_WORDS, min_size=1, max_size=10),
+    slots=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(_VALUES)), max_size=2, unique_by=lambda s: s[1]),
+    stop=st.booleans(),
+    dtype=st.sampled_from(DISFLUENCY_TYPES),
+    connector=st.sampled_from(COR_CONNECTORS),
+    seed=st.integers(0, 2**16),
+)
+def test_every_type_cuts_back_to_its_text_and_loads_as_written(words, slots, stop, dtype, connector, seed):
+    """Any one event's range lies in the text, and cutting it out gives the
+    text before injection with every slot value (the stub restart repeats
+    the whole utterance after its fragment, so RST's restart is that text);
+    the turn is written and read back unchanged."""
+    words = list(words)
+    for at, value in slots:
+        words.insert(at, value)
+    text = " ".join(words) + ("." if stop else "")
+    spans = locate_slot_spans(text, [(f"slot{i}", value) for i, (_, value) in enumerate(slots)]).matched
+    t = Turn(index=0, role=Role.USER, text=text, slot_spans=spans)
+    rng = random.Random(seed)
+    dtype, position = choose_position(t, dtype, DisfluencyConfig(), rng)
+    out = inject(t, dtype, position, _Connector(connector), rng)
+    bounds = [0, *(p for m in out.disfluency for p in (m.start, m.end)), len(out.text)]
+    assert bounds == sorted(bounds)
+    assert fluent_text(out) == text
+    assert all(text[s:e] in fluent_text(out) for _, s, e in spans)
+    d = make_dialogue(texts=[(Role.USER, text)]).with_turns([out])
+    once = dumps_dialogue(d)
+    assert loads_dialogue(once) == d
+    assert dumps_dialogue(loads_dialogue(once)) == once
 
 
 class TestStage:

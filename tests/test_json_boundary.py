@@ -19,7 +19,7 @@ from todvoice import corpus, pipeline
 from todvoice.checked import TYPES
 from todvoice.cli import main
 from todvoice.clients import ClientConfig
-from todvoice.corpus import BargeInMeta, CrossTurnMeta, DisfluencyMeta, SpeakerProfile, SubGoal, Turn
+from todvoice.corpus import BargeInMeta, CrossTurnMeta, DisfluencyMeta, SpeakerProfile, SubGoal
 from todvoice.pipeline import PipelineConfig
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
@@ -27,14 +27,19 @@ GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 def _full_record() -> dict:
     """The last golden record (pre-augmented: speakers, emotions, audio) with a
-    cross-turn chunk and a disfluency on turn 0 and a barge-in on turn 1, so
-    every kind of field the reader knows is present. No later user turn
-    re-dictates the chunk, so its correction pointer is null."""
+    cross-turn chunk and a self-correction (COR) on turn 0 and a barge-in on
+    turn 1, so every kind of field the reader knows is present. No later user
+    turn re-dictates the chunk, so its correction pointer is null."""
     rec = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8").splitlines()[-1])
-    rec["turns"][0]["crossturn"] = {
+    turn = rec["turns"][0]
+    turn["crossturn"] = {
         "slot_name": "day", "chunk_index": 0, "chunk_text": "wed", "is_error": True, "corrected_in_turn": None,
     }
-    rec["turns"][0]["disfluency"] = [{"type": "COR", "position": 1, "inserted_span": "tuesday", "original_value": "wednesday"}]
+    head, value = turn["text"][: turn["slot_spans"][0][1]], "wednesday"
+    turn["text"] = f"{head}tuesday— no, {value}."
+    turn["tagged"] = f"{head}tuesday— [COR] no, {value}."
+    turn["slot_spans"] = [["day", len(turn["text"]) - 1 - len(value), len(turn["text"]) - 1]]
+    turn["disfluency"] = [{"type": "COR", "position": 1, "inserted_span": "tuesday", "original_value": value}]
     rec["turns"][1]["bargein"] = {
         "type": "ERROR_RECOVERY", "subtype": "INCOHERENT_RAW",
         "erroneous_slots": {"day": "tuesday"}, "corrected_slots": {"day": "wednesday"},
@@ -141,16 +146,37 @@ def test_one_bad_field_is_one_error_line_and_what_loads_is_a_fixed_point(tmp_pat
             assert key in line or kind in PATHS[path], line
 
 
-def _checked_fields() -> list[dataclasses.Field]:
+# Ways turn 0's tagged text can disagree with its text and disfluency metadata.
+_BAD_TAGGED = {
+    "markers without metadata": lambda turn: turn.pop("disfluency"),
+    "metadata without markers": lambda turn: turn.pop("tagged"),
+    "marker out of place": lambda turn: turn.update(tagged=turn["tagged"].replace("— [COR] no, ", "— no, [COR] ")),
+    "reparandum not before its marker": lambda turn: turn["disfluency"][0].update(inserted_span="monday"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TAGGED))
+def test_a_tagged_text_that_disagrees_is_one_error_line_naming_tagged(tmp_path, case):
+    rec = copy.deepcopy(FULL)
+    _BAD_TAGGED[case](rec["turns"][0])
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", str(src)])
+    (line,) = result.output.splitlines()
+    assert result.exit_code == 1
+    assert line.startswith(f"Error: dialogue '{FULL['dialogue_id']}': turn 0: tagged must be"), line
+
+
+def _checked_annotations() -> list[tuple[str, str]]:
     sections = list(pipeline._SECTION_TYPES.values())
     scalars = [f for f in dataclasses.fields(PipelineConfig) if f.name not in pipeline._SECTION_TYPES and f.name != "clients"]
     slots = [f for f in dataclasses.fields(BargeInMeta) if f.name.endswith("_slots")]
-    plain = [Turn.__dataclass_fields__[name] for name in corpus._TURN_PLAIN.values()]
     classes = (*sections, ClientConfig, SubGoal, CrossTurnMeta, DisfluencyMeta, SpeakerProfile)
-    return scalars + slots + plain + [f for cls in classes for f in dataclasses.fields(cls)]
+    fields = scalars + slots + [f for cls in classes for f in dataclasses.fields(cls)]
+    return [(f.name, f.type) for f in fields] + list(corpus._TURN_PLAIN.items())
 
 
 def test_every_checked_field_has_an_annotation_the_table_knows():
     assert set(pipeline._SECTION_TYPES) == {"stages", "crossturn", "bargein", "disfluency", "pool_weights"}
-    unknown = [(f.name, f.type) for f in _checked_fields() if f.type not in TYPES]
+    unknown = [(name, annotation) for name, annotation in _checked_annotations() if annotation not in TYPES]
     assert unknown == []
