@@ -377,8 +377,11 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
 
         if t.disfluency:
             bounds = _bounds(t.disfluency, n)
-            if bounds != sorted(bounds):
-                out.append(Violation("turn.disfluency_range", "ranges must lie in the text, in order and apart", t.index))
+            if bounds != sorted(bounds) or not all(clear_of(t.slot_spans, m.start, m.end) for m in t.disfluency):
+                out.append(Violation(
+                    "turn.disfluency_range", "ranges must lie in the text, in order, apart and clear of slot spans",
+                    t.index,
+                ))
 
         if t.role is Role.USER and BARGEIN_TOKEN in t.text:
             out.append(Violation("turn.bargein_token", "user turn contains the truncation token", t.index))
@@ -445,8 +448,7 @@ def _bounds(metas: Iterable[DisfluencyMeta], n: int) -> list[int]:
 
 
 def fluent_text(t: Turn) -> str:
-    """t's text with every disfluency range cut out: the text before
-    augmentation, or for RST the restart alone."""
+    """t's text with every disfluency range cut out: the text before injection."""
     bounds = _bounds(t.disfluency, len(t.text))
     return "".join(t.text[a:b] for a, b in zip(bounds[::2], bounds[1::2]))
 

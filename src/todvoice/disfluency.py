@@ -2,9 +2,9 @@
 
 An utterance of L words is selected with probability 1 - b^L, receives one
 uniformly drawn disfluency type, and the event lands at a slot-proximate or
-uniform word position. FP/DM/EDIT/REP are pure text edits; COR and RST route
-through the generator client and are rejected (turn left fluent) when the
-client output drops a slot value.
+uniform word position. Every event inserts one piece into the unchanged
+text; COR and RST take theirs from the generator client, and a reply of any
+other shape leaves the turn fluent.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .clients import ChatClient, ClientError
 from . import prompts
 from .corpus import (
     COR_CONNECTORS, DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn,
-    clear_of, locate_slot_spans, shift_ranges, shift_spans,
+    clear_of, shift_ranges, shift_spans,
 )
 
 log = logging.getLogger(__name__)
@@ -63,6 +63,16 @@ def _word_char_spans(text: str) -> list[tuple[int, int]]:
     return [(m.start(), m.end()) for m in re.finditer(r"\S+", text)]
 
 
+def _landing(text: str, word_spans: list[tuple[int, int]], dtype: str, i: int) -> tuple[int, int]:
+    """(start, end) of the words i-1..i, less trailing punctuation, that an
+    event at word i repeats and lands after; a filler repeats none."""
+    if dtype in FILLERS:
+        return word_spans[i][0], word_spans[i][0]
+    lo, hi = word_spans[max(0, i - 1)][0], word_spans[i][1]
+    copy = re.sub(r"[^\w'%]+$", "", text[lo:hi])
+    return lo, lo + (len(copy) or hi - lo)
+
+
 def choose_position(
     t: Turn, dtype: str, cfg: DisfluencyConfig, rng: random.Random
 ) -> tuple[str, int]:
@@ -70,7 +80,8 @@ def choose_position(
 
     COR demands a slot position; a slotless turn resamples among the other
     five types. Other types go slot-local with probability p_slot_local when
-    slots exist, else uniform.
+    slots exist, else uniform, at a word whose landing point is not strictly
+    inside a slot span (RST, which lands at 0, draws its position as REP does).
     """
     word_spans = _word_char_spans(t.text)
     n = len(word_spans)
@@ -85,11 +96,8 @@ def choose_position(
         else:
             return "COR", rng.choice(slot_words)
 
-    # Insertion-type events must not land strictly inside a slot span:
-    # FP/DM/EDIT insert at the word start, REP inserts after the word end.
     def valid(i: int) -> bool:
-        ws, we = word_spans[i]
-        k = ws if dtype in FILLERS else we
+        k = _landing(t.text, word_spans, dtype, i)[1]
         return not any(s < k < e for _, s, e in t.slot_spans)
 
     candidates = [i for i in range(n) if valid(i)] or list(range(n))
@@ -104,113 +112,64 @@ def choose_position(
     return dtype, rng.choice(candidates)
 
 
-def relocate_spans(
-    new_text: str, spans: tuple[tuple[str, int, int], ...], old_text: str
-) -> tuple[tuple[str, int, int], ...]:
-    """Re-find span values in rewritten text; values that vanished are dropped."""
-    report = locate_slot_spans(new_text, [(name, old_text[s:e]) for name, s, e in spans])
-    for name, _ in report.unmatched:
-        log.warning("slot %r lost during disfluency rewrite; span dropped", name)
-    return report.matched
-
-
-def _inject_insertion(t: Turn, dtype: str, position: int, rng: random.Random) -> Turn:
-    word_spans = _word_char_spans(t.text)
-    position = min(position, len(word_spans) - 1)
-
-    if dtype in FILLERS:
-        filler = rng.choice(FILLERS[dtype])
-        k = word_spans[position][0]
-        plain = f"{filler}, "
-        inserted_span = f"{filler},"
-    else:  # REP
-        lo = word_spans[max(0, position - 1)][0]
-        hi = word_spans[position][1]
-        raw = t.text[lo:hi]
-        copy = re.sub(r"[^\w'%]+$", "", raw)
-        if not copy:
-            copy = raw
-        k = lo + len(copy)
-        plain = f", {copy}"
-        inserted_span = copy
-
-    meta = DisfluencyMeta(type=dtype, position=position, inserted_span=inserted_span, start=k, end=k + len(plain))
-    earlier = shift_ranges(t.disfluency, k, k, len(plain))
+def _insert(
+    t: Turn, dtype: str, position: int, at: int, piece: str, inserted_span: str, original_value: str | None = None
+) -> Turn:
+    """t with piece inserted at character `at` as one event whose range is the
+    piece; the slot spans and earlier ranges at or after `at` move past it."""
+    meta = DisfluencyMeta(dtype, position, inserted_span, original_value, at, at + len(piece))
+    earlier = shift_ranges(t.disfluency, at, at, len(piece))
     return t.with_(
-        text=t.text[:k] + plain + t.text[k:],
-        slot_spans=shift_spans(t.slot_spans, k, len(plain)),
+        text=t.text[:at] + piece + t.text[at:],
+        slot_spans=shift_spans(t.slot_spans, at, len(piece)),
         disfluency=tuple(sorted((*earlier, meta), key=lambda m: m.start)),
     )
 
 
+def _inject_rule(t: Turn, dtype: str, position: int, rng: random.Random) -> Turn:
+    lo, at = _landing(t.text, _word_char_spans(t.text), dtype, position)
+    if dtype in FILLERS:
+        filler = rng.choice(FILLERS[dtype])
+        return _insert(t, dtype, position, at, f"{filler}, ", f"{filler},")
+    return _insert(t, dtype, position, at, f", {t.text[lo:at]}", t.text[lo:at])
+
+
 def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
-    if not t.slot_spans:
-        log.warning("COR requested on slotless turn %d; left fluent", t.index)
-        return t
+    """The reply must be the text with a wrong value and connector before the slot value."""
     ws, we = _word_char_spans(t.text)[position]
     name, s, e = next((sp for sp in t.slot_spans if sp[1] < we and ws < sp[2]), t.slot_spans[0])
     value = t.text[s:e]
     reply = gen.complete(prompts.self_correction_prompt(t.text, name, value)).strip()
-    if value not in reply or reply == t.text:
-        log.warning("self-correction output missing value %r; turn %d left fluent", value, t.index)
-        return t
+    piece = reply[s : s + len(reply) - len(t.text)]
+    if piece and reply == t.text[:s] + piece + t.text[s:]:
+        for conn in COR_CONNECTORS:
+            wrong = piece[: -len(conn)]
+            if piece.endswith(conn) and wrong and wrong != value:
+                return _insert(t, "COR", position, s, piece, wrong, value)
+    log.warning("self-correction output unparseable; turn %d left fluent", t.index)
+    return t
 
-    # Expected shape: text[:s] + wrong + connector + value + text[e:], so the
-    # wrong segment is recovered positionally rather than by pattern.
-    wrong = None
-    for conn in COR_CONNECTORS:
-        idx = reply.find(conn + value, s)
-        if idx < 0 or not reply.startswith(t.text[:s]):
-            continue
-        candidate = reply[s:idx]
-        if not candidate or candidate == value:
-            continue
-        wrong, end = candidate, idx + len(conn)
-        break
-    if wrong is None:
-        log.warning("self-correction output unparseable; turn %d left fluent", t.index)
-        return t
 
-    meta = DisfluencyMeta(type="COR", position=position, inserted_span=wrong, original_value=value, start=s, end=end)
-    return t.with_(
-        text=reply,
-        slot_spans=relocate_spans(reply, t.slot_spans, t.text),
-        disfluency=(meta,),
-    )
+# An RST reply's prefix: the fragment, its pause, and the gap before the text.
+_RESTART = re.compile(r"((.+?)(?:\.\.\.|—))\s+", flags=re.DOTALL)
 
 
 def _inject_rst(t: Turn, position: int, gen: ChatClient) -> Turn:
+    """The reply must be a fragment of 2-5 words, its pause and a gap, then the text."""
     reply = gen.complete(prompts.restart_prompt(t.text)).strip()
-    missing = [t.text[s:e] for _, s, e in t.slot_spans if t.text[s:e] not in reply]
-    if missing:
-        log.warning("restart output missing values %r; turn %d left fluent", missing, t.index)
-        return t
-    m = re.search(r"^(.+?(?:\.\.\.|—))\s+(.+)$", reply, flags=re.DOTALL)
-    if not m or reply == t.text:
-        log.warning("restart output unparseable; turn %d left fluent", t.index)
-        return t
-    fragment = m.group(1)
-    frag_words = len(re.sub(r"(?:\.\.\.|—)$", "", fragment).split())
-    if not 2 <= frag_words <= 5:
-        log.warning("restart fragment of %d words out of range; turn %d left fluent", frag_words, t.index)
-        return t
-    meta = DisfluencyMeta(type="RST", position=position, inserted_span=fragment, start=0, end=m.start(2))
-    return t.with_(
-        text=reply,
-        slot_spans=relocate_spans(reply, t.slot_spans, t.text),
-        disfluency=(meta,),
-    )
+    m = _RESTART.fullmatch(reply, 0, len(reply) - len(t.text)) if reply.endswith(t.text) else None
+    if m and 2 <= len(m[2].split()) <= 5:
+        return _insert(t, "RST", position, 0, m[0], m[1])
+    log.warning("restart output unparseable; turn %d left fluent", t.index)
+    return t
 
 
 def inject(t: Turn, dtype: str, position: int, gen: ChatClient, rng: random.Random) -> Turn:
-    """Apply one disfluency event; on client failure the turn stays fluent.
-    COR and RST rewrite the whole turn, which the ranges of earlier events
-    could not follow, so they leave a disfluent turn as it is."""
+    """Apply one disfluency event at a word position from choose_position: one
+    piece inserted into the unchanged text. On a client failure or a reply of
+    another shape the turn stays fluent."""
     if dtype in _RULE_TYPES:
-        return _inject_insertion(t, dtype, position, rng)
-    if t.disfluency:
-        log.warning("%s requested on disfluent turn %d; left as it is", dtype, t.index)
-        return t
+        return _inject_rule(t, dtype, position, rng)
     try:
         if dtype == "COR":
             return _inject_cor(t, position, gen)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .corpus import BargeInStyle, BargeInType, Emotion, Turn
+from .corpus import COR_CONNECTORS, BargeInStyle, BargeInType, Emotion, Turn
 
 TASK_INTERRUPT_GENERATE = "Task: insert a user interruption"
 TASK_INTERRUPT_JUDGE = "Task: judge interruption applicability"
@@ -138,13 +138,11 @@ def emotion_prompt(context_str: str, utterance: str) -> str:
 def self_correction_prompt(utterance: str, slot_name: str, slot_value: str) -> str:
     return (
         f"{TASK_SELF_CORRECTION}\n"
-        "Rewrite the utterance so the speaker first says a plausible wrong value for the slot, "
-        "then corrects themselves. Use one of these patterns:\n"
-        '  "X— no, Y"\n'
-        '  "X— wait, I mean Y"\n'
-        '  "X— actually, Y"\n'
-        '  "X... Y"\n'
-        "The final utterance MUST still contain the correct value verbatim.\n"
+        "Rewrite the utterance so the speaker first says a plausible wrong value X for the slot, "
+        "then corrects themselves to its value Y. Insert X and one of these connectors just "
+        "before Y:\n"
+        + "".join(f'  "X{conn}Y"\n' for conn in COR_CONNECTORS)
+        + "Keep the rest of the utterance, Y included, exactly as it is.\n"
         "Respond with the rewritten utterance only.\n\n"
         f"Slot: {slot_name} = {slot_value}\n"
         f"Utterance: {utterance}\n"
@@ -156,7 +154,7 @@ def restart_prompt(utterance: str) -> str:
         f"{TASK_RESTART}\n"
         "Rewrite the utterance so the speaker abandons an incomplete fragment and restarts. "
         "The incomplete fragment should be 2-5 words, followed by a pause written as \"...\" "
-        "or \"—\", then the full restarted utterance. Keep every piece of task information.\n"
+        "or \"—\", then the whole utterance exactly as it is.\n"
         "Respond with the rewritten utterance only.\n\n"
         f"Utterance: {utterance}\n"
     )

@@ -288,6 +288,20 @@ class TestValidator:
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turns.indices" in rules
 
+    def test_disfluency_ranges_lie_in_the_text_in_order_and_clear_of_slot_spans(self):
+        text = "uh, the centre please"
+        fp = DisfluencyMeta("FP", 1, "uh,", start=0, end=4)
+
+        def rules(spans, *metas):
+            d = make_dialogue(texts=[(Role.USER, text)], spans={0: spans})
+            return [v.rule for v in validate_dialogue(d.with_turns([d.turns[0].with_(disfluency=metas)]))]
+
+        assert rules((("area", 8, 14),), fp) == []
+        assert rules((("area", 3, 14),), fp) == ["turn.disfluency_range"]
+        assert rules((("area", 0, 2),), fp) == ["turn.disfluency_range"]
+        assert rules((), DisfluencyMeta("FP", 1, "uh,", start=20, end=24)) == ["turn.disfluency_range"]
+        assert rules((), fp, DisfluencyMeta("FP", 1, "uh,", start=2, end=6)) == ["turn.disfluency_range"]
+
     def test_error_recovery_corrected_slots_checked_against_state(self):
         meta = BargeInMeta(
             type=BargeInType.ERROR_RECOVERY, style=BargeInStyle.RAW,

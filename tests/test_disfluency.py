@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from todvoice.clients import StubChatClient
 from todvoice.corpus import (
-    COR_CONNECTORS, Role, Turn, dumps_dialogue, fluent_text, loads_dialogue, locate_slot_spans, tagged_text,
+    COR_CONNECTORS, Role, Turn, clear_of, dumps_dialogue, fluent_text, loads_dialogue, locate_slot_spans, tagged_text,
 )
 from todvoice.disfluency import (
     DISFLUENCY_TYPES,
@@ -135,6 +135,17 @@ def _stub():
     return StubChatClient()
 
 
+def _cut_back(out: Turn) -> tuple[str, tuple[tuple[str, int, int], ...]]:
+    """out's fluent text, and its slot spans moved into it; every span must lie
+    clear of every disfluency range."""
+    assert all(clear_of(out.slot_spans, m.start, m.end) for m in out.disfluency)
+
+    def back(i: int) -> int:
+        return i - sum(m.end - m.start for m in out.disfluency if m.end <= i)
+
+    return fluent_text(out), tuple((name, back(s), back(e)) for name, s, e in out.slot_spans)
+
+
 class TestInject:
     def test_fp_before_first_word_matches_template(self):
         t = Turn(index=0, role=Role.USER, text="we should go there.")
@@ -155,6 +166,16 @@ class TestInject:
         assert meta.inserted_span == "Gold member"
         assert tagged_text(out) == "I'm a Gold member [REP] Gold member, not Bronze."
         assert fluent_text(out) == text
+
+    def test_rep_lands_after_its_copy_where_choose_position_checked(self):
+        """REP repeats words less their trailing punctuation, so it may not
+        go at a word whose copy ends inside a slot value ("Main St,")."""
+        text = "I live at 12 Main St. now"
+        t = Turn(index=0, role=Role.USER, text=text, slot_spans=(("street", 13, 21),))
+        rng = rng_for(0, "rep-landing")
+        for _ in range(2_000):
+            _, pos = choose_position(t, "REP", DisfluencyConfig(), rng)
+            assert _cut_back(inject(t, "REP", pos, _stub(), rng)) == (text, t.slot_spans), pos
 
     def test_cor_contains_gold_value_and_wrong_differs(self):
         text = "I need it on Saturday for sure."
@@ -257,7 +278,7 @@ def test_insertions_stack_and_cut_back():
 
 
 _WORDS = st.sampled_from(["alpha", "bravo", "charlie's", "delta", "echo5", "I", "mean", "no", "well"])
-_VALUES = ("Saturday", "cambridge", "HB676BP71", "two")
+_VALUES = ("Saturday", "cambridge", "HB676BP71", "two", "Main St.")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -270,10 +291,9 @@ _VALUES = ("Saturday", "cambridge", "HB676BP71", "two")
     seed=st.integers(0, 2**16),
 )
 def test_every_type_cuts_back_to_its_text_and_loads_as_written(words, slots, stop, dtype, connector, seed):
-    """Any one event's range lies in the text, and cutting it out gives the
-    text before injection with every slot value (the stub restart repeats
-    the whole utterance after its fragment, so RST's restart is that text);
-    the turn is written and read back unchanged."""
+    """Any one event's range lies in the text and clear of the slot spans,
+    and cutting it out gives the text before injection with its spans; the
+    turn is written and read back unchanged."""
     words = list(words)
     for at, value in slots:
         words.insert(at, value)
@@ -285,8 +305,8 @@ def test_every_type_cuts_back_to_its_text_and_loads_as_written(words, slots, sto
     out = inject(t, dtype, position, _Connector(connector), rng)
     bounds = [0, *(p for m in out.disfluency for p in (m.start, m.end)), len(out.text)]
     assert bounds == sorted(bounds)
-    assert fluent_text(out) == text
-    assert all(text[s:e] in fluent_text(out) for _, s, e in spans)
+    assert _cut_back(out) == (text, spans)
+    assert [out.text[s:e] for _, s, e in out.slot_spans] == [text[s:e] for _, s, e in spans]
     d = make_dialogue(texts=[(Role.USER, text)]).with_turns([out])
     once = dumps_dialogue(d)
     assert loads_dialogue(once) == d
@@ -315,6 +335,27 @@ class TestStage:
         a = apply_disfluency_stage(d.turns, DisfluencyConfig(), _stub(), rng_for(4, "det", "df"))
         b = apply_disfluency_stage(d.turns, DisfluencyConfig(), _stub(), rng_for(4, "det", "df"))
         assert a == b
+
+    def test_every_turn_cuts_back_to_its_input(self):
+        """Over seeded dialogues, each output turn's fluent text and spans are
+        its input's: an event never moves a label into what it inserted."""
+        rng = random.Random(8)
+        words = ["I", "want", "the", "hotel", "in", "please", "for", "that", "is", "fine"]
+        values = ["Main St.", "cambridge", "two", "Saturday"]
+        for k in range(150):
+            texts = []
+            for i in range(6):
+                ws = [rng.choice(words) for _ in range(rng.randint(2, 14))]
+                for value in rng.sample(values, rng.randint(0, 2)):
+                    ws.insert(rng.randint(0, min(3, len(ws))), value)
+                texts.append((Role.USER if i % 2 == 0 else Role.ASSISTANT, " ".join(ws) + "."))
+            d = make_dialogue(texts=texts)
+            d = d.with_turns(t.with_(slot_spans=locate_slot_spans(t.text, [(v, v) for v in values]).matched)
+                             for t in d.turns)
+            out = apply_disfluency_stage(d.turns, DisfluencyConfig(), _stub(), rng_for(k, "cut-back", "df"))
+            for before, after in zip(d.turns, out):
+                assert _cut_back(after) == (before.text, before.slot_spans)
+                assert [after.text[s:e] for _, s, e in after.slot_spans] == [v for v, _, _ in before.slot_spans]
 
     def test_slot_spans_still_valid_after_injection(self):
         rng = random.Random(21)

@@ -41,9 +41,9 @@ from todvoice.clients import StubChatClient
 from todvoice.corpus import load_corpus, save_corpus
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
-GOLDEN_DIGEST = "97e1dfce05894896479095424f0a5ffd026659bdf3341e71a067995cf42fbccc"
+GOLDEN_DIGEST = "98d5c321cd6dcd5d7a85fbe62beace6790728bba75514f08687b7e02f477fa72"
 GOLDEN_PROMPT_COUNT = 380
-GOLDEN_PROMPT_DIGEST = "834a9a961ebe83808579f9426c8d527fd0fb462cb878d4e4a03cdd143cef53ae"
+GOLDEN_PROMPT_DIGEST = "067f904f1d8bcd26c55ae9d83039486855dc5dd8456b8c60fb9652618acead4e"
 EVAL_DIGEST = "62fdc16d18b7bbf6d10c1a200cdaa1e43e8addd0409e4f5d5dede25ae11d1d00"
 EVAL_PROMPT_COUNT = 347
 EVAL_PROMPT_DIGEST = "14f3a65c6bc9eb2d43090b8f76f5b4498fab6d71b42acb086251990f40fdcecb"
