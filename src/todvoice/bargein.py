@@ -57,7 +57,8 @@ def sample_candidates(d: Dialogue, cfg: BargeInConfig, rng: random.Random) -> li
     types = list(BargeInType)
     styles = list(BargeInStyle)
     for t in d.turns:
-        if t.role is Role.USER and rng.random() < cfg.sample_rate:
+        # a second block after an interruption would leave three assistant turns in a row
+        if t.role is Role.USER and t.bargein is None and rng.random() < cfg.sample_rate:
             out.append(Candidate(t.index, rng.choice(types), rng.choice(styles)))
     return out
 

@@ -1,18 +1,21 @@
-"""Checked reading of JSON that other tools wrote: config, corpus and speaker manifests.
+"""Checked reading of JSON that other tools wrote: config, corpus, speaker manifests and predictions.
 
 A value is typed by the annotation of the dataclass field it fills. Under
 `from __future__ import annotations` that annotation is a string, and TYPES
 maps each one a loader meets to what the JSON value must be and a check
 ("dict" and "list" stand for a JSON object or array that is not one field).
 Nothing is coerced: a bad value raises the caller's error type, worded
-"<where> must be <what>, not <value>".
+"<where> must be <what>, not <value>", and a text that is not JSON raises it
+naming the file and the line.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import reprlib
+from pathlib import Path
 from typing import Any, Callable, Collection, Mapping
 
 _PLAIN: dict[str, tuple[str, Callable[[Any], bool]]] = {
@@ -39,6 +42,17 @@ TYPES: dict[str, tuple[str, Callable[[Any], bool]]] = {
 def must(where: str, what: str, value: Any) -> str:
     """The wording of every bad value."""
     return f"{where} must be {what}, not {reprlib.repr(value)}"
+
+
+def parse_json(path: str | Path, error: type[Exception], text: str | None = None, lines_before: int = 0) -> Any:
+    """The JSON value of text (default: the file at path), whose first line is
+    line lines_before + 1 of the file; a text that is not JSON is error."""
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{lines_before + exc.lineno}: {exc.msg} (column {exc.colno})") from exc
 
 
 def check(where: str, value: Any, annotation: str, error: type[Exception]) -> Any:

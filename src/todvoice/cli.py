@@ -10,7 +10,7 @@ from pathlib import Path
 
 import click
 
-from .checked import check
+from .checked import check, parse_json
 from .clients import ClientError
 from .corpus import CorpusError, iter_records, load_corpus, save_corpus, validate_dialogue
 from .ingest import SOURCES, adapt
@@ -196,13 +196,11 @@ def stats(input_path: str) -> None:
 @click.argument("streams_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", type=click.Choice(STRATEGY_NAMES), default="linear_weighted",
               show_default=True)
-@click.option("--window", type=int, default=6, show_default=True)
 @click.option("--t-turnend", type=float, default=None, help="Turn-end threshold override.")
 @click.option("--t-bargein", type=float, default=None, help="Barge-in threshold override.")
-def eval_turn_taking(streams_path: str, strategy: str, window: int,
-                     t_turnend: float | None, t_bargein: float | None) -> None:
+def eval_turn_taking(streams_path: str, strategy: str, t_turnend: float | None, t_bargein: float | None) -> None:
     """Score labeled probability streams under one strategy."""
-    cfg = StrategyConfig(strategy, window=window, t_turnend=t_turnend, t_bargein=t_bargein)
+    cfg = StrategyConfig(strategy, t_turnend=t_turnend, t_bargein=t_bargein)
     streams = read_streams(streams_path)
     report = evaluate_set(((s.frames, s.truth) for s in streams), cfg)
     click.echo(json.dumps(format_report(report, cfg), indent=2))
@@ -245,7 +243,7 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
     else:
         out["disclosure_curve"] = [round(v, 6) for v in curve]
     if pred_path:
-        preds = check(pred_path, json.loads(Path(pred_path).read_text(encoding="utf-8")), "dict", ValueError)
+        preds = check(pred_path, parse_json(pred_path, ValueError), "dict", ValueError)
         for dialogue_id, state in preds.items():
             check(f"{pred_path}[{dialogue_id!r}]", state, "dict[str, str]", ValueError)
         pairs = []

@@ -17,7 +17,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .checked import build, check, must
+from .checked import build, check, must, parse_json
 
 BARGEIN_TOKEN = "<bargein>"
 
@@ -333,8 +333,6 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
     """Check structural invariants; returns violations instead of raising."""
     out: list[Violation] = []
 
-    if not d.goal.sub_goals:
-        out.append(Violation("goal.sub_goals", "goal has no sub-goals"))
     if not d.turns:
         out.append(Violation("turns.empty", "dialogue has no turns"))
 
@@ -598,14 +596,17 @@ def turn_from_dict(d: Any, index: int) -> Turn:
             if member is None or emotion.get("name", name) != name:
                 raise CorpusError(must("emotion", 'null or {"label": 0-6, "name": its name}', emotion))
             emotion = member
-        bargein = get("bargein")
+        bargein = stored = get("bargein")
         if bargein is not None:
-            check("bargein", bargein, "dict", CorpusError)
+            check("bargein", stored, "dict", CorpusError)
             bargein = BargeInMeta.from_subtype(
-                check("bargein.subtype", bargein.get("subtype"), "str", CorpusError),
-                **{name: check(f"bargein.{name}", bargein.get(name), annotation, CorpusError)
+                check("bargein.subtype", stored.get("subtype"), "str", CorpusError),
+                **{name: check(f"bargein.{name}", stored.get(name), annotation, CorpusError)
                    for name, annotation in _BARGEIN_SLOTS},
             )
+            derived = bargein.type.value.upper()
+            if stored.get("type", derived) != derived:
+                raise CorpusError(must("bargein.type", json.dumps(derived), stored["type"]))
         disfluency = ()
         if "disfluency" in d:
             metas = check("disfluency", get("disfluency"), "list", CorpusError)
@@ -630,10 +631,17 @@ def turn_from_dict(d: Any, index: int) -> Turn:
         raise CorpusError(f"turn {index}: {exc}") from exc
 
 
+def _goal_sets(goal: Goal) -> dict[str, list[str]]:
+    """The sorted domains and intents of goal's sub-goals, as stored."""
+    return {
+        "domains": sorted({sg.domain for sg in goal.sub_goals}),
+        "intents": sorted({sg.intent for sg in goal.sub_goals}),
+    }
+
+
 def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
     structured = {
-        "domains": sorted({sg.domain for sg in d.goal.sub_goals}),
-        "intents": sorted({sg.intent for sg in d.goal.sub_goals}),
+        **_goal_sets(d.goal),
         "sub_goals": [
             {
                 "domain": sg.domain,
@@ -663,7 +671,8 @@ def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
 def dialogue_from_dict(data: Any) -> Dialogue:
     """A Dialogue from its JSON object; a bad value is one CorpusError naming
     the dialogue (and the turn, if the value is in one). A stored correction
-    pointer must be the one corrections derives from the turns."""
+    pointer, barge-in type, or goal domain or intent list must be the one
+    derived from the rest."""
     check("dialogue", data, "dict", CorpusError)
     dialogue_id = check("dialogue_id", data.get("dialogue_id"), "str", CorpusError)
     try:
@@ -676,6 +685,9 @@ def dialogue_from_dict(data: Any) -> Dialogue:
                 build(SubGoal, f"goal.structured.sub_goals[{i}]", sg, CorpusError) for i, sg in enumerate(sub_goals)
             ),
         )
+        for key, derived in _goal_sets(goal).items():
+            if structured.get(key, derived) != derived:
+                raise CorpusError(must(f"goal.structured.{key}", json.dumps(derived), structured[key]))
         raw = check("turns", data.get("turns"), "list", CorpusError)
         turns = tuple(turn_from_dict(t, i) for i, t in enumerate(raw))
         fixes = corrections(turns)
@@ -712,20 +724,14 @@ def iter_records(path: str | Path) -> Iterator[dict[str, Any]]:
     with "{" at its first column, which makes it NDJSON.
     A text that is not JSON is a CorpusError naming the file and its line.
     """
-    def parse(text: str, lines_before: int = 0) -> Any:
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lines_before + exc.lineno}: {exc.msg} (column {exc.colno})") from exc
-
     text = Path(path).read_text(encoding="utf-8")
     head = text.lstrip()
     if head.startswith("["):
-        yield from parse(text)
+        yield from parse_json(path, CorpusError, text)
     elif head.startswith("{") and "\n{" not in head:
-        yield parse(text)
+        yield parse_json(path, CorpusError, text)
     else:
-        yield from (parse(line, n) for n, line in enumerate(text.splitlines()) if line.strip())
+        yield from (parse_json(path, CorpusError, line, n) for n, line in enumerate(text.splitlines()) if line.strip())
 
 
 def load_corpus(path: str | Path) -> list[Dialogue]:

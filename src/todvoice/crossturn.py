@@ -17,32 +17,28 @@ from .corpus import CrossTurnMeta, Dialogue, Role, Turn, corrections, shift_rang
 
 _DIGIT_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
 
+MIN_DIGITS = 7  # a value with this many digits or more is dictated
+MIN_CODE_LEN = 5  # so is an unspaced letter-digit code this long; its digit runs this long are split
+
 
 @dataclass(frozen=True)
 class CrossTurnConfig:
     p_error: float = 0.20
-    min_digits: int = 7
-    min_code_len: int = 5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_error <= 1.0:
             raise ValueError("p_error must be in [0, 1]")
 
 
-def is_segmentable(slot_value: str, cfg: CrossTurnConfig = CrossTurnConfig()) -> bool:
-    if "@" in slot_value:
+def is_segmentable(slot_value: str) -> bool:
+    if "@" in slot_value or sum(ch.isdigit() for ch in slot_value) >= MIN_DIGITS:
         return True
-    digits = sum(ch.isdigit() for ch in slot_value)
-    if digits >= cfg.min_digits:
-        return True
-    if (
-        len(slot_value) >= cfg.min_code_len
+    return (
+        len(slot_value) >= MIN_CODE_LEN
         and not re.search(r"\s", slot_value)
         and any(ch.isalpha() for ch in slot_value)
         and any(ch.isdigit() for ch in slot_value)
-    ):
-        return True
-    return False
+    )
 
 
 def _split_digits(digits: str) -> list[str]:
@@ -70,8 +66,8 @@ def _vocalize_dots(part: str) -> str:
     return part.replace(".", " dot ").replace("  ", " ").strip()
 
 
-def segment_value(slot_value: str, cfg: CrossTurnConfig = CrossTurnConfig()) -> list[str]:
-    if not is_segmentable(slot_value, cfg):
+def segment_value(slot_value: str) -> list[str]:
+    if not is_segmentable(slot_value):
         raise ValueError(f"value is not segmentable: {slot_value!r}")
     if "@" in slot_value:
         local, domain = slot_value.split("@", 1)
@@ -79,7 +75,7 @@ def segment_value(slot_value: str, cfg: CrossTurnConfig = CrossTurnConfig()) -> 
     if not re.search(r"\s", slot_value) and any(ch.isalpha() for ch in slot_value):
         chunks: list[str] = []
         for run in re.findall(r"[A-Za-z]+|\d+", slot_value):
-            if run.isdigit() and len(run) >= cfg.min_code_len:
+            if run.isdigit() and len(run) >= MIN_CODE_LEN:
                 chunks.extend(_split_digits(run))
             else:
                 chunks.append(run)
@@ -185,12 +181,12 @@ def reconstruct_value(d: Dialogue, slot: str) -> list[str]:
     return values
 
 
-def segmentable_slots(turn: Turn, cfg: CrossTurnConfig) -> list[tuple[str, str]]:
+def segmentable_slots(turn: Turn) -> list[tuple[str, str]]:
     """(slot, value) pairs in span order whose values qualify for segmentation."""
     out = []
     for name, s, e in sorted(turn.slot_spans, key=lambda sp: sp[1]):
         value = turn.text[s:e]
-        if is_segmentable(value, cfg):
+        if is_segmentable(value):
             out.append((name, value))
     return out
 
@@ -207,11 +203,11 @@ def apply_crossturn_stage(
     for i, t in enumerate(d.turns):
         if t.role is not Role.USER or t.crossturn is not None:
             continue
-        slots = segmentable_slots(t, cfg)
+        slots = segmentable_slots(t)
         if not slots:
             continue
         name, value = slots[0]
-        chunks = segment_value(value, cfg)
+        chunks = segment_value(value)
         if len(chunks) < 2:
             continue
         block = dictation_block(t, name, chunks, rng, cfg)

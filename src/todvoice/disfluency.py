@@ -4,7 +4,8 @@ An utterance of L words is selected with probability 1 - b^L, receives one
 uniformly drawn disfluency type, and the event lands at a slot-proximate or
 uniform word position. Every event inserts one piece into the unchanged
 text; COR and RST take theirs from the generator client, and a reply of any
-other shape leaves the turn fluent.
+other shape leaves the turn fluent, as does a turn with no word at which the
+event could land outside every slot value.
 """
 
 from __future__ import annotations
@@ -31,19 +32,21 @@ FILLERS = {
 
 _RULE_TYPES = ("FP", "DM", "EDIT", "REP")
 
+# With probability P_SLOT_LOCAL an event lands within SLOT_WINDOW_WORDS words of a slot.
+P_SLOT_LOCAL = 0.5
+SLOT_WINDOW_WORDS = 2
+
 
 @dataclass(frozen=True)
 class DisfluencyConfig:
     b: float = 0.9453
-    slot_window_words: int = 2
-    p_slot_local: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.b < 1.0:
             raise ValueError("b must be in (0, 1)")
 
 
-def disfluency_probability(L: int, b: float = 0.9453) -> float:
+def disfluency_probability(L: int, b: float) -> float:
     """P(disfluent | L words) = 1 - b^L."""
     if L < 0:
         raise ValueError("word count must be non-negative")
@@ -73,13 +76,12 @@ def _landing(text: str, word_spans: list[tuple[int, int]], dtype: str, i: int) -
     return lo, lo + (len(copy) or hi - lo)
 
 
-def choose_position(
-    t: Turn, dtype: str, cfg: DisfluencyConfig, rng: random.Random
-) -> tuple[str, int]:
-    """Pick (possibly resampled type, word position) for the event.
+def choose_position(t: Turn, dtype: str, rng: random.Random) -> tuple[str, int] | None:
+    """Pick (possibly resampled type, word position) for the event, or None
+    when no word gives it a landing point outside every slot span.
 
     COR demands a slot position; a slotless turn resamples among the other
-    five types. Other types go slot-local with probability p_slot_local when
+    five types. Other types go slot-local with probability P_SLOT_LOCAL when
     slots exist, else uniform, at a word whose landing point is not strictly
     inside a slot span (RST, which lands at 0, draws its position as REP does).
     """
@@ -100,13 +102,11 @@ def choose_position(
         k = _landing(t.text, word_spans, dtype, i)[1]
         return not any(s < k < e for _, s, e in t.slot_spans)
 
-    candidates = [i for i in range(n) if valid(i)] or list(range(n))
-    if slot_words and rng.random() < cfg.p_slot_local:
-        near = [
-            i
-            for i in candidates
-            if min(abs(i - j) for j in slot_words) <= cfg.slot_window_words
-        ]
+    candidates = [i for i in range(n) if valid(i)]
+    if not candidates:
+        return None
+    if slot_words and rng.random() < P_SLOT_LOCAL:
+        near = [i for i in candidates if min(abs(i - j) for j in slot_words) <= SLOT_WINDOW_WORDS]
         if near:
             return dtype, rng.choice(near)
     return dtype, rng.choice(candidates)
@@ -190,8 +190,8 @@ def apply_disfluency_stage(
     for t in d_turns:
         if t.role is Role.USER and t.text.strip() and not t.disfluency:
             drawn = sample_and_type(t, cfg, rng)
-            if drawn is not None:
-                dtype, position = choose_position(t, drawn, cfg, rng)
-                t = inject(t, dtype, position, gen, rng)
+            chosen = choose_position(t, drawn, rng) if drawn else None
+            if chosen is not None:
+                t = inject(t, *chosen, gen, rng)
         out.append(t)
     return tuple(out)

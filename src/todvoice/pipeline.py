@@ -9,7 +9,6 @@ run continues.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, get_type_hints
 
 from .bargein import BargeInConfig, apply_bargein_stage
-from .checked import build, check, known_keys, must
+from .checked import build, check, known_keys, must, parse_json
 from .clients import (
     ASRClient,
     ChatClient,
@@ -125,7 +124,7 @@ def config_from_dict(data: Mapping[str, Any]) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    return config_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return config_from_dict(parse_json(path, ConfigError))
 
 
 @dataclass

@@ -8,14 +8,13 @@ fixed pool of ten native speakers, disjoint from the user pool.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .checked import build, check, must
+from .checked import build, check, must, parse_json
 from .corpus import CorpusError, SpeakerProfile
 
 log = logging.getLogger(__name__)
@@ -113,23 +112,12 @@ def build_pool(
     )
 
 
-def _weighted_choice(weights: Sequence[tuple[str, float]], rng: random.Random) -> str:
-    total = sum(w for _, w in weights)
-    r = rng.random() * total
-    acc = 0.0
-    for name, w in weights:
-        acc += w
-        if r < acc:
-            return name
-    return weights[-1][0]
-
-
 def sample_user_speaker(pool: Pool, weights: PoolWeights, rng: random.Random) -> SpeakerProfile:
     """Three-stage draw; an empty stratum triggers bounded country resampling."""
     present = [(p, getattr(weights, p)) for p in pool.accent_pools() if getattr(weights, p) > 0]
     if not present:
         raise SamplingError("no accent pool has both weight and speakers")
-    accent = _weighted_choice(present, rng)
+    accent = rng.choices([p for p, _ in present], [w for _, w in present])[0]
     age_bin = rng.choice(AGE_BINS)
     gender = rng.choice(GENDERS)
     countries = pool.countries[accent]
@@ -179,7 +167,7 @@ def _profile_from_dict(row: Any, where: str) -> SpeakerProfile:
 
 
 def load_speaker_manifest(path: str | Path) -> list[SpeakerProfile]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = parse_json(path, ConfigError)
     if not isinstance(data, list):
         raise ConfigError("speaker manifest must be a JSON array of profiles")
     return [_profile_from_dict(row, f"{path}[{i}]") for i, row in enumerate(data)]

@@ -2,14 +2,17 @@
 
 Covers exactly four rewrite classes: cardinal/ordinal numbers, clock times,
 currency amounts, and a fixed abbreviation list. Everything else passes
-through verbatim, so the function is idempotent. Disfluency markers and the
-truncation token are metadata, not speech, and are stripped; lexical fillers
-stay in the text.
+through verbatim, so the function is idempotent. The truncation token is
+metadata, not speech, and is stripped; lexical fillers stay in the text (a
+turn's text holds no disfluency marker: the tagged text is derived only when
+a corpus is written).
 """
 
 from __future__ import annotations
 
 import re
+
+from .corpus import BARGEIN_TOKEN
 
 _ONES = [
     "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
@@ -42,8 +45,6 @@ ABBREVIATIONS = {
     "etc.": "et cetera",
     "vs.": "versus",
 }
-
-_MARKER_RE = re.compile(r"\[(?:FP|DM|EDIT|REP|COR|RST)\] ?|<bargein>")
 
 _TIME_RE = re.compile(r"\b(\d{1,2}):(\d{2})\s*([ap])\.?m\.?(?=\W|$)|\b(\d{1,2}):(\d{2})\b", re.IGNORECASE)
 _CURRENCY_RE = re.compile(r"([$£])\s?(\d{1,3}(?:,\d{3})+|\d+)(?:\.(\d{2}))?")
@@ -146,7 +147,7 @@ def _replace_cardinal(match: re.Match[str]) -> str:
 
 def normalize_text(text: str) -> str:
     """Rewrite text into its spoken form for synthesis."""
-    out = _MARKER_RE.sub("", text)
+    out = text.replace(BARGEIN_TOKEN, "")
     out = _CURRENCY_RE.sub(_replace_currency, out)
     out = _TIME_RE.sub(_replace_time, out)
     out = _ORDINAL_RE.sub(_replace_ordinal, out)

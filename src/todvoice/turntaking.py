@@ -4,7 +4,8 @@ Each assistant-side token stream carries per-frame probabilities over
 {listen, turnend, bargein}. A strategy watches a sliding window of the last W
 frames and fires at most once per stream; fire outcomes are scored against the
 final-W trigger window as correct / early / confused / missed, and a binary
-collapse merges correct with confused.
+collapse merges correct with confused. One W, TRIGGER_WINDOW, serves both, and
+the default thresholds are set for it (prob_threshold's 5.0 is a window sum).
 """
 
 from __future__ import annotations
@@ -72,15 +73,12 @@ def frame_argmax(f: ProbFrame) -> str:
 @dataclass(frozen=True)
 class StrategyConfig:
     strategy: str
-    window: int = TRIGGER_WINDOW
     t_turnend: float | None = None
     t_bargein: float | None = None
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if self.strategy == "argmax":
             if self.t_turnend is not None or self.t_bargein is not None:
                 raise ValueError("argmax takes no thresholds")
@@ -158,7 +156,7 @@ class StrategyState:
 
     def __init__(self, cfg: StrategyConfig) -> None:
         self.cfg = cfg
-        self._window: deque[ProbFrame] = deque(maxlen=cfg.window)
+        self._window: deque[ProbFrame] = deque(maxlen=TRIGGER_WINDOW)
         self._n = 0
         self.fired: FireDecision | None = None
 
@@ -253,9 +251,7 @@ def evaluate_set(
     )
 
 
-def _score_maxima(
-    frames: Sequence[ProbFrame], strategy: str, window: int
-) -> tuple[list[float], list[float]]:
+def _score_maxima(frames: Sequence[ProbFrame], strategy: str) -> tuple[list[float], list[float]]:
     """Running maxima of the turn-end and barge-in window scores, one per frame.
 
     Every score is a fresh window_score over the window StrategyState would
@@ -266,7 +262,7 @@ def _score_maxima(
     max_bi: list[float] = []
     te = bi = float("-inf")
     for i in range(len(frames)):
-        win = frames[max(0, i - window + 1): i + 1]
+        win = frames[max(0, i - TRIGGER_WINDOW + 1): i + 1]
         te = max(te, window_score(strategy, win, "turnend"))
         bi = max(bi, window_score(strategy, win, "bargein"))
         max_te.append(te)
@@ -279,7 +275,6 @@ def sweep_thresholds(
     strategy: str,
     te_values: Sequence[float],
     bi_values: Sequence[float],
-    window: int = TRIGGER_WINDOW,
 ) -> list[dict[str, object]]:
     """evaluate_set's table for every pair with 0 < t_bargein < t_turnend.
 
@@ -287,14 +282,14 @@ def sweep_thresholds(
     bisections per stream. Inverted pairs are skipped.
     """
     cfgs = [
-        StrategyConfig(strategy, window=window, t_turnend=te, t_bargein=bi)
+        StrategyConfig(strategy, t_turnend=te, t_bargein=bi)
         for te in te_values
         for bi in bi_values
         if 0 < bi < te
     ]
     if not cfgs:
         return []
-    traces = [(*_score_maxima(frames, strategy, window), truth) for frames, truth in streams]
+    traces = [(*_score_maxima(frames, strategy), truth) for frames, truth in streams]
     rows: list[dict[str, object]] = []
     for cfg in cfgs:
         outcomes = []
@@ -359,7 +354,7 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
 def format_report(report: OutcomeReport, cfg: StrategyConfig) -> dict[str, object]:
     return {
         "strategy": cfg.strategy,
-        "window": cfg.window,
+        "window": TRIGGER_WINDOW,
         "thresholds": {"turnend": cfg.t_turnend, "bargein": cfg.t_bargein},
         "rows": report.as_table(),
     }

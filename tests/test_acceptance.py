@@ -53,6 +53,7 @@ from todvoice.turntaking import (
     FireDecision,
     OutcomeCounts,
     ProbFrame,
+    TRIGGER_WINDOW,
     StrategyConfig,
     evaluate_set,
     run_stream,
@@ -144,7 +145,7 @@ class TestCrossTurnReconstruction:
                 dialogue_id=f"code-{i:05d}",
                 spans={0: (("ref", at, at + len(value)),)},
             )
-            expanded = dictate(d, 0, "ref", segment_value(value, cfg), rng, cfg)
+            expanded = dictate(d, 0, "ref", segment_value(value), rng, cfg)
             assert reconstruct_value(expanded, "ref") == [value]
             if any(t.crossturn is not None and t.crossturn.is_error for t in expanded.turns):
                 errors += 1
@@ -223,7 +224,7 @@ def _oracle_run(frames: list[ProbFrame], cfg: StrategyConfig) -> FireDecision:
             if cls != "listen":
                 return FireDecision(True, cls, i)
             continue
-        window = frames[max(0, i - cfg.window + 1) : i + 1]
+        window = frames[max(0, i - TRIGGER_WINDOW + 1) : i + 1]
         for cls, threshold in (("turnend", cfg.t_turnend), ("bargein", cfg.t_bargein)):
             if _oracle_score(cfg.strategy, window, cls) > threshold:
                 return FireDecision(True, cls, i)
@@ -494,14 +495,13 @@ class TestProductPathTypes:
 class TestFluentRoundTrip:
     def test_projection_recovers_original_text(self):
         rng = random.Random(909)
-        cfg = DisfluencyConfig()
         kinds = ("FP", "DM", "EDIT", "REP")
         counts: Counter[str] = Counter()
         n = 10_000
         for i in range(n):
             text = _utterance(rng, rng.randint(3, 12))
             turn = Turn(index=0, role=Role.USER, text=text)
-            dtype, position = choose_position(turn, kinds[i % 4], cfg, rng)
+            dtype, position = choose_position(turn, kinds[i % 4], rng)
             out = inject(turn, dtype, position, None, rng)
             assert out.disfluency, "injection must record metadata"
             assert fluent_text(out) == text, (dtype, text, tagged_text(out))

@@ -64,6 +64,19 @@ class TestSampling:
         got = sample_candidates(d, BargeInConfig(sample_rate=1.0), rng_for(0, "b"))
         assert [c.turn_idx for c in got] == [0, 2, 4]
 
+    def test_a_user_turn_that_interrupts_is_no_candidate_and_draws_nothing(self):
+        d = apply_bargein_stage(with_states(_six_turn_dialogue(), {0: {"destination": "Paris", "day": "Friday"}}),
+                                BargeInConfig(sample_rate=1.0), _chat(), _chat(), rng_for(3, "dlg-0001", "bi"))
+        interrupting = [t.index for t in d.turns if t.role is Role.USER and t.bargein is not None]
+        assert interrupting
+        got = sample_candidates(d, BargeInConfig(sample_rate=1.0), rng_for(0, "b"))
+        assert [c.turn_idx for c in got] == [t.index for t in d.turns if t.role is Role.USER and t.bargein is None]
+        # the turn is skipped before its Bernoulli draw, so it uses no randomness
+        rng = rng_for(0, "c")
+        only = d.with_turns(d.turns[i] for i in range(len(d.turns)) if i in interrupting)
+        assert sample_candidates(only, BargeInConfig(sample_rate=0.5), rng) == []
+        assert rng.getstate() == rng_for(0, "c").getstate()
+
     def test_rate_and_cell_uniformity(self):
         # 100,000 user turns at 0.25; 3x3 cells each ~1/9 of selections
         d = make_dialogue(texts=[(Role.USER, "hello there"), (Role.ASSISTANT, "hi")])
@@ -296,6 +309,16 @@ class TestStage:
         for t in d.turns:
             at = next(p for p in range(at, len(out.turns)) if out.turns[p].with_(index=t.index) == t)
             assert out.state_at(at) == d.state_at(t.index)
+
+    def test_stage_on_its_own_output_keeps_alternation(self):
+        """A second pass, as when an augmented corpus is augmented again, adds
+        no block after an interruption, so no three assistant turns follow."""
+        for seed in range(20):
+            once = apply_bargein_stage(self._stateful(), BargeInConfig(sample_rate=1.0),
+                                       _chat(), _chat(), rng_for(seed, "once", "bi"))
+            twice = apply_bargein_stage(once, BargeInConfig(sample_rate=1.0),
+                                        _chat(), _chat(), rng_for(seed, "twice", "bi"))
+            assert validate_dialogue(twice) == [], seed
 
     def test_unjudgeable_candidates_skipped_without_failing(self):
         # no belief state, so error-recovery candidates can never be validated

@@ -300,5 +300,5 @@ class TestStage:
             ("phone", text.index("0123"), text.index("0123") + 10),
             ("code", 5, 11),
         ))
-        names = [n for n, _ in segmentable_slots(t, CrossTurnConfig())]
+        names = [n for n, _ in segmentable_slots(t)]
         assert names == ["code", "phone"]

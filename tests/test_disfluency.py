@@ -9,9 +9,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from todvoice import disfluency
 from todvoice.clients import StubChatClient
 from todvoice.corpus import (
     COR_CONNECTORS, Role, Turn, clear_of, dumps_dialogue, fluent_text, loads_dialogue, locate_slot_spans, tagged_text,
+    validate_dialogue,
 )
 from todvoice.disfluency import (
     DISFLUENCY_TYPES,
@@ -29,22 +31,24 @@ from conftest import make_dialogue
 
 
 class TestProbability:
+    B = DisfluencyConfig().b
+
     def test_zero_length(self):
-        assert disfluency_probability(0) == 0.0
+        assert disfluency_probability(0, self.B) == 0.0
 
     def test_length_one(self):
-        assert disfluency_probability(1) == pytest.approx(0.0547, abs=1e-4)
+        assert disfluency_probability(1, self.B) == pytest.approx(0.0547, abs=1e-4)
 
     def test_length_ten(self):
-        assert disfluency_probability(10) == pytest.approx(1 - 0.9453**10, abs=1e-12)
-        assert disfluency_probability(10) == pytest.approx(0.4303, abs=5e-4)
+        assert disfluency_probability(10, self.B) == pytest.approx(1 - 0.9453**10, abs=1e-12)
+        assert disfluency_probability(10, self.B) == pytest.approx(0.4303, abs=5e-4)
 
     def test_near_one_base(self):
         assert disfluency_probability(5, b=0.9999) == pytest.approx(0.0005, abs=1e-4)
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
-            disfluency_probability(-1)
+            disfluency_probability(-1, self.B)
 
 
 class TestSampleAndType:
@@ -94,7 +98,7 @@ class TestChoosePosition:
         t = Turn(index=0, role=Role.USER, text=text, slot_spans=(("people", 9, 12),))
         rng = rng_for(0, "cor")
         for _ in range(50):
-            dtype, pos = choose_position(t, "COR", DisfluencyConfig(), rng)
+            dtype, pos = choose_position(t, "COR", rng)
             assert dtype == "COR"
             assert pos == 2
 
@@ -102,21 +106,21 @@ class TestChoosePosition:
         t = Turn(index=0, role=Role.USER, text="just some words here")
         rng = rng_for(0, "resample")
         for _ in range(200):
-            dtype, pos = choose_position(t, "COR", DisfluencyConfig(), rng)
+            dtype, pos = choose_position(t, "COR", rng)
             assert dtype != "COR"
             assert dtype in DISFLUENCY_TYPES
 
-    def test_slot_local_window(self):
+    def test_slot_local_window(self, monkeypatch):
         text = "I would like a table in the centre of town today"
         start = text.index("centre")
         t = Turn(index=0, role=Role.USER, text=text,
                  slot_spans=(("area", start, start + 6),))
         slot_word = 7
-        cfg = DisfluencyConfig(p_slot_local=1.0)
+        monkeypatch.setattr(disfluency, "P_SLOT_LOCAL", 1.0)
         rng = rng_for(3, "local")
         for _ in range(1_000):
-            _, pos = choose_position(t, "FP", cfg, rng)
-            assert abs(pos - slot_word) <= cfg.slot_window_words
+            _, pos = choose_position(t, "FP", rng)
+            assert abs(pos - slot_word) <= disfluency.SLOT_WINDOW_WORDS
 
     def test_slotless_fp_positions_roughly_uniform(self):
         words = 8
@@ -125,7 +129,7 @@ class TestChoosePosition:
         counts = [0] * words
         n = 10_000
         for _ in range(n):
-            _, pos = choose_position(t, "FP", DisfluencyConfig(), rng)
+            _, pos = choose_position(t, "FP", rng)
             counts[pos] += 1
         for c in counts:
             assert abs(c / n - 1 / words) <= 0.02
@@ -174,7 +178,7 @@ class TestInject:
         t = Turn(index=0, role=Role.USER, text=text, slot_spans=(("street", 13, 21),))
         rng = rng_for(0, "rep-landing")
         for _ in range(2_000):
-            _, pos = choose_position(t, "REP", DisfluencyConfig(), rng)
+            _, pos = choose_position(t, "REP", rng)
             assert _cut_back(inject(t, "REP", pos, _stub(), rng)) == (text, t.slot_spans), pos
 
     def test_cor_contains_gold_value_and_wrong_differs(self):
@@ -301,8 +305,8 @@ def test_every_type_cuts_back_to_its_text_and_loads_as_written(words, slots, sto
     spans = locate_slot_spans(text, [(f"slot{i}", value) for i, (_, value) in enumerate(slots)]).matched
     t = Turn(index=0, role=Role.USER, text=text, slot_spans=spans)
     rng = random.Random(seed)
-    dtype, position = choose_position(t, dtype, DisfluencyConfig(), rng)
-    out = inject(t, dtype, position, _Connector(connector), rng)
+    chosen = choose_position(t, dtype, rng)
+    out = t if chosen is None else inject(t, *chosen, _Connector(connector), rng)
     bounds = [0, *(p for m in out.disfluency for p in (m.start, m.end)), len(out.text)]
     assert bounds == sorted(bounds)
     assert _cut_back(out) == (text, spans)
@@ -356,6 +360,21 @@ class TestStage:
             for before, after in zip(d.turns, out):
                 assert _cut_back(after) == (before.text, before.slot_spans)
                 assert [after.text[s:e] for _, s, e in after.slot_spans] == [v for v, _, _ in before.slot_spans]
+
+    @pytest.mark.parametrize("dtype", ["REP", "RST"])
+    def test_a_turn_with_no_landing_outside_its_value_stays_fluent(self, monkeypatch, dtype):
+        """Every word of "12 Main St." would put a repeat's landing point inside
+        the street value, and RST draws its position as REP does, so the turn
+        comes back unchanged and valid rather than with an event in the value."""
+        d = make_dialogue(texts=[(Role.USER, "12 Main St."), (Role.ASSISTANT, "Noted.")],
+                          spans={0: (("street", 0, 11),)})
+        monkeypatch.setattr(disfluency, "sample_and_type", lambda t, cfg, rng: dtype)
+        for seed in range(50):
+            rng = rng_for(seed, "no-landing", "df")
+            assert choose_position(d.turns[0], dtype, rng) is None
+            out = apply_disfluency_stage(d.turns, DisfluencyConfig(), _stub(), rng)
+            assert out == d.turns
+            assert validate_dialogue(d.with_turns(out)) == []
 
     def test_slot_spans_still_valid_after_injection(self):
         rng = random.Random(21)

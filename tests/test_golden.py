@@ -38,7 +38,7 @@ from click.testing import CliRunner
 from conftest import assistant_pool_profiles, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
 from todvoice.clients import StubChatClient
-from todvoice.corpus import load_corpus, save_corpus
+from todvoice.corpus import load_corpus, save_corpus, validate_dialogue
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 GOLDEN_DIGEST = "98d5c321cd6dcd5d7a85fbe62beace6790728bba75514f08687b7e02f477fa72"
@@ -99,3 +99,32 @@ def test_stub_augment_prompts_match_golden_digest(tmp_path, monkeypatch):
     assert (len(augment), digest) == (GOLDEN_PROMPT_COUNT, GOLDEN_PROMPT_DIGEST)
     digest = hashlib.sha256("\n".join(evaluate).encode()).hexdigest()
     assert (len(evaluate), digest) == (EVAL_PROMPT_COUNT, EVAL_PROMPT_DIGEST)
+
+
+def _augment(tmp_path: Path, src: Path, name: str, seed: int, workers: int) -> Path:
+    """Stub `augment --no-synthesis` of src; asserts that nothing is quarantined."""
+    out, run_dir = tmp_path / f"{name}.jsonl", tmp_path / name
+    result = CliRunner().invoke(main, [
+        "--seed", str(seed), "augment", str(src), str(out), "--out-dir", str(run_dir),
+        "--workers", str(workers), "--no-synthesis",
+    ])
+    assert result.exit_code == 0, result.output
+    assert (run_dir / "quarantine.jsonl").read_text(encoding="utf-8") == "", name
+    return out
+
+
+def test_augmented_output_augments_again_without_quarantine(tmp_path):
+    """Augmenting the golden corpus and then its output, with another seed,
+    quarantines nothing: no stage breaks what an earlier pass wrote."""
+    outputs = []
+    for workers in (1, 2):
+        once = _augment(tmp_path, GOLDEN_CORPUS, f"once-{workers}", 7, workers)
+        twice = _augment(tmp_path, once, f"twice-{workers}", 8, workers)
+        dialogues = load_corpus(twice)
+        assert len(dialogues) == len(load_corpus(GOLDEN_CORPUS))
+        assert all(validate_dialogue(d) == [] for d in dialogues)
+        again = tmp_path / f"again-{workers}.jsonl"
+        save_corpus(dialogues, again)
+        assert again.read_bytes() == twice.read_bytes()
+        outputs.append((once.read_bytes(), twice.read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -26,11 +26,13 @@ GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 
 def _full_record() -> dict:
-    """The last golden record (pre-augmented: speakers, emotions, audio) with a
-    cross-turn chunk and a self-correction (COR) on turn 0 and a barge-in on
-    turn 1, so every kind of field the reader knows is present. No later user
-    turn re-dictates the chunk, so its correction pointer is null."""
+    """The last golden record (pre-augmented: speakers, emotions, audio) with
+    its goal's domains and intents, a cross-turn chunk and a self-correction
+    (COR) on turn 0 and a barge-in on turn 1, so every kind of field the reader
+    knows is present. No later user turn re-dictates the chunk, so its
+    correction pointer is null."""
     rec = json.loads(GOLDEN_CORPUS.read_text(encoding="utf-8").splitlines()[-1])
+    rec["goal"]["structured"].update(domains=["train"], intents=["book_train"])
     turn = rec["turns"][0]
     turn["crossturn"] = {
         "slot_name": "day", "chunk_index": 0, "chunk_text": "wed", "is_error": True, "corrected_in_turn": None,
@@ -65,9 +67,13 @@ SPEAKER_FIELDS = {
 PATHS = {
     **{f"turns.{i}.{key}": kinds for i in (0, 1, 2) for key, kinds in TURN_FIELDS.items()},
     "dialogue_id": _TEXT, "source": _TEXT, "goal.text": _TEXT,
+    # A stored domain or intent list loads only as the one derived from the sub-goals.
+    "goal.structured.domains": _ARRAY, "goal.structured.intents": _ARRAY,
     "goal.structured.sub_goals.0.constraints": _OBJECT,
     "goal.structured.sub_goals.0.requests": _ARRAY,
     "turns.1.bargein.subtype": _TEXT,
+    # A stored type loads only as the one its subtype names.
+    "turns.1.bargein.type": _TEXT,
     "turns.1.bargein.erroneous_slots": _OBJECT | _NULLABLE,
     "turns.1.bargein.corrected_slots": _OBJECT | _NULLABLE,
     "turns.0.crossturn.slot_name": _TEXT, "turns.0.crossturn.chunk_index": {"int"},
@@ -165,6 +171,57 @@ def test_a_tagged_text_that_disagrees_is_one_error_line_naming_tagged(tmp_path, 
     (line,) = result.output.splitlines()
     assert result.exit_code == 1
     assert line.startswith(f"Error: dialogue '{FULL['dialogue_id']}': turn 0: tagged must be"), line
+
+
+# A stored value the reader derives from the rest, with a wrong one of the right kind.
+_DERIVED = {
+    "turns.1.bargein.type": ("EFFICIENCY", 'turn 1: bargein.type must be "ERROR_RECOVERY", not \'EFFICIENCY\''),
+    "goal.structured.domains": (["hotel"], 'goal.structured.domains must be ["train"], not [\'hotel\']'),
+    "goal.structured.intents": (["book_train", "book_train"],
+                                'goal.structured.intents must be ["book_train"], not [\'book_train\', \'book_train\']'),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_DERIVED))
+def test_a_stored_value_the_reader_derives_must_be_the_derived_one(path):
+    value, message = _DERIVED[path]
+    rec = copy.deepcopy(FULL)
+    set_path(rec, path, value)
+    with pytest.raises(corpus.CorpusError) as info:
+        corpus.loads_dialogue(json.dumps(rec))
+    assert str(info.value) == f"dialogue '{FULL['dialogue_id']}': {message}"
+
+
+def test_a_record_may_leave_out_what_the_reader_derives():
+    rec = copy.deepcopy(FULL)
+    del rec["turns"][1]["bargein"]["type"], rec["goal"]["structured"]["domains"], rec["goal"]["structured"]["intents"]
+    assert corpus.loads_dialogue(json.dumps(rec)) == corpus.loads_dialogue(json.dumps(FULL))
+
+
+def _bad_json_run(tmp_path: Path, which: str) -> tuple[Path, list[str]]:
+    """A CLI run whose config, speaker manifest or eval-dialogue --pred file is
+    not JSON on its second line: (that file, the CLI's argument list)."""
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(FULL) + "\n", encoding="utf-8")
+    bad = tmp_path / f"{which}.json"
+    bad.write_text('{\n  "a": 1,,\n}\n', encoding="utf-8")
+    if which == "config":
+        return bad, ["--config", str(bad), "validate", str(src)]
+    if which == "speakers":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_manifest": str(bad)}), encoding="utf-8")
+        return bad, ["--config", str(cfg), "augment", str(src), str(tmp_path / "out.jsonl"),
+                     "--out-dir", str(tmp_path / "o"), "--no-synthesis"]
+    return bad, ["eval-dialogue", str(src), "--pred", str(bad)]
+
+
+@pytest.mark.parametrize("which", ["config", "speakers", "pred"])
+def test_a_file_that_is_not_json_is_one_error_line_naming_it_and_its_line(tmp_path, which):
+    bad, args = _bad_json_run(tmp_path, which)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    (line,) = result.output.splitlines()
+    assert line == f"Error: {bad}:2: Expecting property name enclosed in double quotes (column 10)"
 
 
 def _checked_annotations() -> list[tuple[str, str]]:

@@ -127,6 +127,11 @@ class TestConfig:
             {"bargein": {"seed": 1}},
             {"crossturn": {"p_categorical": 0.1}},
             {"crossturn": {"categorical_corrections": True}},
+            # ... and so are the ones that became module constants.
+            {"crossturn": {"min_digits": 7}},
+            {"crossturn": {"min_code_len": 5}},
+            {"disfluency": {"slot_window_words": 2}},
+            {"disfluency": {"p_slot_local": 0.5}},
         ):
             (section,) = data
             with pytest.raises(ConfigError, match=f"unknown keys in {section}"):
@@ -179,8 +184,8 @@ class TestConfig:
         ({"clients": {"asr": {"timeout_s": "30"}}}, "clients.asr.timeout_s must be a number, not '30'"),
         ({"clients": {"asr": {"timeout_s": False}}}, "clients.asr.timeout_s must be a number, not False"),
         ({"clients": {"generator": {"temperature": "hot"}}}, "clients.generator.temperature must be a number or null, not 'hot'"),
-        ({"crossturn": {"min_digits": "7"}}, "crossturn.min_digits must be an integer, not '7'"),
-        ({"disfluency": {"slot_window_words": "2"}}, "disfluency.slot_window_words must be an integer, not '2'"),
+        ({"disfluency": {"b": "0.9"}}, "disfluency.b must be a number, not '0.9'"),
+        ({"pool_weights": {"asian": None}}, "pool_weights.asian must be a number, not None"),
         ({"crossturn": {"p_error": True}}, "crossturn.p_error must be a number, not True"),
         ({"pool_weights": {"native": "0.7"}}, "pool_weights.native must be a number, not '0.7'"),
         ({"bargein": {"sample_rate": "0.5"}}, "bargein.sample_rate must be a number, not '0.5'"),

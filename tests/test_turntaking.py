@@ -69,7 +69,6 @@ class TestStrategyConfig:
         for name, (te, bi) in DEFAULT_THRESHOLDS.items():
             cfg = StrategyConfig(name)
             assert (cfg.t_turnend, cfg.t_bargein) == (te, bi)
-            assert cfg.window == TRIGGER_WINDOW
 
     def test_default_table_values(self):
         assert DEFAULT_THRESHOLDS["prob_threshold"] == (5.0, 0.5)
@@ -277,13 +276,12 @@ class TestSweep:
     def test_rows_equal_evaluate_set(self):
         streams = self._streams(random.Random(20261018))
         for strategy in DEFAULT_THRESHOLDS:
-            for window in range(1, 9):
-                rows = sweep_thresholds(streams, strategy, self.TE, self.BI, window=window)
-                pairs = [(te, bi) for te in self.TE for bi in self.BI if bi < te]
-                assert [(r["t_turnend"], r["t_bargein"]) for r in rows] == pairs
-                for row in rows:
-                    cfg = StrategyConfig(strategy, window, row["t_turnend"], row["t_bargein"])
-                    assert row["table"] == evaluate_set(streams, cfg).as_table(), (strategy, window, row)
+            rows = sweep_thresholds(streams, strategy, self.TE, self.BI)
+            pairs = [(te, bi) for te in self.TE for bi in self.BI if bi < te]
+            assert [(r["t_turnend"], r["t_bargein"]) for r in rows] == pairs
+            for row in rows:
+                cfg = StrategyConfig(strategy, row["t_turnend"], row["t_bargein"])
+                assert row["table"] == evaluate_set(streams, cfg).as_table(), (strategy, row)
 
     def test_reads_a_generator_once(self):
         streams = self._streams(random.Random(3))
@@ -341,7 +339,7 @@ class TestOracle:
 
     def _oracle_run(self, frames, cfg: StrategyConfig):
         for i in range(len(frames)):
-            window = frames[max(0, i - cfg.window + 1): i + 1]
+            window = frames[max(0, i - TRIGGER_WINDOW + 1): i + 1]
             if cfg.strategy == "argmax":
                 cls = self._oracle_argmax(frames[i])
                 if cls != "listen":
