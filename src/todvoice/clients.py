@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from . import prompts
+from .corpus import MIN_TURN_S
 from .seeding import rng_for, stable_seed
 
 log = logging.getLogger(__name__)
@@ -381,8 +382,8 @@ class StubChatClient(ChatClient):
     def _restart(self, prompt: str) -> str:
         utterance = self._field(prompt, "Utterance: ")
         words = utterance.split()
-        if len(words) < 2:
-            return utterance
+        if len(words) < 2:  # no two words of its own to abandon, so a made-up start
+            return f"I was... {utterance}"
         k = 2 + stable_seed("restart", utterance) % 4
         k = min(k, 5, max(2, len(words) - 1))
         fragment = " ".join(words[:k])
@@ -434,10 +435,11 @@ def wav_duration_s(data: bytes) -> float:
 
 
 class StubTTSClient(TTSClient):
-    """Silence at 0.06 s per input character; mono 16-bit PCM at DEFAULT_SAMPLE_RATE."""
+    """Silence at 0.06 s per input character, and at least MIN_TURN_S; mono
+    16-bit PCM at DEFAULT_SAMPLE_RATE."""
 
     def synthesize(self, text: str, speaker_ref: str | None = None, style: str | None = None) -> tuple[bytes, float]:
-        duration = (6 * len(text)) / 100.0
+        duration = max(MIN_TURN_S, (6 * len(text)) / 100.0)
         return _silence_wav(duration, DEFAULT_SAMPLE_RATE), duration
 
 

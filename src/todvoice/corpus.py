@@ -23,6 +23,10 @@ BARGEIN_TOKEN = "<bargein>"
 
 DISFLUENCY_TYPES = ("FP", "DM", "EDIT", "REP", "COR", "RST")
 
+# Every rendered turn lasts this long, in seconds, or validate_dialogue flags it.
+MIN_TURN_S = 0.3
+MAX_TURN_S = 30.0
+
 
 class Role(str, Enum):
     USER = "user"
@@ -284,23 +288,25 @@ def corrections(turns: Sequence[Turn]) -> dict[int, int]:
     return out
 
 
-def shift_spans(
-    spans: Iterable[tuple[str, int, int]], at: int, delta: int
-) -> tuple[tuple[str, int, int], ...]:
-    """Move the spans that start at or after character `at` by delta."""
-    return tuple((name, s + delta, e + delta) if s >= at else (name, s, e) for name, s, e in spans)
-
-
-def shift_ranges(metas: Iterable[DisfluencyMeta], start: int, end: int, delta: int) -> tuple[DisfluencyMeta, ...]:
-    """The disfluency ranges once text[start:end] is replaced by a text delta
-    characters longer: a range at or after the edit moves, one that reaches
-    into it stretches, and one before it stays."""
-    return tuple(
+def edit_text(t: Turn, start: int, end: int, new: str, **changes: Any) -> Turn:
+    """t with text[start:end] replaced by new, then changes applied. A slot span
+    that starts inside the replaced text goes; spans and disfluency ranges at
+    or after end move with the text; a range that reaches into the edit
+    stretches over it; the rest stay."""
+    delta = len(new) - (end - start)
+    spans = tuple(
+        (name, s + delta, e + delta) if s >= end else (name, s, e)
+        for name, s, e in t.slot_spans
+        if not start <= s < end
+    )
+    ranges = tuple(
         replace(m, start=m.start + delta, end=m.end + delta) if m.start >= end
         else replace(m, end=m.end + delta) if m.end > start
         else m
-        for m in metas
+        for m in t.disfluency
     )
+    text = t.text[:start] + new + t.text[end:]
+    return t.with_(**{"text": text, "slot_spans": spans, "disfluency": ranges, **changes})
 
 
 def clear_of(spans: Iterable[tuple[str, int, int]], start: int, end: int) -> bool:
@@ -380,6 +386,11 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
                     "turn.disfluency_range", "ranges must lie in the text, in order, apart and clear of slot spans",
                     t.index,
                 ))
+
+        if t.duration_s is not None and not MIN_TURN_S <= t.duration_s <= MAX_TURN_S:
+            out.append(Violation(
+                "turn.duration", f"{t.duration_s:.2f} s outside [{MIN_TURN_S}, {MAX_TURN_S}] s", t.index
+            ))
 
         if t.role is Role.USER and BARGEIN_TOKEN in t.text:
             out.append(Violation("turn.bargein_token", "user turn contains the truncation token", t.index))

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .corpus import CrossTurnMeta, Dialogue, Role, Turn, corrections, shift_ranges, shift_spans, splice_turns
+from .corpus import CrossTurnMeta, Dialogue, Role, Turn, corrections, edit_text, splice_turns
 
 _DIGIT_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
 
@@ -138,14 +138,7 @@ def dictation_block(
         dictated = render_dictation(chunk)
         meta = CrossTurnMeta(slot_name=slot, chunk_index=i, chunk_text=chunk, is_error=(i == error_at))
         if i == 0:
-            kept = [sp for sp in turn.slot_spans if not (sp[0] == slot and sp[1] <= start < sp[2])]
-            delta = len(dictated) - (end - start)
-            block.append(turn.with_(
-                text=turn.text[:start] + dictated + turn.text[end:],
-                slot_spans=shift_spans(kept, start, delta),
-                disfluency=shift_ranges(turn.disfluency, start, end, delta),
-                crossturn=meta,
-            ))
+            block.append(edit_text(turn, start, end, dictated, crossturn=meta))
         else:
             add(Role.USER, f"Then {dictated}.", meta)
         add(Role.ASSISTANT, f"Got it, {dictated}.", meta)
@@ -216,11 +209,6 @@ def apply_crossturn_stage(
             edits.append((i, i + 1, block))
             continue
         conf = block.pop()
-        block.append(nxt.with_(
-            text=f"{conf.text} {nxt.text}",
-            slot_spans=shift_spans(nxt.slot_spans, 0, len(conf.text) + 1),
-            disfluency=shift_ranges(nxt.disfluency, 0, 0, len(conf.text) + 1),
-            crossturn=conf.crossturn,
-        ))
+        block.append(edit_text(nxt, 0, 0, f"{conf.text} ", crossturn=conf.crossturn))
         edits.append((i, i + 2, block))
     return splice_turns(d, edits)

@@ -19,7 +19,7 @@ from .clients import ChatClient, ClientError
 from . import prompts
 from .corpus import (
     COR_CONNECTORS, DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn,
-    clear_of, shift_ranges, shift_spans,
+    clear_of, edit_text,
 )
 
 log = logging.getLogger(__name__)
@@ -118,12 +118,8 @@ def _insert(
     """t with piece inserted at character `at` as one event whose range is the
     piece; the slot spans and earlier ranges at or after `at` move past it."""
     meta = DisfluencyMeta(dtype, position, inserted_span, original_value, at, at + len(piece))
-    earlier = shift_ranges(t.disfluency, at, at, len(piece))
-    return t.with_(
-        text=t.text[:at] + piece + t.text[at:],
-        slot_spans=shift_spans(t.slot_spans, at, len(piece)),
-        disfluency=tuple(sorted((*earlier, meta), key=lambda m: m.start)),
-    )
+    t = edit_text(t, at, at, piece)
+    return t.with_(disfluency=tuple(sorted((*t.disfluency, meta), key=lambda m: m.start)))
 
 
 def _inject_rule(t: Turn, dtype: str, position: int, rng: random.Random) -> Turn:

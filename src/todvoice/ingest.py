@@ -25,9 +25,9 @@ from .corpus import (
     Turn,
     clear_of,
     dialogue_from_dict,
+    edit_text,
     locate_slot_spans,
     renumber,
-    shift_spans,
 )
 
 log = logging.getLogger(__name__)
@@ -64,8 +64,8 @@ def _merge_runs(turns: Iterable[Turn]) -> list[Turn]:
     for t in turns:
         if out and out[-1].role is t.role:
             prev = out[-1]
-            shifted = shift_spans(t.slot_spans, 0, len(prev.text) + 1)
-            out[-1] = prev.with_(text=f"{prev.text} {t.text}", slot_spans=prev.slot_spans + shifted, state=t.state)
+            joined = edit_text(t, 0, 0, f"{prev.text} ")
+            out[-1] = prev.with_(text=joined.text, slot_spans=prev.slot_spans + joined.slot_spans, state=t.state)
         else:
             out.append(t)
     return out
@@ -198,7 +198,7 @@ def _adapt_abcd(raw: Mapping[str, Any], source: str) -> Dialogue:
     original = raw["original"]
     delexed = raw.get("delexed") or [[spk, txt] for spk, txt in original]
     rows: list[Turn] = []
-    for (spk, text), (_, delexed_text) in zip(original, delexed):
+    for (spk, text), (_, delexed_text) in zip(original, delexed, strict=True):
         spk = spk.lower()
         if spk == "action":
             continue
@@ -310,7 +310,7 @@ def _adapt_woz(raw: Mapping[str, Any], source: str) -> Dialogue:
                     log.debug("state value %s=%r not in user turn; no span", name, value)
                 turns[-1] = user_turn.with_(slot_spans=user_turn.slot_spans + report.matched)
         turns.append(Turn(index=i, role=role, text=text, emotion=emotion, state=state))
-    return _dialogue(str(raw.get("dialogue_id") or raw.get("id")), source, sub_goals, turns, goal_text)
+    return _dialogue(str(raw.get("dialogue_id") or raw["id"]), source, sub_goals, turns, goal_text)
 
 
 _ADAPTERS = {

@@ -15,16 +15,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .clients import ClientError, TTSClient, wav_duration_s
-from .corpus import Dialogue, Emotion, Role, Turn, Violation
+from .clients import ClientError, TTSClient
+from .corpus import Dialogue, Emotion, Role, Turn
 from .prompts import KEYWORDS
 from .textnorm import normalize_text
 
 log = logging.getLogger(__name__)
 
 AUDIO_SUBDIR = "data/audio"
-MIN_TURN_S = 0.3
-MAX_TURN_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -85,31 +83,6 @@ def synthesize_dialogue(
         rows.append(row)
         turns.append(t)
     return d.with_turns(tuple(turns)), rows
-
-
-@dataclass(frozen=True)
-class DurationReport:
-    violations: tuple[Violation, ...]
-    total_s: float
-
-
-def verify_durations(d: Dialogue, root: str | Path, lo: float = MIN_TURN_S, hi: float = MAX_TURN_S) -> DurationReport:
-    violations: list[Violation] = []
-    total = 0.0
-    for t in d.turns:
-        if t.audio_ref is None:
-            continue
-        path = Path(root) / t.audio_ref
-        if not path.exists():
-            violations.append(Violation("audio.missing", f"file {t.audio_ref} not found", t.index))
-            continue
-        duration = t.duration_s if t.duration_s is not None else wav_duration_s(path.read_bytes())
-        total += duration
-        if not lo <= duration <= hi:
-            violations.append(
-                Violation("audio.duration", f"{duration:.2f}s outside [{lo}, {hi}]", t.index)
-            )
-    return DurationReport(tuple(violations), total)
 
 
 def write_manifest(rows: Sequence[ManifestRow], path: str | Path) -> None:

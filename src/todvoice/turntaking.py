@@ -10,13 +10,14 @@ the default thresholds are set for it (prob_threshold's 5.0 is a window sum).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .checked import parse_json
 
 FIRE_CLASSES = ("turnend", "bargein")
 STRATEGY_NAMES = ("argmax", "prob_threshold", "tail_threshold", "listen_relative", "linear_weighted")
@@ -323,11 +324,10 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
     truths: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
+            rec = parse_json(path, ValueError, line, line_no - 1)
             try:
-                rec = json.loads(line)
                 frame = ProbFrame(rec["p_listen"], rec["p_turnend"], rec["p_bargein"])
                 sid = str(rec.get("stream_id", "0"))
                 t = rec.get("t", line_no)

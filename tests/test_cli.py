@@ -95,6 +95,11 @@ class TestIngest:
                      "[0]: AttributeError: 'int' object has no attribute 'upper'", id="sgd-speaker-5"),
         pytest.param("abcd", [{"convo_id": 1, "original": [["customer"]]}],
                      "[0]: ValueError: not enough values to unpack (expected 2, got 1)", id="abcd-short-row"),
+        pytest.param("abcd", [{"convo_id": 1, "original": [["customer", "Hi."], ["agent", "Hello."]],
+                               "delexed": [["customer", "Hi."]]}],
+                     "[0]: ValueError: zip() argument 2 is shorter than argument 1", id="abcd-delexed-short"),
+        pytest.param("emowoz", [{"log": [{"text": "Hi."}, {"text": "Hello."}]}],
+                     "[0]: KeyError: 'id'", id="emowoz-no-id"),
     ])
     def test_bad_record_is_one_line_naming_it(self, runner, tmp_path, source, records, message):
         src = tmp_path / "raw.json"
@@ -258,6 +263,22 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(_empty_dialogue_file(tmp_path))])
         assert result.exit_code == 1
         assert result.stdout.splitlines() == ["a\t-\tturns.empty\tdialogue has no turns"]
+
+    def test_turn_duration_out_of_bounds_fails_and_is_quarantined_by_augment(self, runner, tmp_path):
+        long = make_dialogue(dialogue_id="long")
+        long = long.with_turns((long.turns[0].with_(duration_s=31.0),) + long.turns[1:])
+        src = tmp_path / "long.jsonl"
+        save_corpus([long, make_dialogue(dialogue_id="ok")], src)
+        result = runner.invoke(main, ["validate", str(src)])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == ["long\tturn 0\tturn.duration\t31.00 s outside [0.3, 30.0] s"]
+        out_dir = tmp_path / "artifacts"
+        result = runner.invoke(main, ["augment", str(src), str(tmp_path / "aug.jsonl"),
+                                      "--out-dir", str(out_dir), "--no-synthesis"])
+        assert result.exit_code == 0, result.output
+        assert [d.dialogue_id for d in load_corpus(tmp_path / "aug.jsonl")] == ["ok"]
+        (row,) = [json.loads(line) for line in (out_dir / "quarantine.jsonl").read_text().splitlines()]
+        assert row == {"dialogue_id": "long", "stage": "validate", "reason": "turn.duration@0"}
 
 
 class TestSplit:
@@ -503,6 +524,7 @@ class TestEvalTurnTaking:
         '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 1.0, "p_turnend": 0.0}',
         '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 1.0, "p_turnend": "x", "p_bargein": 0.0}',
         '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 2.0, "p_turnend": 0.0, "p_bargein": 0.0}',
+        '{"stream_id": "s1" "t": 1}',
     ])
     def test_bad_stream_record_is_one_line(self, runner, tmp_path, record):
         src = tmp_path / "streams.jsonl"
@@ -516,6 +538,14 @@ class TestEvalTurnTaking:
         assert "Traceback" not in result.output
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"Error: {src}:2: "), result.output
+        assert lines[0].count(":2:") == 1, result.output
+
+    def test_stream_line_that_is_not_json_names_file_line_and_column(self, runner, tmp_path):
+        src = tmp_path / "streams.jsonl"
+        src.write_text('\n  {"stream_id": "s1" "t": 1}\n')
+        result = runner.invoke(main, ["eval-turn-taking", str(src)])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {src}:2: Expecting ',' delimiter (column 22)\n"
 
 
 class TestEvalDialogue:

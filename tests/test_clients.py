@@ -10,6 +10,7 @@ import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -41,7 +42,8 @@ from todvoice.clients import (
     with_retries,
 )
 from conftest import RejectingChat, make_dialogue, make_goal
-from todvoice.corpus import BargeInStyle, BargeInType, Emotion, Role, save_corpus
+from todvoice.corpus import MIN_TURN_S, BargeInStyle, BargeInType, Emotion, Role, Turn, fluent_text, save_corpus
+from todvoice.disfluency import inject
 from todvoice.emotion import annotate_dialogue
 from todvoice.metrics import GoalCoverageState, cosine, edit_distance, goal_items, judge_turn_coverage
 from todvoice.pipeline import PipelineConfig, build_clients
@@ -566,8 +568,11 @@ class TestStubRestart:
         prompt = prompts.restart_prompt("Find me a cheap hotel in the north.")
         assert StubChatClient().complete(prompt) == StubChatClient().complete(prompt)
 
-    def test_single_word_unchanged(self):
-        assert StubChatClient().complete(prompts.restart_prompt("Hello.")) == "Hello."
+    def test_single_word_gets_a_made_up_two_word_fragment(self):
+        assert StubChatClient().complete(prompts.restart_prompt("Huh?")) == "I was... Huh?"
+        out = inject(Turn(index=0, role=Role.USER, text="Huh?"), "RST", 0, StubChatClient(), random.Random(0))
+        assert (out.text, [m.inserted_span for m in out.disfluency]) == ("I was... Huh?", ["I was..."])
+        assert fluent_text(out) == "Huh?"
 
 
 class TestStubCoverage:
@@ -595,10 +600,10 @@ class TestStubTTS:
         assert duration == 3.0
         assert wav_duration_s(audio) == pytest.approx(3.0, abs=1e-3)
 
-    def test_empty_text_zero_duration(self):
-        audio, duration = StubTTSClient().synthesize("")
-        assert duration == 0.0
-        assert wav_duration_s(audio) == 0.0
+    def test_short_text_lasts_the_shortest_valid_turn(self):
+        audio, duration = StubTTSClient().synthesize("Huh?")  # 0.24 s by the formula
+        assert duration == MIN_TURN_S
+        assert wav_duration_s(audio) == pytest.approx(MIN_TURN_S, abs=1e-3)
 
     def test_sample_rate_respected(self):
         audio, _ = StubTTSClient().synthesize("hello")

@@ -25,12 +25,12 @@ from todvoice.corpus import (
     dialogue_from_dict,
     dialogue_to_dict,
     dumps_dialogue,
+    edit_text,
     fluent_text,
     load_corpus,
     loads_dialogue,
     renumber,
     save_corpus,
-    shift_spans,
     splice_turns,
     tagged_text,
     turn_from_dict,
@@ -187,13 +187,64 @@ def test_splice_turns_equals_its_edits_applied_right_to_left(case):
     assert splice_turns(d, edits) == expected
 
 
-class TestShiftSpans:
-    def test_span_starting_at_the_edit_moves(self):
-        spans = (("a", 0, 3), ("b", 4, 7), ("c", 9, 12))
-        assert shift_spans(spans, 4, 5) == (("a", 0, 3), ("b", 9, 12), ("c", 14, 17))
+class TestEditText:
+    def test_spans_and_ranges_at_or_after_the_edit_move(self):
+        fp = DisfluencyMeta("FP", 0, "uh,", start=4, end=8)
+        t = Turn(index=0, role=Role.USER, text="abc uh, def ghi",
+                 slot_spans=(("a", 0, 3), ("b", 8, 11)), disfluency=(fp,))
+        out = edit_text(t, 4, 4, "xx ")
+        assert out.text == "abc xx uh, def ghi"
+        assert out.slot_spans == (("a", 0, 3), ("b", 11, 14))
+        assert out.disfluency == (dataclasses.replace(fp, start=7, end=11),)
 
-    def test_span_across_the_edit_stays(self):
-        assert shift_spans((("a", 2, 6),), 4, -1) == (("a", 2, 6),)
+    def test_replaced_span_goes_a_range_reaching_in_stretches_and_changes_apply(self):
+        fp = DisfluencyMeta("FP", 0, "uh,", start=0, end=4)
+        t = Turn(index=0, role=Role.USER, text="uh, abc def", slot_spans=(("a", 4, 7), ("b", 8, 11)), disfluency=(fp,))
+        out = edit_text(t, 4, 7, "wxyz", emotion=Emotion.NEUTRAL)
+        assert (out.text, out.slot_spans, out.emotion) == ("uh, wxyz def", (("b", 9, 12),), Emotion.NEUTRAL)
+        assert out.disfluency == (fp,)
+        assert edit_text(t, 2, 2, "mm").disfluency == (dataclasses.replace(fp, end=6),)
+
+
+@st.composite
+def _turn_and_edit(draw):
+    """A user turn of plain text, slot values and disfluency pieces, and an edit:
+    an insertion clear of every span, or the replacement of exactly one span."""
+    pieces = draw(st.lists(st.tuples(st.sampled_from(("plain", "span", "range")),
+                                     st.text("ab ,", min_size=1, max_size=5)), max_size=8))
+    text, spans, ranges = "", [], []
+    for kind, piece in pieces:
+        if kind == "span":
+            spans.append((f"s{len(spans)}", len(text), len(text) + len(piece)))
+        elif kind == "range":
+            ranges.append(DisfluencyMeta("FP", 0, piece, start=len(text), end=len(text) + len(piece)))
+        text += piece
+    t = Turn(index=0, role=Role.USER, text=text, slot_spans=tuple(spans), disfluency=tuple(ranges))
+    new = draw(st.text("xy", max_size=4))
+    if spans and draw(st.booleans()):
+        _, start, end = draw(st.sampled_from(spans))
+    else:
+        clear = [i for i in range(len(text) + 1) if not any(s < i < e for _, s, e in spans)]
+        start = end = draw(st.sampled_from(clear))
+    return t, start, end, new
+
+
+@settings(max_examples=300, deadline=None)
+@given(_turn_and_edit())
+def test_edit_text_keeps_every_other_span_and_range_on_its_text(case):
+    t, start, end, new = case
+    out = edit_text(t, start, end, new)
+    assert out.text == t.text[:start] + new + t.text[end:]
+    kept = [(name, t.text[s:e]) for name, s, e in t.slot_spans if s != start or start == end]
+    assert [(name, out.text[s:e]) for name, s, e in out.slot_spans] == kept
+    for m, n in zip(t.disfluency, out.disfluency, strict=True):
+        old = t.text[m.start : m.end]
+        if m.start < start < m.end:  # an insertion inside a range lands in it
+            old = old[: start - m.start] + new + old[start - m.start :]
+        assert out.text[n.start : n.end] == old
+    d = Dialogue(dialogue_id="e", source="generic", goal=make_goal(), turns=(t,))
+    assert validate_dialogue(d) == []
+    assert validate_dialogue(d.with_turns([out])) == []
 
 
 class TestValidator:

@@ -41,7 +41,7 @@ from todvoice.clients import StubChatClient
 from todvoice.corpus import load_corpus, save_corpus, validate_dialogue
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
-GOLDEN_DIGEST = "98d5c321cd6dcd5d7a85fbe62beace6790728bba75514f08687b7e02f477fa72"
+GOLDEN_DIGEST = "b20bb31607fceaf70404502153ac8a3e82af6f3302b795442a8ef11e92006510"
 GOLDEN_PROMPT_COUNT = 380
 GOLDEN_PROMPT_DIGEST = "067f904f1d8bcd26c55ae9d83039486855dc5dd8456b8c60fb9652618acead4e"
 EVAL_DIGEST = "62fdc16d18b7bbf6d10c1a200cdaa1e43e8addd0409e4f5d5dede25ae11d1d00"

@@ -1,4 +1,4 @@
-"""Per-turn synthesis, stub rendering, duration checks, and manifests."""
+"""Per-turn synthesis, stub rendering, the turn-duration bound, and manifests."""
 
 from __future__ import annotations
 
@@ -8,13 +8,12 @@ import json
 import pytest
 
 from todvoice.clients import StubTTSClient, TTSClient, ClientError, wav_duration_s
-from todvoice.corpus import Emotion, Role, Turn
+from todvoice.corpus import MAX_TURN_S, MIN_TURN_S, Emotion, validate_dialogue
 from todvoice.seeding import rng_for
 from todvoice.synthesis import (
     ManifestRow,
     style_instruction,
     synthesize_dialogue,
-    verify_durations,
     write_manifest,
 )
 
@@ -118,53 +117,23 @@ class TestSynthesize:
             assert (tmp_path / "r2" / t.audio_ref).read_bytes() == (tmp_path / "r1" / t.audio_ref).read_bytes()
 
 
-class TestVerifyDurations:
-    def test_all_good(self, tmp_path):
+class TestDurationBound:
+    def test_stub_turns_pass_validation(self, tmp_path):
         d = _labeled_dialogue()
+        d = d.with_turns((d.turns[0].with_(text="Huh?"),) + d.turns[1:])
         out, _ = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "v"))
-        report = verify_durations(out, tmp_path)
-        assert not report.violations
-        assert report.total_s == pytest.approx(
-            sum(t.duration_s for t in out.turns))
+        assert out.turns[0].duration_s == MIN_TURN_S
+        assert validate_dialogue(out) == []
 
-    def test_duration_out_of_bounds_flagged(self, tmp_path):
+    def test_duration_out_of_bounds_flagged(self):
         d = _labeled_dialogue()
-        out, _ = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "v"))
-        long_turns = tuple(
-            t.with_(duration_s=31.0) if t.index == 0 else t for t in out.turns)
-        report = verify_durations(dataclasses.replace(out, turns=long_turns), tmp_path)
-        assert any(v.rule == "audio.duration" for v in report.violations)
 
-    def test_missing_file_flagged(self, tmp_path):
-        d = _labeled_dialogue()
-        out, _ = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "v"))
-        (tmp_path / out.turns[0].audio_ref).unlink()
-        report = verify_durations(out, tmp_path)
-        assert any(v.rule == "audio.missing" for v in report.violations)
+        def found(duration):
+            turns = (d.turns[0].with_(duration_s=duration),) + d.turns[1:]
+            return [(v.rule, v.turn_index) for v in validate_dialogue(d.with_turns(turns))]
 
-    def test_five_two_second_turns_total_ten(self, tmp_path):
-        d = _labeled_dialogue()
-        turns = []
-        for i in range(5):
-            ref = f"data/audio/{d.dialogue_id}/turn{i:02d}.wav"
-            target = tmp_path / ref
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(b"")
-            turns.append(Turn(index=i, role=Role.USER if i % 2 == 0 else Role.ASSISTANT,
-                              text="x", emotion=Emotion.NEUTRAL,
-                              audio_ref=ref, duration_s=2.0))
-        report = verify_durations(dataclasses.replace(d, turns=tuple(turns)), tmp_path)
-        assert not report.violations
-        assert report.total_s == pytest.approx(10.0)
-
-    def test_duration_read_from_wav_when_unset(self, tmp_path):
-        d = _labeled_dialogue()
-        out, _ = synthesize_dialogue(d, StubTTSClient(), tmp_path, rng_for(0, "v"))
-        blank = tuple(t.with_(duration_s=None) for t in out.turns)
-        report = verify_durations(dataclasses.replace(out, turns=blank), tmp_path)
-        assert not report.violations
-        assert report.total_s == pytest.approx(
-            sum(t.duration_s for t in out.turns), abs=1e-3)
+        assert found(MIN_TURN_S) == found(MAX_TURN_S) == []
+        assert found(0.29) == found(30.01) == [("turn.duration", 0)]
 
 
 def test_write_manifest_is_ndjson_sorted(tmp_path):
