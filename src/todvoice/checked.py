@@ -1,4 +1,5 @@
-"""Checked reading of JSON that other tools wrote: config, corpus, speaker manifests and predictions.
+"""Checked reading of JSON that other tools wrote (config, corpus, speaker
+manifests and predictions), and the writing of records that `build` reads.
 
 A value is typed by the annotation of the dataclass field it fills. Under
 `from __future__ import annotations` that annotation is a string, and TYPES
@@ -6,7 +7,8 @@ maps each one a loader meets to what the JSON value must be and a check
 ("dict" and "list" stand for a JSON object or array that is not one field).
 Nothing is coerced: a bad value raises the caller's error type, worded
 "<where> must be <what>, not <value>", and a text that is not JSON raises it
-naming the file and the line.
+naming the file and the line. `dump` is `build`'s inverse: it writes a
+record's fields under the same keys.
 """
 
 from __future__ import annotations
@@ -100,3 +102,18 @@ def build(cls: Any, where: str, value: Any, error: type[Exception], keys: Mappin
         return cls(**kwargs)
     except (ValueError, error) as exc:
         raise error(f"{where}: {exc}") from exc
+
+
+def dump(obj: Any, keys: Mapping[str, str | None] = {}) -> dict[str, Any]:
+    """The JSON object of the dataclass obj that build reads it back from.
+
+    Each field is written under its key (keys maps a field to its JSON key, or
+    to None to leave it out). A field whose value is None is left out, a
+    frozenset is written as a sorted array and a dict as a copy.
+    """
+    out = {}
+    for name, *_ in _fields(type(obj)):
+        key, v = keys.get(name, name), getattr(obj, name)
+        if key is not None and v is not None:
+            out[key] = sorted(v) if isinstance(v, frozenset) else dict(v) if isinstance(v, dict) else v
+    return out

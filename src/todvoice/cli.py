@@ -10,7 +10,7 @@ from pathlib import Path
 
 import click
 
-from .checked import check, parse_json
+from .checked import check, dump, parse_json
 from .clients import ClientError
 from .corpus import CorpusError, iter_records, load_corpus, save_corpus, validate_dialogue
 from .ingest import SOURCES, adapt
@@ -226,13 +226,7 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
         register_audio(clients.directory, d, cfg.out_dir)
     states = [evaluate_dialogue_coverage(d, clients.judge) for d in dialogues]
     coverage = ga_smr(states)
-    out: dict[str, object] = {
-        "dialogues": len(dialogues),
-        "ga": coverage.ga,
-        "smr": coverage.smr,
-        "smr_constraints": coverage.smr_constraints,
-        "smr_requests": coverage.smr_requests,
-    }
+    out: dict[str, object] = {"dialogues": len(dialogues), **dump(coverage)}
     curve = disclosure_curve(states)
     if curve_csv:
         with open(curve_csv, "w", encoding="utf-8") as fh:
@@ -250,8 +244,7 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
         for d in dialogues:
             gold = d.state_at(len(d.turns) - 1) or {}
             pairs.append((preds.get(d.dialogue_id, {}), gold))
-        prf = slot_f1_micro(pairs)
-        out["slot_f1"] = {"precision": prf.precision, "recall": prf.recall, "f1": prf.f1}
+        out["slot_f1"] = dump(slot_f1_micro(pairs))
     if wer_sample > 0:
         result = wer_validation(dialogues, wer_sample, clients.asr, cfg.out_dir, seed=cfg.global_seed)
         out["wer"] = {
@@ -272,10 +265,7 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
                 vectors.append(user_vecs)
         if vectors:
             sim = aggregate_similarity(vectors)
-            out["similarity"] = {
-                "sim_first": {"mean": sim.sim_first.mean, "std": sim.sim_first.std},
-                "sim_prev": {"mean": sim.sim_prev.mean, "std": sim.sim_prev.std},
-            }
+            out["similarity"] = {key: dump(getattr(sim, key), {"n": None}) for key in ("sim_first", "sim_prev")}
     click.echo(json.dumps(out, indent=2))
 
 

@@ -17,7 +17,7 @@ from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .checked import build, check, must, parse_json
+from .checked import build, check, dump, must, parse_json
 
 BARGEIN_TOKEN = "<bargein>"
 
@@ -289,24 +289,34 @@ def corrections(turns: Sequence[Turn]) -> dict[int, int]:
 
 
 def edit_text(t: Turn, start: int, end: int, new: str, **changes: Any) -> Turn:
-    """t with text[start:end] replaced by new, then changes applied. A slot span
-    that starts inside the replaced text goes; spans and disfluency ranges at
-    or after end move with the text; a range that reaches into the edit
-    stretches over it; the rest stay."""
+    """t with text[start:end] replaced by new, then changes applied.
+
+    A slot span that starts inside the replaced text goes; spans and
+    disfluency ranges at or after end move with the text. A range that
+    overlaps the edit keeps what remains of it outside the replaced text, and
+    new joins it if it starts before the edit, as an insertion inside a range
+    does; a range left empty goes. The audio of the old text no longer speaks
+    the turn, so audio_ref and duration_s are cleared unless changes sets them.
+    """
     delta = len(new) - (end - start)
+    after = start + len(new)  # where the text after the edit now starts
     spans = tuple(
         (name, s + delta, e + delta) if s >= end else (name, s, e)
         for name, s, e in t.slot_spans
         if not start <= s < end
     )
-    ranges = tuple(
-        replace(m, start=m.start + delta, end=m.end + delta) if m.start >= end
-        else replace(m, end=m.end + delta) if m.end > start
-        else m
-        for m in t.disfluency
-    )
+    ranges = []
+    for m in t.disfluency:
+        if m.start >= end:
+            m = replace(m, start=m.start + delta, end=m.end + delta)
+        elif m.end > start:
+            m = replace(m, start=m.start if m.start < start else after, end=max(after, m.end + delta))
+            if m.start == m.end:
+                continue
+        ranges.append(m)
     text = t.text[:start] + new + t.text[end:]
-    return t.with_(**{"text": text, "slot_spans": spans, "disfluency": ranges, **changes})
+    return t.with_(**{"text": text, "slot_spans": spans, "disfluency": tuple(ranges),
+                      "audio_ref": None, "duration_s": None, **changes})
 
 
 def clear_of(spans: Iterable[tuple[str, int, int]], start: int, end: int) -> bool:
@@ -492,22 +502,6 @@ def _with_ranges(text: str, tagged: str | None, metas: tuple[DisfluencyMeta, ...
 # --- JSON serialization ------------------------------------------------------
 
 
-def _speaker_to_dict(sp: SpeakerProfile) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "speaker_id": sp.speaker_id,
-        "category": sp.accent_pool.capitalize(),
-        "country": sp.country,
-        "age": sp.age,
-        "age_bin": sp.age_bin,
-        "sex": sp.gender,
-    }
-    if sp.ref_audio is not None:
-        out["ref_audio"] = sp.ref_audio
-    if sp.ref_duration_s is not None:
-        out["ref_duration_s"] = sp.ref_duration_s
-    return out
-
-
 # JSON keys of the corpus speaker fields whose names differ from SpeakerProfile's.
 _SPEAKER_KEYS = {"accent_pool": "category", "gender": "sex"}
 
@@ -535,23 +529,10 @@ def turn_to_dict(t: Turn) -> dict[str, Any]:
             b["corrected_slots"] = dict(t.bargein.corrected_slots or {})
         out["bargein"] = b
     if t.disfluency:
-        out["disfluency"] = [
-            {
-                "type": m.type,
-                "position": m.position,
-                "inserted_span": m.inserted_span,
-                **({"original_value": m.original_value} if m.original_value is not None else {}),
-            }
-            for m in t.disfluency
-        ]
+        # The reader gets each range back from tagged.
+        out["disfluency"] = [dump(m, {"start": None, "end": None}) for m in t.disfluency]
     if t.crossturn is not None:
-        m = t.crossturn
-        out["crossturn"] = {
-            "slot_name": m.slot_name,
-            "chunk_index": m.chunk_index,
-            "chunk_text": m.chunk_text,
-            "is_error": m.is_error,
-        }
+        out["crossturn"] = dump(t.crossturn)
     if t.audio_ref is not None:
         out["audio_path"] = t.audio_ref
     if t.duration_s is not None:
@@ -653,15 +634,7 @@ def _goal_sets(goal: Goal) -> dict[str, list[str]]:
 def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
     structured = {
         **_goal_sets(d.goal),
-        "sub_goals": [
-            {
-                "domain": sg.domain,
-                "intent": sg.intent,
-                "constraints": dict(sg.constraints),
-                "requests": sorted(sg.requests),
-            }
-            for sg in d.goal.sub_goals
-        ],
+        "sub_goals": [dump(sg) for sg in d.goal.sub_goals],
     }
     turns = [turn_to_dict(t) for t in d.turns]
     for i, j in corrections(d.turns).items():
@@ -672,10 +645,9 @@ def dialogue_to_dict(d: Dialogue) -> dict[str, Any]:
         "goal": {"text": d.goal.text, "structured": structured},
         "turns": turns,
     }
-    if d.user_speaker is not None:
-        out["speaker"] = _speaker_to_dict(d.user_speaker)
-    if d.assistant_speaker is not None:
-        out["assistant_speaker"] = _speaker_to_dict(d.assistant_speaker)
+    for key, sp in (("speaker", d.user_speaker), ("assistant_speaker", d.assistant_speaker)):
+        if sp is not None:
+            out[key] = {**dump(sp, _SPEAKER_KEYS), "category": sp.accent_pool.capitalize()}
     return out
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, get_type_hints
 
 from .bargein import BargeInConfig, apply_bargein_stage
-from .checked import build, check, known_keys, must, parse_json
+from .checked import build, check, dump, known_keys, must, parse_json
 from .clients import (
     ASRClient,
     ChatClient,
@@ -170,7 +170,7 @@ class QuarantineRow:
     reason: str
 
     def to_dict(self) -> dict[str, str]:
-        return {"dialogue_id": self.dialogue_id, "stage": self.stage, "reason": self.reason}
+        return dump(self)
 
 
 @dataclass

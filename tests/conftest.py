@@ -8,11 +8,16 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import settings
 
 from todvoice.clients import ChatClient, with_retries
 from todvoice.corpus import Dialogue, Goal, Role, SubGoal, Turn, splice_turns
 from todvoice.crossturn import CrossTurnConfig, dictation_block
 from todvoice.speakers import ACCENT_POOLS, AGE_BINS, GENDERS, SpeakerProfile
+
+# Every property test draws the same examples on every run, so tier-1 cannot flake.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 _BIN_AGE = {"10s": 15, "20-30s": 28, "40-50s": 45, "60+": 67}
 

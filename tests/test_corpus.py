@@ -21,6 +21,7 @@ from todvoice.corpus import (
     Role,
     SubGoal,
     Turn,
+    clear_of,
     corrections,
     dialogue_from_dict,
     dialogue_to_dict,
@@ -176,7 +177,7 @@ def _dialogue_and_edits(draw):
     return d, edits
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_dialogue_and_edits())
 def test_splice_turns_equals_its_edits_applied_right_to_left(case):
     # Right to left, each edit's coordinates are still those of the input.
@@ -205,6 +206,15 @@ class TestEditText:
         assert out.disfluency == (fp,)
         assert edit_text(t, 2, 2, "mm").disfluency == (dataclasses.replace(fp, end=6),)
 
+    def test_a_range_keeps_what_remains_of_it_and_the_old_audio_goes(self):
+        fp = DisfluencyMeta("FP", 0, "uh,", start=0, end=4)
+        t = Turn(index=0, role=Role.USER, text="uh, abc def", disfluency=(fp,), audio_ref="a.wav", duration_s=1.2)
+        out = edit_text(t, 2, 5, "")
+        assert (out.text, out.disfluency) == ("uhbc def", (dataclasses.replace(fp, end=2),))
+        assert (out.audio_ref, out.duration_s) == (None, None)
+        assert edit_text(t, 0, 5, "x").disfluency == ()
+        assert edit_text(t, 0, 0, "x", audio_ref="b.wav").audio_ref == "b.wav"
+
 
 @st.composite
 def _turn_and_edit(draw):
@@ -221,15 +231,18 @@ def _turn_and_edit(draw):
         text += piece
     t = Turn(index=0, role=Role.USER, text=text, slot_spans=tuple(spans), disfluency=tuple(ranges))
     new = draw(st.text("xy", max_size=4))
-    if spans and draw(st.booleans()):
+    how = draw(st.sampled_from(("insert", "replace a span", "replace or delete")))
+    if how == "replace a span" and spans:
         _, start, end = draw(st.sampled_from(spans))
     else:
         clear = [i for i in range(len(text) + 1) if not any(s < i < e for _, s, e in spans)]
-        start = end = draw(st.sampled_from(clear))
+        start = draw(st.sampled_from(clear))
+        ends = [i for i in clear if i >= start and clear_of(spans, start, i)]
+        end = start if how == "insert" else draw(st.sampled_from(ends))
     return t, start, end, new
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_turn_and_edit())
 def test_edit_text_keeps_every_other_span_and_range_on_its_text(case):
     t, start, end, new = case
@@ -237,11 +250,14 @@ def test_edit_text_keeps_every_other_span_and_range_on_its_text(case):
     assert out.text == t.text[:start] + new + t.text[end:]
     kept = [(name, t.text[s:e]) for name, s, e in t.slot_spans if s != start or start == end]
     assert [(name, out.text[s:e]) for name, s, e in out.slot_spans] == kept
-    for m, n in zip(t.disfluency, out.disfluency, strict=True):
+    expected = []
+    for m in t.disfluency:
         old = t.text[m.start : m.end]
-        if m.start < start < m.end:  # an insertion inside a range lands in it
-            old = old[: start - m.start] + new + old[start - m.start :]
-        assert out.text[n.start : n.end] == old
+        if m.start < end and m.end > start:  # what remains outside the edit, and new if the range starts before it
+            old = t.text[m.start : start] + new * (m.start < start) + t.text[max(m.start, end) : m.end]
+        if old:
+            expected.append(old)
+    assert [out.text[n.start : n.end] for n in out.disfluency] == expected
     d = Dialogue(dialogue_id="e", source="generic", goal=make_goal(), turns=(t,))
     assert validate_dialogue(d) == []
     assert validate_dialogue(d.with_turns([out])) == []

@@ -149,7 +149,7 @@ def test_error_rate_tracks_p_error():
     assert abs(hits / n - 0.20) <= 0.02
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.text(alphabet=string.ascii_uppercase + string.digits, min_size=7, max_size=18),
        st.integers(min_value=0, max_value=2**31))
 def test_reconstruction_property(value, seed):

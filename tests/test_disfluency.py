@@ -285,7 +285,7 @@ _WORDS = st.sampled_from(["alpha", "bravo", "charlie's", "delta", "echo5", "I", 
 _VALUES = ("Saturday", "cambridge", "HB676BP71", "two", "Main St.")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     words=st.lists(_WORDS, min_size=1, max_size=10),
     slots=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(_VALUES)), max_size=2, unique_by=lambda s: s[1]),

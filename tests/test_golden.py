@@ -115,10 +115,15 @@ def _augment(tmp_path: Path, src: Path, name: str, seed: int, workers: int) -> P
 
 def test_augmented_output_augments_again_without_quarantine(tmp_path):
     """Augmenting the golden corpus and then its output, with another seed,
-    quarantines nothing: no stage breaks what an earlier pass wrote."""
+    quarantines nothing: no stage breaks what an earlier pass wrote. No turn
+    an edit changed keeps the audio path of its old text."""
+    spoken = {t.audio_ref: t.text for d in load_corpus(GOLDEN_CORPUS) for t in d.turns if t.audio_ref}
     outputs = []
     for workers in (1, 2):
         once = _augment(tmp_path, GOLDEN_CORPUS, f"once-{workers}", 7, workers)
+        stale = [(d.dialogue_id, t.index) for d in load_corpus(once) for t in d.turns
+                 if t.audio_ref in spoken and spoken[t.audio_ref] != t.text]
+        assert stale == []
         twice = _augment(tmp_path, once, f"twice-{workers}", 8, workers)
         dialogues = load_corpus(twice)
         assert len(dialogues) == len(load_corpus(GOLDEN_CORPUS))

@@ -570,7 +570,7 @@ def _woz_records(draw):
 @pytest.mark.parametrize("source,records", [
     ("sgd", _sgd_records()), ("tm2", _tm2_records()), ("abcd", _abcd_records()), ("emowoz", _woz_records()),
 ])
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_adapted_record_validates_and_its_spans_reslice(source, records, data):
     raw, expected = data.draw(records)

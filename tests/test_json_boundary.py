@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import set_path
 from todvoice import corpus, pipeline
-from todvoice.checked import TYPES
+from todvoice.checked import TYPES, build, dump
 from todvoice.cli import main
 from todvoice.clients import ClientConfig
 from todvoice.corpus import BargeInMeta, CrossTurnMeta, DisfluencyMeta, SpeakerProfile, SubGoal
@@ -118,8 +118,7 @@ def test_every_wrong_kind_at_every_path_is_a_corpus_error_that_says_where():
             assert str(info.value).startswith(context) and key in str(info.value), (path, kind, str(info.value))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_one_bad_field_is_one_error_line_and_what_loads_is_a_fixed_point(tmp_path, data):
     path = data.draw(st.sampled_from(sorted(PATHS)), label="path")
@@ -237,3 +236,30 @@ def test_every_checked_field_has_an_annotation_the_table_knows():
     assert set(pipeline._SECTION_TYPES) == {"stages", "crossturn", "bargein", "disfluency", "pool_weights"}
     unknown = [(name, annotation) for name, annotation in _checked_annotations() if annotation not in TYPES]
     assert unknown == []
+
+
+# dump's three rules, each on a record: a field under its key or left out by
+# keys, a field that is None left out, and a frozenset as a sorted array.
+_DUMPED = {
+    "key map and skip": (
+        DisfluencyMeta("COR", 1, "tuesday", "wednesday", start=4, end=18), {"type": "kind", "start": None, "end": None},
+        {"kind": "COR", "position": 1, "inserted_span": "tuesday", "original_value": "wednesday"},
+    ),
+    "None left out": (
+        SpeakerProfile("spk1", "native", "US", 30, "20-30s", "female"), corpus._SPEAKER_KEYS,
+        {"speaker_id": "spk1", "category": "native", "country": "US", "age": 30, "age_bin": "20-30s", "sex": "female"},
+    ),
+    "frozenset sorted": (
+        SubGoal("train", "book_train", {"day": "monday"}, frozenset({"price", "duration"})), {},
+        {"domain": "train", "intent": "book_train", "constraints": {"day": "monday"}, "requests": ["duration", "price"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DUMPED))
+def test_dump_writes_in_field_order_what_build_reads_back(case):
+    record, keys, written = _DUMPED[case]
+    assert list(dump(record, keys).items()) == list(written.items())
+    left_out = {f.name: f.default for f in dataclasses.fields(record) if keys.get(f.name, f.name) is None}
+    read_keys = {name: key for name, key in keys.items() if key is not None}
+    assert build(type(record), case, written, ValueError, read_keys) == dataclasses.replace(record, **left_out)
