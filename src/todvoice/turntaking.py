@@ -6,6 +6,11 @@ frames and fires at most once per stream; fire outcomes are scored against the
 final-W trigger window as correct / early / confused / missed, and a binary
 collapse merges correct with confused. One W, TRIGGER_WINDOW, serves both, and
 the default thresholds are set for it (prob_threshold's 5.0 is a window sum).
+
+StrategyState is the streaming form. evaluate_set and sweep_thresholds score
+each whole stream once (stream_scores): every frame's term is read once, and
+the window ending at each frame folds the same terms in the same order as
+StrategyState, so both fire exactly where the replay does.
 """
 
 from __future__ import annotations
@@ -14,8 +19,10 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .checked import parse_json
 
@@ -49,7 +56,7 @@ class ProbFrame:
     def __post_init__(self) -> None:
         for p in (self.p_listen, self.p_turnend, self.p_bargein):
             try:
-                in_range = 0.0 <= p <= 1.0
+                in_range = not isinstance(p, bool) and 0.0 <= p <= 1.0
             except TypeError:
                 in_range = False
             if not in_range:
@@ -114,29 +121,70 @@ class FireDecision:
 NO_FIRE = FireDecision(False)
 
 
+def _terms(strategy: str, frames: Iterable[ProbFrame], cls: str) -> list[float | None]:
+    """Each frame's term in a window score for cls, in frame order.
+
+    A term depends on its frame alone, so a stream's terms are read once and
+    every window is a slice of them. tail_threshold's None breaks a run."""
+    attr = _FIELD_OF[cls]
+    if strategy == "listen_relative":
+        return [max(0.0, getattr(f, attr) - f.p_listen) for f in frames]
+    if strategy == "tail_threshold":
+        return [getattr(f, attr) if frame_argmax(f) == cls else None for f in frames]
+    return [getattr(f, attr) for f in frames]
+
+
+def _linear_weighted(terms: Sequence[float]) -> float:
+    n = len(terms)
+    return sum(map(mul, range(1, n + 1), terms)) / (n * (n + 1) / 2)
+
+
+def _longest_run(terms: Sequence[float | None]) -> float:
+    """Sum of the longest unbroken run; the larger sum wins a tie in length."""
+    best_len, best_sum = 0, 0.0
+    run_len, run_sum = 0, 0.0
+    for p in terms:
+        if p is None:
+            run_len, run_sum = 0, 0.0
+        else:
+            run_len += 1
+            run_sum += p
+        if run_len > best_len or (run_len == best_len and run_sum > best_sum):
+            best_len, best_sum = run_len, run_sum
+    return best_sum
+
+
+# How each strategy folds one window's terms (oldest first) into its score.
+_AGGREGATE = {
+    "prob_threshold": sum,
+    "tail_threshold": _longest_run,
+    "listen_relative": sum,
+    "linear_weighted": _linear_weighted,
+}
+
+
+def _aggregate(strategy: str) -> Callable[[Sequence[float | None]], float]:
+    try:
+        return _AGGREGATE[strategy]
+    except KeyError:
+        raise ValueError(f"no window score for strategy {strategy!r}") from None
+
+
 def window_score(strategy: str, window: Sequence[ProbFrame], cls: str) -> float:
     """Aggregate score for one class over the current window (oldest first)."""
-    if strategy == "prob_threshold":
-        return sum(f.p(cls) for f in window)
-    if strategy == "tail_threshold":
-        best_len, best_sum = 0, 0.0
-        run_len, run_sum = 0, 0.0
-        for f in window:
-            if frame_argmax(f) == cls:
-                run_len += 1
-                run_sum += f.p(cls)
-            else:
-                run_len, run_sum = 0, 0.0
-            if run_len > best_len or (run_len == best_len and run_sum > best_sum):
-                best_len, best_sum = run_len, run_sum
-        return best_sum
-    if strategy == "listen_relative":
-        return sum(max(0.0, f.p(cls) - f.p_listen) for f in window)
-    if strategy == "linear_weighted":
-        n = len(window)
-        denom = n * (n + 1) / 2
-        return sum((k + 1) * f.p(cls) for k, f in enumerate(window)) / denom
-    raise ValueError(f"no window score for strategy {strategy!r}")
+    return _aggregate(strategy)(_terms(strategy, window, cls))
+
+
+def stream_scores(frames: Sequence[ProbFrame], strategy: str) -> tuple[list[float], list[float]]:
+    """Turn-end and barge-in scores of the window ending at each frame.
+
+    Each equals the window_score StrategyState computes at that frame: the
+    same terms, folded in the same order."""
+    aggregate = _aggregate(strategy)
+    te, bi = (_terms(strategy, frames, cls) for cls in FIRE_CLASSES)
+    starts = [max(0, i - TRIGGER_WINDOW + 1) for i in range(len(frames))]
+    return ([aggregate(te[s: i + 1]) for i, s in enumerate(starts)],
+            [aggregate(bi[s: i + 1]) for i, s in enumerate(starts)])
 
 
 def _decide(cfg: StrategyConfig, window: Sequence[ProbFrame], frame_index: int) -> FireDecision:
@@ -243,32 +291,43 @@ def _tally(outcomes: Iterable[tuple[str, str]]) -> OutcomeReport:
     return OutcomeReport({truth: OutcomeCounts(**counts) for truth, counts in tallies.items()})
 
 
+def _crossings(
+    frames: Sequence[ProbFrame], strategy: str, te_values: Iterable[float], bi_values: Iterable[float]
+) -> tuple[dict[float, int], dict[float, int]]:
+    """For each threshold value, the first frame whose turn-end (barge-in)
+    score exceeds it, or len(frames) if none does.
+
+    That frame is where the running maximum of the scores first exceeds the
+    value, so each value costs one bisection."""
+    max_te, max_bi = (list(accumulate(scores, max)) for scores in stream_scores(frames, strategy))
+    return ({t: bisect_right(max_te, t) for t in te_values},
+            {t: bisect_right(max_bi, t) for t in bi_values})
+
+
+def _fire_at(i_te: int, i_bi: int, n_frames: int) -> FireDecision:
+    """The fire of a stream whose scores first cross at i_te and i_bi."""
+    i = min(i_te, i_bi)
+    if i == n_frames:
+        return NO_FIRE
+    # turn-end first: on a frame where both cross, the replay fires turn-end
+    return FireDecision(True, "turnend" if i_te <= i_bi else "bargein", i)
+
+
+def _fire(frames: Sequence[ProbFrame], cfg: StrategyConfig) -> FireDecision:
+    """Where run_stream fires, from the stream's scores."""
+    if cfg.strategy == "argmax":
+        return run_stream(frames, cfg)  # no window, so nothing to score ahead
+    at_te, at_bi = _crossings(frames, cfg.strategy, (cfg.t_turnend,), (cfg.t_bargein,))
+    return _fire_at(at_te[cfg.t_turnend], at_bi[cfg.t_bargein], len(frames))
+
+
 def evaluate_set(
     streams: Iterable[tuple[Sequence[ProbFrame], str]], cfg: StrategyConfig
 ) -> OutcomeReport:
     return _tally(
-        (truth, classify_outcome(run_stream(frames, cfg), truth, trigger_window_of(len(frames))))
+        (truth, classify_outcome(_fire(frames, cfg), truth, trigger_window_of(len(frames))))
         for frames, truth in streams
     )
-
-
-def _score_maxima(frames: Sequence[ProbFrame], strategy: str) -> tuple[list[float], list[float]]:
-    """Running maxima of the turn-end and barge-in window scores, one per frame.
-
-    Every score is a fresh window_score over the window StrategyState would
-    hold at that frame, so a threshold t is first exceeded at frame
-    bisect_right(maxima, t), exactly where the streaming replay fires.
-    """
-    max_te: list[float] = []
-    max_bi: list[float] = []
-    te = bi = float("-inf")
-    for i in range(len(frames)):
-        win = frames[max(0, i - TRIGGER_WINDOW + 1): i + 1]
-        te = max(te, window_score(strategy, win, "turnend"))
-        bi = max(bi, window_score(strategy, win, "bargein"))
-        max_te.append(te)
-        max_bi.append(bi)
-    return max_te, max_bi
 
 
 def sweep_thresholds(
@@ -279,8 +338,10 @@ def sweep_thresholds(
 ) -> list[dict[str, object]]:
     """evaluate_set's table for every pair with 0 < t_bargein < t_turnend.
 
-    Each stream is scored once, in O(frames * window); a pair then costs two
-    bisections per stream. Inverted pairs are skipped.
+    Each stream is scored once, in O(frames * window), and each distinct
+    threshold value then costs one bisection per stream. Pairs that put every
+    stream's crossings at the same frames share one tally; each row gets its
+    own copy of the table. Inverted pairs are skipped.
     """
     cfgs = [
         StrategyConfig(strategy, t_turnend=te, t_bargein=bi)
@@ -290,18 +351,21 @@ def sweep_thresholds(
     ]
     if not cfgs:
         return []
-    traces = [(*_score_maxima(frames, strategy), truth) for frames, truth in streams]
+    te_set, bi_set = {c.t_turnend for c in cfgs}, {c.t_bargein for c in cfgs}
+    scored = [(len(frames), truth, *_crossings(frames, strategy, te_set, bi_set)) for frames, truth in streams]
+    # per threshold value, the frame where each stream first crosses it
+    te_at = {t: tuple(at_te[t] for _, _, at_te, _ in scored) for t in te_set}
+    bi_at = {t: tuple(at_bi[t] for _, _, _, at_bi in scored) for t in bi_set}
+    tables: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[str, dict[str, float]]] = {}
     rows: list[dict[str, object]] = []
     for cfg in cfgs:
-        outcomes = []
-        for max_te, max_bi, truth in traces:
-            i_te = bisect_right(max_te, cfg.t_turnend)
-            i_bi = bisect_right(max_bi, cfg.t_bargein)
-            i, n = min(i_te, i_bi), len(max_te)
-            # turn-end first: on a frame where both cross, the replay fires turn-end
-            fire = NO_FIRE if i == n else FireDecision(True, "turnend" if i_te <= i_bi else "bargein", i)
-            outcomes.append((truth, classify_outcome(fire, truth, trigger_window_of(n))))
-        table = _tally(outcomes).as_table()
+        key = te_at[cfg.t_turnend], bi_at[cfg.t_bargein]
+        if key not in tables:
+            tables[key] = _tally(
+                (truth, classify_outcome(_fire_at(i_te, i_bi, n), truth, trigger_window_of(n)))
+                for i_te, i_bi, (n, truth, _, _) in zip(*key, scored)
+            ).as_table()
+        table = {truth: dict(row) for truth, row in tables[key].items()}
         rows.append({"t_turnend": cfg.t_turnend, "t_bargein": cfg.t_bargein, "table": table})
     return rows
 
@@ -331,7 +395,7 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
                 frame = ProbFrame(rec["p_listen"], rec["p_turnend"], rec["p_bargein"])
                 sid = str(rec.get("stream_id", "0"))
                 t = rec.get("t", line_no)
-                if not isinstance(t, (int, float)) or not math.isfinite(t):
+                if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
                     raise ValueError(f"t {t!r} is not a finite number")
                 grouped.setdefault(sid, []).append((t, frame))
                 if "truth" in rec:

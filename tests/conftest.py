@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from todvoice.clients import ChatClient, with_retries
 from todvoice.corpus import Dialogue, Goal, Role, SubGoal, Turn, splice_turns
 from todvoice.crossturn import CrossTurnConfig, dictation_block
 from todvoice.speakers import ACCENT_POOLS, AGE_BINS, GENDERS, SpeakerProfile
+from todvoice.turntaking import ProbFrame
 
 # Every property test draws the same examples on every run, so tier-1 cannot flake.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
@@ -103,6 +105,38 @@ def assistant_pool_profiles() -> list[SpeakerProfile]:
                        ref_audio=f"ref/a{i:02d}.wav", ref_duration_s=10.0)
         for i in range(10)
     ]
+
+
+def random_frame(rng: random.Random) -> ProbFrame:
+    """A frame drawn uniformly on the probability simplex."""
+    a, b = sorted((rng.random(), rng.random()))
+    return ProbFrame(a, b - a, 1.0 - b)
+
+
+def mixed_streams(rng: random.Random, n: int, max_len: int) -> list[tuple[list[ProbFrame], str]]:
+    """Four fixed labeled streams, then n random ones of 1..max_len frames.
+
+    Half the random streams draw from dyadic frames, whose window sums are
+    exact, so scores land on round thresholds; (0, 0.5, 0.5) frames cross both
+    classes at once. The other half draw on the simplex."""
+    listen, te, bi, both = (ProbFrame(1.0, 0.0, 0.0), ProbFrame(0.0, 1.0, 0.0),
+                            ProbFrame(0.0, 0.0, 1.0), ProbFrame(0.0, 0.5, 0.5))
+    pool = [listen, te, bi, both, ProbFrame(0.5, 0.5, 0.0), ProbFrame(0.25, 0.25, 0.5),
+            ProbFrame(1 / 3, 1 / 3, 1 / 3)]
+    streams = [
+        ([listen] * 12, "turnend"),  # never fires
+        ([listen] * 3 + [te] * 6, "turnend"),  # a window sum of 5.0 is met exactly on frame 7
+        ([listen] * 2 + [both] * 8, "bargein"),
+        ([te], "bargein"),
+    ]
+    for _ in range(n):
+        length = rng.randint(1, max_len)
+        if rng.random() < 0.5:
+            frames = [rng.choice(pool) for _ in range(length)]
+        else:
+            frames = [random_frame(rng) for _ in range(length)]
+        streams.append((frames, rng.choice(("turnend", "bargein"))))
+    return streams
 
 
 def set_path(doc, path: str, value) -> None:

@@ -23,22 +23,31 @@ Before the WAVs are deleted, `eval-dialogue --wer-sample <all> --similarity`
 runs on the output (stub ASR at the default corruption of 0). EVAL_DIGEST is
 the sha256 of its stdout, and EVAL_PROMPT_DIGEST that of the coverage-judge
 prompts it sends, in call order.
+
+TURNTAKING_DIGEST is the sha256 of the `eval-turn-taking` stdout for each of
+the five strategies, then of the `sweep_thresholds` rows (as JSON) for each
+thresholded strategy on a grid that holds its defaults. The streams are
+seeded and mix simplex frames with dyadic ones whose window sums land exactly
+on the grid's thresholds, so a change to how scores are summed or compared
+shows here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import shutil
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import assistant_pool_profiles, user_pool_profiles, write_speaker_manifest
+from conftest import assistant_pool_profiles, mixed_streams, user_pool_profiles, write_speaker_manifest
 from todvoice.cli import main
 from todvoice.clients import StubChatClient
 from todvoice.corpus import load_corpus, save_corpus, validate_dialogue
+from todvoice.turntaking import DEFAULT_THRESHOLDS, STRATEGY_NAMES, sweep_thresholds
 
 GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 GOLDEN_DIGEST = "b20bb31607fceaf70404502153ac8a3e82af6f3302b795442a8ef11e92006510"
@@ -47,6 +56,7 @@ GOLDEN_PROMPT_DIGEST = "067f904f1d8bcd26c55ae9d83039486855dc5dd8456b8c60fb965261
 EVAL_DIGEST = "62fdc16d18b7bbf6d10c1a200cdaa1e43e8addd0409e4f5d5dede25ae11d1d00"
 EVAL_PROMPT_COUNT = 347
 EVAL_PROMPT_DIGEST = "14f3a65c6bc9eb2d43090b8f76f5b4498fab6d71b42acb086251990f40fdcecb"
+TURNTAKING_DIGEST = "00f91364a5f696735c98cc3ca1c3a8b2463ce263083e21200eb574855ac32d52"
 
 
 def _run_digest(tmp_path: Path, workers: int) -> tuple[str, str]:
@@ -133,3 +143,22 @@ def test_augmented_output_augments_again_without_quarantine(tmp_path):
         assert again.read_bytes() == twice.read_bytes()
         outputs.append((once.read_bytes(), twice.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_turn_taking_output_matches_golden_digest(tmp_path):
+    streams = mixed_streams(random.Random(20261020), 300, 40)
+    path = tmp_path / "streams.jsonl"
+    path.write_text("".join(
+        json.dumps({"stream_id": f"s{k}", "t": t, "truth": truth, "p_listen": f.p_listen,
+                    "p_turnend": f.p_turnend, "p_bargein": f.p_bargein}) + "\n"
+        for k, (frames, truth) in enumerate(streams) for t, f in enumerate(frames)), encoding="utf-8")
+    h = hashlib.sha256()
+    for name in STRATEGY_NAMES:
+        result = CliRunner().invoke(main, ["eval-turn-taking", str(path), "--strategy", name])
+        assert result.exit_code == 0, result.output
+        h.update(result.stdout.encode())
+    for name, (te, bi) in DEFAULT_THRESHOLDS.items():
+        te_values = sorted({te * f for f in (0.5, 1.0, 2.0)} | {1.0, 2.0, 3.0, 5.0})
+        bi_values = sorted({bi * f for f in (0.5, 1.0, 2.0)} | {0.25, 0.5, 1.0})
+        h.update(json.dumps(sweep_thresholds(streams, name, te_values, bi_values)).encode())
+    assert h.hexdigest() == TURNTAKING_DIGEST

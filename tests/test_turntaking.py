@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
 
 import pytest
+from conftest import mixed_streams, random_frame
 
 from todvoice.turntaking import (
     DEFAULT_THRESHOLDS,
+    OUTCOME_CLASSES,
+    STRATEGY_NAMES,
     TRIGGER_WINDOW,
     ContractViolation,
     FireDecision,
@@ -24,6 +28,7 @@ from todvoice.turntaking import (
     frame_argmax,
     read_streams,
     run_stream,
+    stream_scores,
     sweep_thresholds,
     trigger_window_of,
     window_score,
@@ -36,11 +41,6 @@ def F(listen: float, turnend: float, bargein: float) -> ProbFrame:
 
 LISTEN = F(1.0, 0.0, 0.0)
 UNIFORM = F(1 / 3, 1 / 3, 1 / 3)
-
-
-def _random_frame(rng: random.Random) -> ProbFrame:
-    a, b = sorted((rng.random(), rng.random()))
-    return ProbFrame(a, b - a, 1.0 - b)
 
 
 class TestProbFrame:
@@ -211,7 +211,7 @@ class TestEvaluateSet:
         for _ in range(n):
             length = rng.randint(6, 25)
             truth = rng.choice(("turnend", "bargein"))
-            frames = [_random_frame(rng) for _ in range(length)]
+            frames = [random_frame(rng) for _ in range(length)]
             streams.append((frames, truth))
         return streams
 
@@ -246,32 +246,24 @@ class TestEvaluateSet:
         assert combos == {(1.0, 0.5), (2.0, 0.5), (2.0, 1.5)}
 
 
+def _tally_fires(streams, fire_of) -> dict:
+    """The outcome table of fire_of(frames) on each labeled stream, counted here."""
+    counts: dict[str, dict[str, int]] = {}
+    for frames, truth in streams:
+        outcome = classify_outcome(fire_of(frames), truth, trigger_window_of(len(frames)))
+        counts.setdefault(truth, dict.fromkeys(OUTCOME_CLASSES, 0))[outcome] += 1
+    return OutcomeReport({truth: OutcomeCounts(**c) for truth, c in counts.items()}).as_table()
+
+
 class TestSweep:
-    """sweep_thresholds against one evaluate_set replay per config."""
+    """sweep_thresholds against one run_stream replay per config."""
 
     TE = [0.25, 0.5, 1.0, 1.5, 2.7, 3.0, 5.0, 6.0]
     BI = [0.05, 0.25, 0.5, 1.0, 2.0, 5.0]
 
     @staticmethod
     def _streams(rng: random.Random):
-        # dyadic probabilities keep window sums exact, so scores land on the
-        # grid's thresholds; (0, 0.5, 0.5) frames cross both classes at once
-        te, bi, both = F(0.0, 1.0, 0.0), F(0.0, 0.0, 1.0), F(0.0, 0.5, 0.5)
-        pool = [LISTEN, te, bi, both, F(0.5, 0.5, 0.0), F(0.25, 0.25, 0.5), UNIFORM]
-        streams = [
-            ([LISTEN] * 12, "turnend"),  # never fires
-            ([LISTEN] * 3 + [te] * 6, "turnend"),  # 5.0 met exactly on frame 7
-            ([LISTEN] * 2 + [both] * 8, "bargein"),
-            ([te], "bargein"),
-        ]
-        for _ in range(24):
-            n = rng.randint(1, 16)
-            if rng.random() < 0.5:
-                frames = [rng.choice(pool) for _ in range(n)]
-            else:
-                frames = [_random_frame(rng) for _ in range(n)]
-            streams.append((frames, rng.choice(("turnend", "bargein"))))
-        return streams
+        return mixed_streams(rng, 24, 16)
 
     def test_rows_equal_evaluate_set(self):
         streams = self._streams(random.Random(20261018))
@@ -281,7 +273,14 @@ class TestSweep:
             assert [(r["t_turnend"], r["t_bargein"]) for r in rows] == pairs
             for row in rows:
                 cfg = StrategyConfig(strategy, row["t_turnend"], row["t_bargein"])
-                assert row["table"] == evaluate_set(streams, cfg).as_table(), (strategy, row)
+                assert row["table"] == _tally_fires(streams, lambda f: run_stream(f, cfg)), (strategy, row)
+            # a row whose table another row repeats still owns it
+            shared = next(i for i, r in enumerate(rows) if [q["table"] for q in rows].count(r["table"]) > 1)
+            before = copy.deepcopy(rows)
+            for counts in rows[shared]["table"].values():
+                counts["correct"] = -1.0
+            rows[shared]["table"]["listen"] = {}
+            assert rows[:shared] + rows[shared + 1:] == before[:shared] + before[shared + 1:]
 
     def test_reads_a_generator_once(self):
         streams = self._streams(random.Random(3))
@@ -326,12 +325,11 @@ class TestOracle:
         if strategy == "tail_threshold":
             best_len, best_sum = 0, 0.0
             for end in range(len(window)):
-                length, total = 0, 0.0
-                for j in range(end, -1, -1):
-                    if self._oracle_argmax(window[j]) != cls:
-                        break
-                    length += 1
-                    total += window[j].p(cls)
+                start = end + 1
+                while start > 0 and self._oracle_argmax(window[start - 1]) == cls:
+                    start -= 1
+                # summed in frame order, as a stream accumulates it, so scores compare with ==
+                length, total = end + 1 - start, sum(f.p(cls) for f in window[start: end + 1])
                 if length > best_len or (length == best_len and total > best_sum):
                     best_len, best_sum = length, total
             return best_sum
@@ -358,7 +356,7 @@ class TestOracle:
         rng = random.Random(20260818)
         names = ("argmax", "prob_threshold", "tail_threshold", "listen_relative", "linear_weighted")
         for case in range(1000):
-            frames = [_random_frame(rng) for _ in range(rng.randint(1, 30))]
+            frames = [random_frame(rng) for _ in range(rng.randint(1, 30))]
             name = names[case % len(names)]
             cfg = StrategyConfig(name)
             assert run_stream(frames, cfg) == self._oracle_run(frames, cfg), (case, name)
@@ -366,10 +364,27 @@ class TestOracle:
     def test_window_scores_stay_in_bounds(self):
         rng = random.Random(5)
         for _ in range(2000):
-            window = [_random_frame(rng) for _ in range(rng.randint(1, 6))]
+            window = [random_frame(rng) for _ in range(rng.randint(1, 6))]
             score = window_score("linear_weighted", window, "turnend")
             assert 0.0 <= score <= 1.0
 
+
+    def test_stream_scores_match_oracle(self):
+        rng = random.Random(20261020)
+        for case, (frames, _) in enumerate(mixed_streams(rng, 600, 30)):
+            for strategy in DEFAULT_THRESHOLDS:
+                scores = dict(zip(("turnend", "bargein"), stream_scores(frames, strategy)))
+                for i in range(len(frames)):
+                    window = frames[max(0, i - TRIGGER_WINDOW + 1): i + 1]
+                    for cls, got in scores.items():
+                        assert got[i] == self._oracle_score(strategy, window, cls), (case, strategy, cls, i)
+
+    def test_evaluate_set_matches_oracle(self):
+        streams = mixed_streams(random.Random(20261021), 400, 30)
+        for name in STRATEGY_NAMES:
+            cfg = StrategyConfig(name)
+            want = _tally_fires(streams, lambda frames: self._oracle_run(frames, cfg))
+            assert evaluate_set(streams, cfg).as_table() == want, name
 
 class TestStreamIO:
     def _write(self, path, records):
@@ -423,6 +438,8 @@ class TestStreamIO:
         ({"p_listen": 0.5, "p_turnend": 0.0, "p_bargein": 0.0}, "sum to"),
         ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": "late"}, "t 'late' is not"),
         ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": float("nan")}, "t nan is not"),
+        ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": True}, "t True is not"),
+        ({"p_listen": True, "p_turnend": 0.0, "p_bargein": 0.0}, "probability True is not a number"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, bad, message):
         p = tmp_path / "bad.jsonl"
@@ -439,7 +456,7 @@ class TestStreamIO:
         for sid in range(20):
             truth = rng.choice(("turnend", "bargein"))
             for t in range(rng.randint(6, 12)):
-                f = _random_frame(rng)
+                f = random_frame(rng)
                 records.append({"stream_id": f"s{sid}", "t": t, "truth": truth,
                                 "p_listen": f.p_listen, "p_turnend": f.p_turnend,
                                 "p_bargein": f.p_bargein})
