@@ -136,10 +136,7 @@ def generate_insertion(d: Dialogue, candidate: Candidate, context: str, gen: Cha
     else:
         meta = BargeInMeta(type=candidate.type, style=candidate.style)
 
-    return [
-        Turn(index=0, role=Role(role), text=text, bargein=meta if i < 2 else None)
-        for i, (role, text) in enumerate(turns)
-    ]
+    return [Turn(role=Role(role), text=text, bargein=meta if i < 2 else None) for i, (role, text) in enumerate(turns)]
 
 
 def apply_bargein_stage(

@@ -137,13 +137,15 @@ def augment(cfg: PipelineConfig, input_path: str, output_path: str,
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None)
 @click.pass_obj
 def synthesize(cfg: PipelineConfig, input_path: str, output_path: str, out_dir: str | None) -> None:
-    """Render audio for an already-augmented corpus."""
+    """Render audio for an already-augmented corpus in the voices augment assigned:
+    with no speaker manifest there is no pool, so the speakers stage does not run."""
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, out_dir=out_dir)
     cfg = dataclasses.replace(
         cfg,
         stages=StageToggles(crossturn=False, bargein=False, disfluency=False,
                             emotion=False, synthesis=True),
+        speaker_manifest=None, assistant_manifest=None,
     )
     _write_run("synthesized", run_pipeline(load_corpus(input_path), cfg), output_path, cfg.out_dir)
 

@@ -192,10 +192,10 @@ class Turn:
     disfluency a tuple of DisfluencyMeta in text order. state is the
     source's belief state after this turn (slot -> value), or None where the
     source records none; with_ copies keep it, and turns that augmentation
-    inserts carry none.
+    inserts carry none. index is the turn's position, set by its Dialogue.
     """
 
-    index: int
+    index: int = field(default=0, kw_only=True)
     role: Role
     text: str
     slot_spans: tuple[tuple[str, int, int], ...] = ()
@@ -220,8 +220,12 @@ class Dialogue:
     user_speaker: SpeakerProfile | None = None
     assistant_speaker: SpeakerProfile | None = None
 
+    def __post_init__(self) -> None:
+        # Each turn's index is its position; a turn already there is kept as it is.
+        object.__setattr__(self, "turns", tuple(t if t.index == i else t.with_(index=i) for i, t in enumerate(self.turns)))
+
     def with_turns(self, turns: Iterable[Turn]) -> "Dialogue":
-        return replace(self, turns=tuple(turns))
+        return replace(self, turns=turns)
 
     def user_turns(self) -> list[Turn]:
         return [t for t in self.turns if t.role is Role.USER]
@@ -245,17 +249,11 @@ class Violation:
         return "" if self.turn_index is None else f"{prefix}{self.turn_index}"
 
 
-def renumber(turns: Iterable[Turn]) -> tuple[Turn, ...]:
-    """Reassign dense indices from 0 preserving order; a turn already at its
-    index is kept as it is."""
-    return tuple(t if t.index == i else t.with_(index=i) for i, t in enumerate(turns))
-
-
 # --- dialogue edits ------------------------------------------------------------
 
 def splice_turns(d: Dialogue, edits: Sequence[tuple[int, int, Sequence[Turn]]]) -> Dialogue:
     """Apply every edit (start, stop, block), each replacing d.turns[start:stop]
-    with block, in one pass, and renumber once; no edits return d itself.
+    with block, in one pass; no edits return d itself.
 
     Edits are in d's coordinates, in order and not overlapping.
     """
@@ -267,7 +265,7 @@ def splice_turns(d: Dialogue, edits: Sequence[tuple[int, int, Sequence[Turn]]]) 
         turns += [*d.turns[at:start], *block]
         at = stop
     turns += d.turns[at:]
-    return d.with_turns(renumber(turns))
+    return d.with_turns(turns)
 
 
 def corrections(turns: Sequence[Turn]) -> dict[int, int]:
@@ -351,10 +349,6 @@ def validate_dialogue(d: Dialogue) -> list[Violation]:
 
     if not d.turns:
         out.append(Violation("turns.empty", "dialogue has no turns"))
-
-    for i, t in enumerate(d.turns):
-        if t.index != i:
-            out.append(Violation("turns.indices", f"expected index {i}, found {t.index}", t.index))
 
     for i in range(1, len(d.turns)):
         prev, cur = d.turns[i - 1], d.turns[i]
@@ -718,8 +712,15 @@ def iter_records(path: str | Path) -> Iterator[dict[str, Any]]:
 
 
 def load_corpus(path: str | Path) -> list[Dialogue]:
-    """Read a corpus file: NDJSON (one dialogue per line) or a JSON array/object."""
-    return [dialogue_from_dict(x) for x in iter_records(path)]
+    """Read a corpus file: NDJSON (one dialogue per line) or a JSON array/object;
+    a bad record's CorpusError is prefixed with <file>[i], its file and position."""
+    out = []
+    for i, x in enumerate(iter_records(path)):
+        try:
+            out.append(dialogue_from_dict(x))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}[{i}]: {exc}") from exc
+    return out
 
 
 def save_corpus(dialogues: Iterable[Dialogue], path: str | Path) -> None:

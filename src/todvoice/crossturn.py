@@ -132,7 +132,7 @@ def dictation_block(
     block: list[Turn] = []
 
     def add(role: Role, text: str, meta: CrossTurnMeta) -> None:
-        block.append(Turn(index=0, role=role, text=text, crossturn=meta))
+        block.append(Turn(role=role, text=text, crossturn=meta))
 
     for i, chunk in enumerate(spoken):
         dictated = render_dictation(chunk)

@@ -27,7 +27,6 @@ from .corpus import (
     dialogue_from_dict,
     edit_text,
     locate_slot_spans,
-    renumber,
 )
 
 log = logging.getLogger(__name__)
@@ -74,12 +73,11 @@ def _merge_runs(turns: Iterable[Turn]) -> list[Turn]:
 def _dialogue(
     dialogue_id: str, source: str, sub_goals: Sequence[SubGoal], turns: Iterable[Turn], goal_text: str = ""
 ) -> Dialogue:
-    """The tail every adapter shares: runs of one role merged, turns numbered
-    by position, and a general sub-goal and a templated goal text where the
-    source gives none."""
+    """The tail every adapter shares: runs of one role merged, and a general
+    sub-goal and a templated goal text where the source gives none."""
     sub_goals = tuple(sub_goals) or (SubGoal("general", "complete_task"),)
     goal = Goal(text=goal_text or template_goal_text(sub_goals), sub_goals=sub_goals)
-    return Dialogue(dialogue_id, source, goal, renumber(_merge_runs(turns)))
+    return Dialogue(dialogue_id, source, goal, _merge_runs(turns))
 
 
 # --- SGD ------------------------------------------------------------------------
@@ -116,7 +114,7 @@ def _adapt_sgd(raw: Mapping[str, Any], source: str) -> Dialogue:
             if intent and intent != "NONE":
                 intents[service] = intent
         user_state = flat_state if flat_state and role is Role.USER else None
-        turns.append(Turn(index=i, role=role, text=text, slot_spans=tuple(spans), state=user_state))
+        turns.append(Turn(role=role, text=text, slot_spans=tuple(spans), state=user_state))
 
     services = sorted(set(final_state) | set(requested) | set(intents))
     sub_goals = [
@@ -155,7 +153,7 @@ def _adapt_tm2(raw: Mapping[str, Any], source: str) -> Dialogue:
                 spans.append((slot, start, end))
                 if role is Role.USER:
                     collected.setdefault(domain, {}).setdefault(slot, text[start:end])
-        turns.append(Turn(index=i, role=role, text=text, slot_spans=tuple(spans)))
+        turns.append(Turn(role=role, text=text, slot_spans=tuple(spans)))
 
     sub_goals = [
         SubGoal(domain=domain, intent="complete_task", constraints=dict(slots))
@@ -206,7 +204,7 @@ def _adapt_abcd(raw: Mapping[str, Any], source: str) -> Dialogue:
         report = align_placeholders(text, delexed_text)
         for _, placeholder in report.unmatched:
             log.warning("placeholder %s failed to align in %s; dropped", placeholder, dialogue_id)
-        rows.append(Turn(index=len(rows), role=role, text=text, slot_spans=report.matched))
+        rows.append(Turn(role=role, text=text, slot_spans=report.matched))
 
     # Scenario values no placeholder covered are looked for in user turns.
     scenario = raw.get("scenario") or {}
@@ -309,7 +307,7 @@ def _adapt_woz(raw: Mapping[str, Any], source: str) -> Dialogue:
                 for name, value in report.unmatched:
                     log.debug("state value %s=%r not in user turn; no span", name, value)
                 turns[-1] = user_turn.with_(slot_spans=user_turn.slot_spans + report.matched)
-        turns.append(Turn(index=i, role=role, text=text, emotion=emotion, state=state))
+        turns.append(Turn(role=role, text=text, emotion=emotion, state=state))
     return _dialogue(str(raw.get("dialogue_id") or raw["id"]), source, sub_goals, turns, goal_text)
 
 

@@ -121,17 +121,18 @@ class FireDecision:
 NO_FIRE = FireDecision(False)
 
 
-def _terms(strategy: str, frames: Iterable[ProbFrame], cls: str) -> list[float | None]:
-    """Each frame's term in a window score for cls, in frame order.
+def _terms(strategy: str, frames: Sequence[ProbFrame]) -> list[list[float | None]]:
+    """Each frame's term in a window score for each of FIRE_CLASSES, in frame order.
 
     A term depends on its frame alone, so a stream's terms are read once and
     every window is a slice of them. tail_threshold's None breaks a run."""
-    attr = _FIELD_OF[cls]
-    if strategy == "listen_relative":
-        return [max(0.0, getattr(f, attr) - f.p_listen) for f in frames]
     if strategy == "tail_threshold":
-        return [getattr(f, attr) if frame_argmax(f) == cls else None for f in frames]
-    return [getattr(f, attr) for f in frames]
+        best = [frame_argmax(f) for f in frames]  # once per frame, for both classes
+        return [[f.p(cls) if b == cls else None for f, b in zip(frames, best)] for cls in FIRE_CLASSES]
+    attrs = [_FIELD_OF[cls] for cls in FIRE_CLASSES]
+    if strategy == "listen_relative":
+        return [[max(0.0, getattr(f, attr) - f.p_listen) for f in frames] for attr in attrs]
+    return [[getattr(f, attr) for f in frames] for attr in attrs]
 
 
 def _linear_weighted(terms: Sequence[float]) -> float:
@@ -170,18 +171,18 @@ def _aggregate(strategy: str) -> Callable[[Sequence[float | None]], float]:
         raise ValueError(f"no window score for strategy {strategy!r}") from None
 
 
-def window_score(strategy: str, window: Sequence[ProbFrame], cls: str) -> float:
-    """Aggregate score for one class over the current window (oldest first)."""
-    return _aggregate(strategy)(_terms(strategy, window, cls))
+def window_scores(strategy: str, window: Sequence[ProbFrame]) -> tuple[float, float]:
+    """Turn-end and barge-in scores over the current window (oldest first)."""
+    return tuple(map(_aggregate(strategy), _terms(strategy, window)))
 
 
 def stream_scores(frames: Sequence[ProbFrame], strategy: str) -> tuple[list[float], list[float]]:
     """Turn-end and barge-in scores of the window ending at each frame.
 
-    Each equals the window_score StrategyState computes at that frame: the
+    Each equals the window_scores StrategyState computes at that frame: the
     same terms, folded in the same order."""
     aggregate = _aggregate(strategy)
-    te, bi = (_terms(strategy, frames, cls) for cls in FIRE_CLASSES)
+    te, bi = _terms(strategy, frames)
     starts = [max(0, i - TRIGGER_WINDOW + 1) for i in range(len(frames))]
     return ([aggregate(te[s: i + 1]) for i, s in enumerate(starts)],
             [aggregate(bi[s: i + 1]) for i, s in enumerate(starts)])
@@ -194,8 +195,8 @@ def _decide(cfg: StrategyConfig, window: Sequence[ProbFrame], frame_index: int) 
             return FireDecision(True, cls, frame_index)
         return NO_FIRE
     # turn-end first: its threshold is the higher one, and ties resolve to it
-    for cls, threshold in (("turnend", cfg.t_turnend), ("bargein", cfg.t_bargein)):
-        if window_score(cfg.strategy, window, cls) > threshold:
+    for cls, score, threshold in zip(FIRE_CLASSES, window_scores(cfg.strategy, window), (cfg.t_turnend, cfg.t_bargein)):
+        if score > threshold:
             return FireDecision(True, cls, frame_index)
     return NO_FIRE
 

@@ -235,6 +235,26 @@ class TestSynthesize:
         assert not (out_dir / "synthesis_manifest.jsonl").exists()
         assert len((out_dir / "quarantine.jsonl").read_text().splitlines()) == 1
 
+    def test_keeps_the_speakers_augment_assigned(self, runner, tmp_path):
+        users, assistants = tmp_path / "speakers.json", tmp_path / "assistants.json"
+        write_speaker_manifest(user_pool_profiles(), users)
+        write_speaker_manifest(assistant_pool_profiles(), assistants)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_manifest": str(users), "assistant_manifest": str(assistants)}))
+        augmented, synthesized = tmp_path / "aug.jsonl", tmp_path / "syn.jsonl"
+        result = runner.invoke(main, ["--config", str(cfg), "--seed", "1", "augment", str(_corpus_file(tmp_path, 4)),
+                                      str(augmented), "--out-dir", str(tmp_path / "a"), "--no-synthesis"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["--config", str(cfg), "--seed", "9", "synthesize", str(augmented),
+                                      str(synthesized), "--out-dir", str(tmp_path / "s")])
+        assert result.exit_code == 0, result.output
+        before, after = load_corpus(augmented), load_corpus(synthesized)
+        assert len(after) == len(before) == 4
+        assert all(d.user_speaker is not None and d.assistant_speaker is not None for d in before)
+        assert [(d.user_speaker, d.assistant_speaker) for d in after] == \
+            [(d.user_speaker, d.assistant_speaker) for d in before]
+        assert all(t.audio_ref for d in after for t in d.turns)
+
 
 class TestValidate:
     def test_clean_corpus_passes(self, runner, tmp_path):
@@ -357,6 +377,15 @@ class TestCleanErrorBoundary:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
 
+    def test_bad_record_names_its_file_and_position(self, runner, tmp_path):
+        doc = dialogue_to_dict(make_dialogue(dialogue_id="ok"))
+        src = tmp_path / "bad.jsonl"
+        src.write_text(json.dumps(doc) + "\n" + json.dumps({**doc, "dialogue_id": 5}) + "\n")
+        result = runner.invoke(main, ["validate", str(src)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"Error: {src}[1]: dialogue_id must be a string, not 5"]
+
     @pytest.mark.parametrize("state", [5, ["ab"], {"a": 1}])
     def test_bad_turn_state_is_one_line(self, runner, tmp_path, state):
         doc = dialogue_to_dict(make_dialogue(dialogue_id="st"))
@@ -368,7 +397,7 @@ class TestCleanErrorBoundary:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1, result.output
-        assert lines[0].startswith("Error: dialogue 'st': turn 2: state must be an object of string values or null")
+        assert lines[0].startswith(f"Error: {src}[0]: dialogue 'st': turn 2: state must be an object of string values or null")
 
     @pytest.mark.parametrize("path,value,message", [pytest.param(*case, id=case[0]) for case in [
         ("turns.0.text", 5, "turn 0: text must be a string, not 5"),
@@ -390,7 +419,7 @@ class TestCleanErrorBoundary:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [f"Error: dialogue 'bad': {message}"]
+        assert result.output.splitlines() == [f"Error: {src}[0]: dialogue 'bad': {message}"]
 
     @pytest.mark.parametrize("changes,message", [
         pytest.param({"age": None}, "age must be an integer, not None", id="age"),
@@ -456,7 +485,7 @@ class TestCleanErrorBoundary:
         result = runner.invoke(main, ["validate", str(src)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [f"Error: dialogue 'ct': turn 0: crossturn.corrected_in_turn {message}"]
+        assert result.output.splitlines() == [f"Error: {src}[0]: dialogue 'ct': turn 0: crossturn.corrected_in_turn {message}"]
 
     @pytest.mark.parametrize("layout,text,message", [
         pytest.param("ndjson", "{ok}\n\n{oops\n", "3: Expecting property name enclosed in double quotes (column 2)",

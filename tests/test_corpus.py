@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,6 @@ from todvoice.corpus import (
     fluent_text,
     load_corpus,
     loads_dialogue,
-    renumber,
     save_corpus,
     splice_turns,
     tagged_text,
@@ -39,6 +39,8 @@ from todvoice.corpus import (
 )
 
 from conftest import make_dialogue, make_goal, states_of, with_states
+
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "golden_corpus.jsonl"
 
 
 class TestModel:
@@ -79,13 +81,30 @@ class TestModel:
         assert d.state_at(1) == {"food": "italian"}
         assert d.state_at(3) == {"food": "italian"}
 
-    def test_renumber_makes_indices_dense(self):
+    def test_dialogue_numbers_misnumbered_turns(self):
         turns = [Turn(index=9, role=Role.USER, text="a"), Turn(index=9, role=Role.ASSISTANT, text="b")]
-        assert [t.index for t in renumber(turns)] == [0, 1]
+        d = Dialogue(dialogue_id="n", source="generic", goal=make_goal(), turns=turns)
+        assert type(d.turns) is tuple
+        assert [t.index for t in d.turns] == [0, 1]
+        assert [t.text for t in d.turns] == ["a", "b"]
 
-    def test_renumber_keeps_turns_already_in_place(self):
+    def test_dialogue_keeps_turns_already_in_place(self):
         turns = make_dialogue().turns
-        assert all(a is b for a, b in zip(renumber(turns), turns, strict=True))
+        d = Dialogue(dialogue_id="n", source="generic", goal=make_goal(), turns=list(turns))
+        assert all(a is b for a, b in zip(d.turns, turns, strict=True))
+
+    def test_loading_copies_no_turn(self, monkeypatch):
+        # turn_from_dict builds each turn at its position, so the Dialogue keeps it as it is.
+        copies = []
+        original = Turn.with_
+
+        def with_(t, **changes):
+            copies.append(changes)
+            return original(t, **changes)
+
+        monkeypatch.setattr(Turn, "with_", with_)
+        assert load_corpus(GOLDEN_CORPUS)
+        assert copies == []
 
 
 def _dictation(is_error: bool = True, fix_chunk: int = 0) -> Dialogue:
@@ -186,6 +205,16 @@ def test_splice_turns_equals_its_edits_applied_right_to_left(case):
     for edit in reversed(edits):
         expected = splice_turns(expected, [edit])
     assert splice_turns(d, edits) == expected
+
+
+@settings(max_examples=300)
+@given(_dialogue_and_edits())
+def test_splice_turns_numbers_every_turn_and_keeps_those_before_the_first_edit(case):
+    d, edits = case
+    out = splice_turns(d, edits)
+    assert [t.index for t in out.turns] == list(range(len(out.turns)))
+    first = edits[0][0] if edits else len(d.turns)
+    assert all(a is b for a, b in zip(out.turns[:first], d.turns[:first], strict=True))
 
 
 class TestEditText:
@@ -339,8 +368,7 @@ class TestValidator:
     def test_truncated_assistant_turn_must_end_with_token(self):
         meta = BargeInMeta(type=BargeInType.EFFICIENCY, style=BargeInStyle.IMPLICIT)
         d = make_dialogue(texts=[(Role.USER, "hi"), (Role.ASSISTANT, "truncated mid")])
-        d = dataclasses.replace(
-            d, turns=renumber([d.turns[0], d.turns[1].with_(bargein=meta)]))
+        d = d.with_turns([d.turns[0], d.turns[1].with_(bargein=meta)])
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turn.truncation" in rules
 
@@ -348,12 +376,6 @@ class TestValidator:
         d = make_dialogue(texts=[(Role.USER, "hi"), (Role.ASSISTANT, "wait <bargein>")])
         rules = [v.rule for v in validate_dialogue(d)]
         assert "turn.truncation_meta" in rules
-
-    def test_nondense_indices_flagged(self, dialogue):
-        d = dataclasses.replace(dialogue, turns=tuple(
-            t.with_(index=t.index + 1) for t in dialogue.turns))
-        rules = [v.rule for v in validate_dialogue(d)]
-        assert "turns.indices" in rules
 
     def test_disfluency_ranges_lie_in_the_text_in_order_and_clear_of_slot_spans(self):
         text = "uh, the centre please"
@@ -391,7 +413,6 @@ def test_single_mutation_catalog_is_detected(dialogue):
     assert validate_dialogue(dialogue) == []
     t0 = dialogue.turns[0]
     mutations = [
-        dataclasses.replace(dialogue, turns=(t0.with_(index=5),) + dialogue.turns[1:]),
         dataclasses.replace(dialogue, turns=(t0.with_(role=Role.ASSISTANT),) + dialogue.turns[1:]),
         dataclasses.replace(dialogue, turns=(t0.with_(slot_spans=(("x", 2, 1),)),) + dialogue.turns[1:]),
         dataclasses.replace(dialogue, turns=(t0.with_(slot_spans=(("x", 0, 4), ("y", 2, 6))),) + dialogue.turns[1:]),

@@ -145,7 +145,7 @@ def test_one_bad_field_is_one_error_line_and_what_loads_is_a_fixed_point(tmp_pat
             context, key = _where(path)
             (line,) = result.output.splitlines()
             assert result.exit_code == 1
-            assert line.startswith(f"Error: {context}"), line
+            assert line.startswith(f"Error: {src}[0]: {context}"), line
             # A value of the wrong JSON kind is named by its key; a value of
             # the right kind can break a rule of its dataclass instead.
             assert key in line or kind in PATHS[path], line
@@ -169,7 +169,7 @@ def test_a_tagged_text_that_disagrees_is_one_error_line_naming_tagged(tmp_path, 
     result = CliRunner().invoke(main, ["validate", str(src)])
     (line,) = result.output.splitlines()
     assert result.exit_code == 1
-    assert line.startswith(f"Error: dialogue '{FULL['dialogue_id']}': turn 0: tagged must be"), line
+    assert line.startswith(f"Error: {src}[0]: dialogue '{FULL['dialogue_id']}': turn 0: tagged must be"), line
 
 
 # A stored value the reader derives from the rest, with a wrong one of the right kind.

@@ -31,7 +31,7 @@ from todvoice.turntaking import (
     stream_scores,
     sweep_thresholds,
     trigger_window_of,
-    window_score,
+    window_scores,
 )
 
 
@@ -123,26 +123,26 @@ class TestFrozenExamples:
 
     def test_linear_weighted_single_spike_stays_below_threshold(self):
         window = [LISTEN] * 5 + [F(0.0, 1.0, 0.0)]
-        score = window_score("linear_weighted", window, "turnend")
+        score, _ = window_scores("linear_weighted", window)
         assert score == pytest.approx(6 / 21)
         assert not run_stream(window, StrategyConfig("linear_weighted")).fired
 
     def test_linear_weighted_warmup_renormalizes(self):
         # a single frame is a full window of length 1: score = p itself
-        assert window_score("linear_weighted", [F(0.5, 0.5, 0.0)], "turnend") == pytest.approx(0.5)
+        assert window_scores("linear_weighted", [F(0.5, 0.5, 0.0)])[0] == pytest.approx(0.5)
         decision = run_stream([F(0.5, 0.5, 0.0)], StrategyConfig("linear_weighted"))
         assert decision == FireDecision(True, "turnend", 0)
 
     def test_tail_threshold_run_sum(self):
         hot = F(0.05, 0.95, 0.0)
         window = [LISTEN, hot, LISTEN, hot, hot, hot]
-        assert window_score("tail_threshold", window, "turnend") == pytest.approx(2.85)
+        assert window_scores("tail_threshold", window)[0] == pytest.approx(2.85)
         assert run_stream(window, StrategyConfig("tail_threshold")).fired
 
     def test_tail_threshold_run_breaks_on_other_argmax(self):
         hot = F(0.05, 0.95, 0.0)
         window = [hot, hot, LISTEN, hot, hot, LISTEN]
-        assert window_score("tail_threshold", window, "turnend") == pytest.approx(1.9)
+        assert window_scores("tail_threshold", window)[0] == pytest.approx(1.9)
 
     def test_argmax_fires_on_first_non_listen_frame(self):
         frames = [LISTEN, LISTEN, F(0.2, 0.1, 0.7)]
@@ -365,7 +365,7 @@ class TestOracle:
         rng = random.Random(5)
         for _ in range(2000):
             window = [random_frame(rng) for _ in range(rng.randint(1, 6))]
-            score = window_score("linear_weighted", window, "turnend")
+            score, _ = window_scores("linear_weighted", window)
             assert 0.0 <= score <= 1.0
 
 
@@ -378,6 +378,7 @@ class TestOracle:
                     window = frames[max(0, i - TRIGGER_WINDOW + 1): i + 1]
                     for cls, got in scores.items():
                         assert got[i] == self._oracle_score(strategy, window, cls), (case, strategy, cls, i)
+                    assert window_scores(strategy, window) == (scores["turnend"][i], scores["bargein"][i])
 
     def test_evaluate_set_matches_oracle(self):
         streams = mixed_streams(random.Random(20261021), 400, 30)
