@@ -258,11 +258,13 @@ def eval_dialogue(cfg: PipelineConfig, input_path: str, pred_path: str | None,
     if similarity:
         vectors = []
         for d in dialogues:
-            user_vecs = [
-                clients.embed.embed(str(Path(cfg.out_dir) / t.audio_ref))
-                for t in d.user_turns()
-                if t.audio_ref
-            ]
+            user_vecs = []
+            for t in d.user_turns():
+                if t.audio_ref:
+                    try:
+                        user_vecs.append(clients.embed.embed(str(Path(cfg.out_dir) / t.audio_ref)))
+                    except ClientError as exc:
+                        log.warning("embedding failed on %s turn %d; turn skipped: %s", d.dialogue_id, t.index, exc)
             if len(user_vecs) >= 2:
                 vectors.append(user_vecs)
         if vectors:

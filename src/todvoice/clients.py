@@ -39,6 +39,10 @@ class ClientError(Exception):
     """A service call failed: at once on a permanent error, or after exhausting retries."""
 
 
+class ReplyRejected(ValueError):
+    """A chat reply is not of the shape its prompt asked for."""
+
+
 @dataclass(frozen=True)
 class ClientConfig:
     endpoint: str = ""
@@ -129,18 +133,21 @@ class ChatClient:
 
     def ask(self, prompt: str, parse: Callable[[str], T | None], what: str) -> T | None:
         """parse(reply) for the first of two replies that parse accepts (maps to
-        something other than None). None, with one warning naming `what`, when
-        both are rejected or when the call fails; the failed call is not repeated,
-        since the HTTP layer already retried it if it was transient."""
+        something other than None, raising no ReplyRejected). None, with one
+        warning naming `what`, when both are rejected (the last reason) or when
+        the call fails: a failed call is not repeated, since the HTTP layer
+        already retried it if it was transient."""
         for _ in (1, 2):
             try:
-                value = parse(self.complete(prompt))
+                value, reason = parse(self.complete(prompt)), "unparseable"
             except ClientError as exc:
                 log.warning("%s: call failed (%s)", what, exc)
                 return None
+            except ReplyRejected as exc:
+                value, reason = None, str(exc)
             if value is not None:
                 return value
-        log.warning("%s: no usable reply in two tries", what)
+        log.warning("%s: no usable reply in two tries (last: %s)", what, reason)
         return None
 
 

@@ -3,9 +3,9 @@
 An utterance of L words is selected with probability 1 - b^L, receives one
 uniformly drawn disfluency type, and the event lands at a slot-proximate or
 uniform word position. Every event inserts one piece into the unchanged
-text; COR and RST take theirs from the generator client, and a reply of any
-other shape leaves the turn fluent, as does a turn with no word at which the
-event could land outside every slot value.
+text; COR and RST take theirs from the generator client through
+`ChatClient.ask`, and a turn without a usable reply stays fluent, as does a
+turn with no word at which the event could land outside every slot value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .clients import ChatClient, ClientError
+from .clients import ChatClient
 from . import prompts
 from .corpus import (
     COR_CONNECTORS, DISFLUENCY_TYPES, DisfluencyMeta, Role, Turn,
@@ -135,15 +135,19 @@ def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
     ws, we = _word_char_spans(t.text)[position]
     name, s, e = next((sp for sp in t.slot_spans if sp[1] < we and ws < sp[2]), t.slot_spans[0])
     value = t.text[s:e]
-    reply = gen.complete(prompts.self_correction_prompt(t.text, name, value)).strip()
-    piece = reply[s : s + len(reply) - len(t.text)]
-    if piece and reply == t.text[:s] + piece + t.text[s:]:
-        for conn in COR_CONNECTORS:
-            wrong = piece[: -len(conn)]
-            if piece.endswith(conn) and wrong and wrong != value:
-                return _insert(t, "COR", position, s, piece, wrong, value)
-    log.warning("self-correction output unparseable; turn %d left fluent", t.index)
-    return t
+
+    def parse(reply: str) -> Turn | None:
+        reply = reply.strip()
+        piece = reply[s : s + len(reply) - len(t.text)]
+        if piece and reply == t.text[:s] + piece + t.text[s:]:
+            for conn in COR_CONNECTORS:
+                wrong = piece[: -len(conn)]
+                if piece.endswith(conn) and wrong and wrong != value:
+                    return _insert(t, "COR", position, s, piece, wrong, value)
+        return None
+
+    what = f"self-correction generator on turn {t.index} (falls back to a fluent turn)"
+    return gen.ask(prompts.self_correction_prompt(t.text, name, value), parse, what) or t
 
 
 # An RST reply's prefix: the fragment, its pause, and the gap before the text.
@@ -152,27 +156,23 @@ _RESTART = re.compile(r"((.+?)(?:\.\.\.|—))\s+", flags=re.DOTALL)
 
 def _inject_rst(t: Turn, position: int, gen: ChatClient) -> Turn:
     """The reply must be a fragment of 2-5 words, its pause and a gap, then the text."""
-    reply = gen.complete(prompts.restart_prompt(t.text)).strip()
-    m = _RESTART.fullmatch(reply, 0, len(reply) - len(t.text)) if reply.endswith(t.text) else None
-    if m and 2 <= len(m[2].split()) <= 5:
-        return _insert(t, "RST", position, 0, m[0], m[1])
-    log.warning("restart output unparseable; turn %d left fluent", t.index)
-    return t
+
+    def parse(reply: str) -> Turn | None:
+        reply = reply.strip()
+        m = _RESTART.fullmatch(reply, 0, len(reply) - len(t.text)) if reply.endswith(t.text) else None
+        return _insert(t, "RST", position, 0, m[0], m[1]) if m and 2 <= len(m[2].split()) <= 5 else None
+
+    what = f"restart generator on turn {t.index} (falls back to a fluent turn)"
+    return gen.ask(prompts.restart_prompt(t.text), parse, what) or t
 
 
 def inject(t: Turn, dtype: str, position: int, gen: ChatClient, rng: random.Random) -> Turn:
     """Apply one disfluency event at a word position from choose_position: one
-    piece inserted into the unchanged text. On a client failure or a reply of
-    another shape the turn stays fluent."""
+    piece inserted into the unchanged text. Without a usable COR or RST reply
+    (see `ChatClient.ask`) the turn stays fluent."""
     if dtype in _RULE_TYPES:
         return _inject_rule(t, dtype, position, rng)
-    try:
-        if dtype == "COR":
-            return _inject_cor(t, position, gen)
-        return _inject_rst(t, position, gen)
-    except ClientError as exc:
-        log.warning("generator failure (%s); turn %d left fluent", exc, t.index)
-        return t
+    return (_inject_cor if dtype == "COR" else _inject_rst)(t, position, gen)
 
 
 def apply_disfluency_stage(

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
 from todvoice.bargein import (
     BargeInConfig,
-    BlockRejected,
     Candidate,
     apply_bargein_stage,
     generate_insertion,
@@ -151,12 +151,13 @@ class TestGeneration:
 
 
 class _Fixed(ChatClient):
-    """A chat service that gives every prompt the same reply."""
+    """A chat service that gives every prompt the same reply; counts the calls."""
 
     def __init__(self, reply):
-        self.reply = reply
+        self.reply, self.calls = reply, 0
 
     def chat(self, messages):
+        self.calls += 1
         return self.reply
 
 
@@ -166,42 +167,68 @@ _TURNS = [
     {"role": "assistant", "text": "Sorry, Paris it is."},
 ]
 _PARIS = {"destination": "Paris"}
+_SLOTS = {"erroneous_slots": {"destination": "London"}, "corrected_slots": _PARIS}
 
+
+def _block(*turns, **slots):
+    return json.dumps({"turns": list(turns), **slots})
+
+
+# id -> (a reply, words of the reason it is rejected for)
 _BAD_REPLIES = {
-    "not-json": "{",
-    "not-an-object": "[1, 2]",
-    "line-format": "[Assistant]: Your destination is Lon<bargein>\n[User]: No, Paris.\n[Assistant]: Sorry.",
-    "turns-string": json.dumps({"turns": "abc"}),
-    "turn-not-object": json.dumps({"turns": [_TURNS[0], "hi", _TURNS[2]]}),
-    "text-5": json.dumps({"turns": [{"role": "assistant", "text": 5}, *_TURNS[1:]]}),
-    "role-missing": json.dumps({"turns": [{"text": "Lon<bargein>"}, *_TURNS[1:]]}),
-    "erroneous-array": json.dumps({"turns": _TURNS, "erroneous_slots": ["ab"], "corrected_slots": _PARIS}),
-    "slot-value-5": json.dumps({"turns": _TURNS, "erroneous_slots": {"destination": 5}, "corrected_slots": _PARIS}),
-    "mismatched-keys": json.dumps({"turns": _TURNS, "erroneous_slots": {"day": "Monday"}, "corrected_slots": _PARIS}),
+    "not-json": ("{", "unparseable block"),
+    "not-an-object": ("[1, 2]", "reply must be an object"),
+    "line-format": ("[Assistant]: Your destination is Lon<bargein>\n[User]: No, Paris.\n[Assistant]: Sorry.",
+                    "unparseable block"),
+    "turns-string": (json.dumps({"turns": "abc"}), "reply.turns must be"),
+    "turn-not-object": (_block(_TURNS[0], "hi", _TURNS[2]), "reply.turns[1] must be"),
+    "text-5": (_block({"role": "assistant", "text": 5}, *_TURNS[1:]), "reply.turns[0].text must be"),
+    "role-missing": (_block({"text": "Lon<bargein>"}, *_TURNS[1:]), "reply.turns[0].role must be"),
+    "erroneous-array": (_block(*_TURNS, erroneous_slots=["ab"], corrected_slots=_PARIS),
+                        "reply.erroneous_slots must be"),
+    "slot-value-5": (_block(*_TURNS, erroneous_slots={"destination": 5}, corrected_slots=_PARIS),
+                     "reply.erroneous_slots must be"),
+    "mismatched-keys": (_block(*_TURNS, erroneous_slots={"day": "Monday"}, corrected_slots=_PARIS),
+                        "slot keys must match"),
+    # one entry per rule of the block contract
+    "two-turns": (_block(*_TURNS[:2], **_SLOTS), "expected 3 turns, got 2"),
+    "roles": (_block(_TURNS[0], _TURNS[2], _TURNS[1], **_SLOTS), "bad role sequence"),
+    "untruncated": (_block({"role": "assistant", "text": "Your destination is London."}, *_TURNS[1:], **_SLOTS),
+                    "does not end with the truncation token"),
+    "token-after-truncation": (_block(*_TURNS[:2], {"role": "assistant", "text": "Paris<bargein>"}, **_SLOTS),
+                               "truncation token outside the truncated turn"),
+    "no-slot-maps": (_block(*_TURNS), "missing slot corrections"),
+    "correction-not-state": (_block(*_TURNS, erroneous_slots=_PARIS, corrected_slots={"destination": "Rome"}),
+                             "'destination' does not match dialogue state"),
 }
 
 
 class TestBadReply:
-    """A malformed generator reply rejects the candidate, never the dialogue."""
+    """A malformed generator reply is asked again once, then rejects the
+    candidate, never the dialogue."""
 
     def _dialogue(self):
         return with_states(_six_turn_dialogue(), {0: _PARIS})
 
     def test_good_reply_accepted(self):
-        reply = json.dumps({"turns": _TURNS, "erroneous_slots": {"destination": "London"}, "corrected_slots": _PARIS})
         cand = Candidate(0, BargeInType.ERROR_RECOVERY, BargeInStyle.INTERPRETED)
-        block = generate_insertion(self._dialogue(), cand, "", _Fixed(reply))
+        block = generate_insertion(self._dialogue(), cand, "", _Fixed(_block(*_TURNS, **_SLOTS)))
         assert [t.text for t in block] == [t["text"] for t in _TURNS]
         assert block[0].bargein.erroneous_slots == {"destination": "London"}
 
-    @pytest.mark.parametrize("reply", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
-    def test_block_rejected(self, reply):
+    @pytest.mark.parametrize("reply, reason", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
+    def test_block_rejected(self, reply, reason, caplog):
         cand = Candidate(0, BargeInType.ERROR_RECOVERY, BargeInStyle.INTERPRETED)
-        with pytest.raises(BlockRejected):
-            generate_insertion(self._dialogue(), cand, "", _Fixed(reply))
+        gen = _Fixed(reply)
+        with caplog.at_level(logging.WARNING, logger="todvoice"):
+            assert generate_insertion(self._dialogue(), cand, "", gen) is None
+        assert gen.calls == 2
+        (warning,) = [r.getMessage() for r in caplog.records]
+        assert warning.startswith("barge-in generator on dlg-")
+        assert reason in warning
 
-    @pytest.mark.parametrize("reply", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
-    def test_stage_output_reloads(self, reply):
+    @pytest.mark.parametrize("reply, _", _BAD_REPLIES.values(), ids=_BAD_REPLIES)
+    def test_stage_output_reloads(self, reply, _):
         d = self._dialogue()
         out = apply_bargein_stage(d, BargeInConfig(sample_rate=1.0), _Fixed("yes"), _Fixed(reply),
                                   rng_for(3, d.dialogue_id, "bi"))

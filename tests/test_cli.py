@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -10,7 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import assistant_pool_profiles, make_dialogue, set_path, user_pool_profiles, write_speaker_manifest
+from todvoice import cli
 from todvoice.cli import main
+from todvoice.clients import ClientError, EmbedClient
 from todvoice.corpus import CrossTurnMeta, Emotion, Role, dialogue_to_dict, dumps_dialogue, load_corpus, save_corpus
 
 
@@ -604,6 +608,45 @@ class TestEvalDialogue:
             reports.append(result.stdout)
         assert json.loads(reports[0])["wer"]["overall"]["wer_pct"] > 0
         assert reports[0] == reports[1]
+
+    def test_failed_embedding_costs_its_turn_not_the_run(self, runner, tmp_path, monkeypatch, caplog):
+        src, out, audio = _corpus_file(tmp_path, n=4), tmp_path / "aug.jsonl", tmp_path / "audio"
+        assert runner.invoke(main, ["augment", str(src), str(out), "--out-dir", str(audio)]).exit_code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": str(audio)}))
+        args = ["--config", str(cfg), "eval-dialogue", str(out), "--similarity"]
+        healthy = runner.invoke(main, args)
+        assert healthy.exit_code == 0, healthy.output
+
+        class FailsOnce(EmbedClient):
+            """Fails the third call, as a service that is down for a moment."""
+
+            def __init__(self, inner):
+                self.inner, self.paths = inner, []
+
+            def embed(self, audio_path):
+                self.paths.append(audio_path)
+                if len(self.paths) == 3:
+                    raise ClientError("call failed after 3 attempts: 503")
+                return self.inner.embed(audio_path)
+
+        real_build, wrapped = cli.build_clients, []
+
+        def build(config):
+            clients = real_build(config)
+            wrapped.append(FailsOnce(clients.embed))
+            return dataclasses.replace(clients, embed=wrapped[0])
+
+        monkeypatch.setattr(cli, "build_clients", build)
+        with caplog.at_level(logging.WARNING, logger="todvoice"):
+            result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        # the stub embeds all of a speaker's turns alike, so one turn fewer leaves the means as they were
+        assert result.stdout == healthy.stdout
+        failed = Path(wrapped[0].paths[2])
+        (warning,) = [r.getMessage() for r in caplog.records]
+        assert warning == (f"embedding failed on {failed.parent.name} turn {int(failed.stem[4:])}; "
+                           "turn skipped: call failed after 3 attempts: 503")
 
     def test_curve_csv_and_predictions(self, runner, tmp_path):
         src = _corpus_file(tmp_path, n=2)

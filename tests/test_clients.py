@@ -41,12 +41,14 @@ from todvoice.clients import (
     wav_duration_s,
     with_retries,
 )
-from conftest import RejectingChat, make_dialogue, make_goal
+from conftest import RejectingChat, make_dialogue, make_goal, with_states
+from todvoice.bargein import BargeInConfig, apply_bargein_stage
 from todvoice.corpus import MIN_TURN_S, BargeInStyle, BargeInType, Emotion, Role, Turn, fluent_text, save_corpus
 from todvoice.disfluency import inject
 from todvoice.emotion import annotate_dialogue
 from todvoice.metrics import GoalCoverageState, cosine, edit_distance, goal_items, judge_turn_coverage
 from todvoice.pipeline import PipelineConfig, build_clients
+from todvoice.seeding import rng_for
 
 _ROLES = ("generator", "judge", "tts", "asr", "embed")
 
@@ -164,7 +166,7 @@ class TestWithRetries:
         assert info.value.__cause__ is exc
 
 
-# --- the two LLM judges: ChatClient.ask ----------------------------------------
+# --- every chat call: ChatClient.ask --------------------------------------------
 
 
 class _Scripted(clients.ChatClient):
@@ -189,17 +191,51 @@ def _covered_by(judge):
     return [item.slot for _, item in state.covered]
 
 
-# name -> (run the judge, a reply it accepts, what that reply gives, the fallback)
+def _bargein_turns(judge, gen):
+    """How many turns the barge-in stage leaves of a two-turn dialogue with one candidate."""
+    d = make_dialogue(texts=[(Role.USER, "A flight to Paris, please."), (Role.ASSISTANT, "Booking Paris now.")])
+    d = with_states(d, {0: {"destination": "Paris"}})
+    return len(apply_bargein_stage(d, BargeInConfig(sample_rate=1.0), judge, gen, rng_for(0, "bi")).turns)
+
+
+_BLOCK = json.dumps({
+    "turns": [
+        {"role": "assistant", "text": "Booking Lon<bargein>"},
+        {"role": "user", "text": "No, Paris."},
+        {"role": "assistant", "text": "Sorry, Paris it is."},
+    ],
+    "erroneous_slots": {"destination": "London"},
+    "corrected_slots": {"destination": "Paris"},
+})
+
+_UTTERANCE = "I need it on Saturday please."
+
+
+def _disfluent(dtype):
+    start = _UTTERANCE.index("Saturday")
+    t = Turn(index=0, role=Role.USER, text=_UTTERANCE, slot_spans=(("day", start, start + 8),))
+    return lambda gen: inject(t, dtype, 4, gen, random.Random(0)).text
+
+
+# name -> (run the call, a reply it accepts, what that reply gives, the fallback, how its warning starts)
 _JUDGES = {
-    "emotion": (_emotion_of, "6", Emotion.SATISFIED, Emotion.NEUTRAL),
-    "coverage": (_covered_by, "[2]", ["food"], []),
+    "emotion": (_emotion_of, "6", Emotion.SATISFIED, Emotion.NEUTRAL, "emotion judge on "),
+    "coverage": (_covered_by, "[2]", ["food"], [], "coverage judge on "),
+    "bargein-judge": (lambda judge: _bargein_turns(judge, StubChatClient()), "yes", 5, 2, "barge-in judge on "),
+    "bargein-generator": (lambda gen: _bargein_turns(_Scripted("yes"), gen), _BLOCK, 5, 2, "barge-in generator on "),
+    "cor": (_disfluent("COR"), "I need it on Friday— no, Saturday please.",
+            "I need it on Friday— no, Saturday please.", _UTTERANCE, "self-correction generator on turn 0 "),
+    "rst": (_disfluent("RST"), f"I need... {_UTTERANCE}", f"I need... {_UTTERANCE}", _UTTERANCE,
+            "restart generator on turn 0 "),
 }
 
 
 @pytest.mark.parametrize("name", _JUDGES)
 @pytest.mark.parametrize("case", ["unparseable twice", "unparseable then valid", "permanent error"])
 def test_judge_asks_twice_then_falls_back(name, case, caplog):
-    run, valid, value, fallback = _JUDGES[name]
+    """Every chat call a stage or judge makes: an unusable reply is asked again
+    once, a failed call is not, and either way the caller's fallback holds."""
+    run, valid, value, fallback, starts = _JUDGES[name]
     judge, calls, expected = {
         "unparseable twice": (_Scripted("hmm", "hmm"), 2, fallback),
         "unparseable then valid": (_Scripted("hmm", valid), 2, value),
@@ -209,8 +245,8 @@ def test_judge_asks_twice_then_falls_back(name, case, caplog):
         assert run(judge) == expected
     assert judge.calls == calls
     warnings = [r.getMessage() for r in caplog.records]
-    assert len(warnings) == (expected is fallback)
-    assert all(w.startswith(f"{name} judge on ") for w in warnings)
+    assert len(warnings) == (case != "unparseable then valid")
+    assert all(w.startswith(starts) for w in warnings)
 
 
 # --- live clients against a loopback server ---------------------------------
