@@ -1,9 +1,12 @@
 """Service clients: chat generation/judging, TTS, ASR, speaker embeddings.
 
-Every role has a real HTTP implementation and an offline stub. The HTTP clients
-add only a payload and a reply reader to `_HTTPClient._post`. Stubs are pure
-functions of their inputs plus fixed seeds, so a stub-mode pipeline run is
-byte-identical across runs and worker counts and never touches the network.
+Every role has an offline stub and a real HTTP implementation, built as
+`cls(config, role)` from `pipeline._LIVE_CLIENTS`, that adds only a payload and
+a reply reader to `_HTTPClient._post`. Stubs are pure functions of their inputs
+plus fixed seeds, so a stub-mode pipeline run is byte-identical across runs and
+worker counts and never touches the network. The chat stub answers from two
+tables: `StubChatClient._ANSWERS` (task tag to answer method) and
+`_INTERRUPTIONS` (barge-in kind and style to the block's texts).
 """
 
 from __future__ import annotations
@@ -220,41 +223,60 @@ def _truncate_words(text: str, frac: float = 2 / 3) -> str:
     return " ".join(words[:keep])
 
 
+# The stub's interruption and recovery texts for each barge-in kind and style,
+# under the words that the generation prompt names them by. Error recovery fills
+# {correct}, {wrong} and {phrase} (the slot's name); the other kinds fill {term}.
+_INTERRUPTIONS = {
+    "error recovery": {
+        "implicit": ("Wait, no.", "Sorry, let me correct that."),
+        "raw": ("No, that's wrong.", "I apologize. What would you like me to correct?"),
+        "interpreted": (
+            "No, I said {correct}, not {wrong}.",
+            "I apologize for the mistake. I'll change the {phrase} to {correct}.",
+        ),
+    },
+    "clarification": {
+        "implicit": ("Huh?", "Sorry, let me say that again."),
+        "raw": ("Sorry, what was that?", "Of course, let me repeat that."),
+        "interpreted": ("What's a {term}?", "Good question, {term} is part of your booking details."),
+    },
+    "efficiency": {
+        "implicit": ("Uh-huh.", "Great, I'll proceed with the booking."),
+        "raw": ("Got it, that works.", "Alright, I'll finalize the booking now."),
+        "interpreted": ("Yes, {term} works for me.", "Understood, I'll go with {term}."),
+    },
+}
+
+
 class StubChatClient(ChatClient):
     """Deterministic template/rule responses keyed on the prompt's task tag.
 
     Unrecognized prompts echo the last user message.
     """
 
+    # Task tag -> answer method, looked up by name so that a subclass's override is called.
+    _ANSWERS = {
+        prompts.TASK_EMOTION: "_emotion",
+        prompts.TASK_INTERRUPT_JUDGE: "_judge",
+        prompts.TASK_INTERRUPT_GENERATE: "_generate_interruption",
+        prompts.TASK_SELF_CORRECTION: "_self_correction",
+        prompts.TASK_RESTART: "_restart",
+        prompts.TASK_COVERAGE: "_coverage",
+    }
+
     def chat(self, messages: Sequence[Mapping[str, str]]) -> str:
         prompt = ""
         for msg in messages:
             if msg.get("role") == "user":
                 prompt = msg.get("content", "")
-        first_line = prompt.split("\n", 1)[0]
-        if first_line == prompts.TASK_EMOTION:
-            return self._emotion(prompt)
-        if first_line == prompts.TASK_INTERRUPT_JUDGE:
-            return self._judge(prompt)
-        if first_line == prompts.TASK_INTERRUPT_GENERATE:
-            return self._generate_interruption(prompt)
-        if first_line == prompts.TASK_SELF_CORRECTION:
-            return self._self_correction(prompt)
-        if first_line == prompts.TASK_RESTART:
-            return self._restart(prompt)
-        if first_line == prompts.TASK_COVERAGE:
-            return self._coverage(prompt)
-        return prompt
+        answer = self._ANSWERS.get(prompt.split("\n", 1)[0])
+        return prompt if answer is None else getattr(self, answer)(prompt)
 
     # parsing helpers for the structured sections the builders emit
 
     @staticmethod
     def _section(prompt: str, header: str) -> str:
-        marker = header + "\n"
-        if marker not in prompt:
-            return ""
-        tail = prompt.split(marker, 1)[1]
-        return tail.split("\n\n", 1)[0].strip()
+        return prompt.partition(header + "\n")[2].split("\n\n", 1)[0].strip()
 
     @staticmethod
     def _field(prompt: str, label: str) -> str:
@@ -265,25 +287,15 @@ class StubChatClient(ChatClient):
 
     @staticmethod
     def _state_pairs(prompt: str) -> dict[str, str]:
-        block = StubChatClient._section(prompt, "Current state:")
-        out: dict[str, str] = {}
-        for line in block.splitlines():
-            line = line.strip()
-            if line and line != "(empty)" and ": " in line:
-                k, v = line.split(": ", 1)
-                out[k] = v
-        return out
+        block = StubChatClient._section(prompt, "Current state:")  # "(empty)" holds no ": "
+        return dict(line.split(": ", 1) for line in map(str.strip, block.splitlines()) if ": " in line)
 
     @staticmethod
     def _exchange_assistant_text(prompt: str) -> str:
         block = StubChatClient._section(prompt, "Current exchange to transform:")
-        if not block:
-            block = StubChatClient._section(prompt, "Current exchange:")
-        text = ""
-        for line in block.splitlines():
-            if line.startswith("assistant: "):
-                text = line[len("assistant: "):]
-        return text
+        lines = (block or StubChatClient._section(prompt, "Current exchange:")).splitlines()
+        said = [line[len("assistant: "):] for line in lines if line.startswith("assistant: ")]
+        return said[-1] if said else ""
 
     def _emotion(self, prompt: str) -> str:
         utt = self._field(prompt, "User utterance: ").lower()
@@ -311,71 +323,25 @@ class StubChatClient(ChatClient):
         return "yes" if any(w in assistant for w in done_words) else "no"
 
     def _generate_interruption(self, prompt: str) -> str:
-        kind_line = self._field(prompt, "Interruption kind - ")
-        style_line = self._field(prompt, "Interruption style - ")
-        style = style_line.split(":", 1)[0].strip()
-        assistant = self._exchange_assistant_text(prompt)
-        state = self._state_pairs(prompt)
-
-        erroneous: dict[str, str] = {}
-        corrected: dict[str, str] = {}
-        if kind_line.startswith("error recovery"):
+        kind = self._field(prompt, "Interruption kind - ").split(":", 1)[0]
+        style = self._field(prompt, "Interruption style - ").split(":", 1)[0].strip()
+        user, recovery = _INTERRUPTIONS[kind][style]
+        if kind == "error recovery":
+            state = self._state_pairs(prompt)
             slot = sorted(state)[0] if state else "value"
             correct = state.get(slot, "")
             wrong = plausible_wrong(correct) if correct else "something"
-            partial = wrong[: max(1, (len(wrong) + 1) // 2)]
             phrase = slot.replace("_", " ")
-            trunc = f"Just to confirm, your {phrase} is {partial}<bargein>"
-            user = {
-                "implicit": "Wait, no.",
-                "raw": "No, that's wrong.",
-                "interpreted": f"No, I said {correct}, not {wrong}.",
-            }[style]
-            recovery = {
-                "implicit": "Sorry, let me correct that.",
-                "raw": "I apologize. What would you like me to correct?",
-                "interpreted": f"I apologize for the mistake. I'll change the {phrase} to {correct}.",
-            }[style]
-            erroneous = {slot: wrong}
-            corrected = {slot: correct}
-        elif kind_line.startswith("clarification"):
-            term = _extract_term(assistant)
-            trunc = _truncate_words(assistant) + "<bargein>"
-            user = {
-                "implicit": "Huh?",
-                "raw": "Sorry, what was that?",
-                "interpreted": f"What's a {term}?",
-            }[style]
-            recovery = {
-                "implicit": "Sorry, let me say that again.",
-                "raw": "Of course, let me repeat that.",
-                "interpreted": f"Good question, {term} is part of your booking details.",
-            }[style]
+            trunc = f"Just to confirm, your {phrase} is {wrong[: max(1, (len(wrong) + 1) // 2)]}<bargein>"
+            fill = {"correct": correct, "wrong": wrong, "phrase": phrase}
+            slots = {"erroneous_slots": {slot: wrong}, "corrected_slots": {slot: correct}}
         else:
-            term = _extract_term(assistant)
+            assistant = self._exchange_assistant_text(prompt)
+            fill = {"term": _extract_term(assistant)}
             trunc = _truncate_words(assistant) + "<bargein>"
-            user = {
-                "implicit": "Uh-huh.",
-                "raw": "Got it, that works.",
-                "interpreted": f"Yes, {term} works for me.",
-            }[style]
-            recovery = {
-                "implicit": "Great, I'll proceed with the booking.",
-                "raw": "Alright, I'll finalize the booking now.",
-                "interpreted": f"Understood, I'll go with {term}.",
-            }[style]
-
-        block: dict[str, Any] = {
-            "turns": [
-                {"role": "assistant", "text": trunc},
-                {"role": "user", "text": user},
-                {"role": "assistant", "text": recovery},
-            ]
-        }
-        if erroneous:
-            block["erroneous_slots"] = erroneous
-            block["corrected_slots"] = corrected
-        return json.dumps(block, ensure_ascii=False)
+            slots = {}
+        turns = [("assistant", trunc), ("user", user.format(**fill)), ("assistant", recovery.format(**fill))]
+        return json.dumps({"turns": [{"role": r, "text": x} for r, x in turns], **slots}, ensure_ascii=False)
 
     def _self_correction(self, prompt: str) -> str:
         slot_line = self._field(prompt, "Slot: ")
@@ -451,9 +417,6 @@ class StubTTSClient(TTSClient):
 
 
 class HTTPTTSClient(_HTTPClient, TTSClient):
-    def __init__(self, config: ClientConfig) -> None:
-        super().__init__(config, "tts")
-
     def synthesize(self, text: str, speaker_ref: str | None = None, style: str | None = None) -> tuple[bytes, float]:
         payload = {
             "model": self.config.model,
@@ -524,9 +487,6 @@ class StubASRClient(ASRClient):
 
 
 class HTTPASRClient(_HTTPClient, ASRClient):
-    def __init__(self, config: ClientConfig) -> None:
-        super().__init__(config, "asr")
-
     def transcribe(self, audio_path: str) -> str:
         return self._post(lambda resp: resp.json()["text"], audio_path, data={"model": self.config.model})
 
@@ -552,9 +512,6 @@ class StubEmbedClient(EmbedClient):
 
 
 class HTTPEmbedClient(_HTTPClient, EmbedClient):
-    def __init__(self, config: ClientConfig) -> None:
-        super().__init__(config, "embed")
-
     def embed(self, audio_path: str) -> list[float]:
         return self._post(
             lambda resp: [float(x) for x in resp.json()["embedding"]], audio_path, data={"model": self.config.model}

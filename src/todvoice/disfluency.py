@@ -130,7 +130,7 @@ def _inject_rule(t: Turn, dtype: str, position: int, rng: random.Random) -> Turn
     return _insert(t, dtype, position, at, f", {t.text[lo:at]}", t.text[lo:at])
 
 
-def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
+def _inject_cor(t: Turn, position: int, gen: ChatClient, where: str) -> Turn:
     """The reply must be the text with a wrong value and connector before the slot value."""
     ws, we = _word_char_spans(t.text)[position]
     name, s, e = next((sp for sp in t.slot_spans if sp[1] < we and ws < sp[2]), t.slot_spans[0])
@@ -146,7 +146,7 @@ def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
                     return _insert(t, "COR", position, s, piece, wrong, value)
         return None
 
-    what = f"self-correction generator on turn {t.index} (falls back to a fluent turn)"
+    what = f"self-correction generator on {where} (falls back to a fluent turn)"
     return gen.ask(prompts.self_correction_prompt(t.text, name, value), parse, what) or t
 
 
@@ -154,7 +154,7 @@ def _inject_cor(t: Turn, position: int, gen: ChatClient) -> Turn:
 _RESTART = re.compile(r"((.+?)(?:\.\.\.|—))\s+", flags=re.DOTALL)
 
 
-def _inject_rst(t: Turn, position: int, gen: ChatClient) -> Turn:
+def _inject_rst(t: Turn, position: int, gen: ChatClient, where: str) -> Turn:
     """The reply must be a fragment of 2-5 words, its pause and a gap, then the text."""
 
     def parse(reply: str) -> Turn | None:
@@ -162,17 +162,20 @@ def _inject_rst(t: Turn, position: int, gen: ChatClient) -> Turn:
         m = _RESTART.fullmatch(reply, 0, len(reply) - len(t.text)) if reply.endswith(t.text) else None
         return _insert(t, "RST", position, 0, m[0], m[1]) if m and 2 <= len(m[2].split()) <= 5 else None
 
-    what = f"restart generator on turn {t.index} (falls back to a fluent turn)"
+    what = f"restart generator on {where} (falls back to a fluent turn)"
     return gen.ask(prompts.restart_prompt(t.text), parse, what) or t
 
 
-def inject(t: Turn, dtype: str, position: int, gen: ChatClient, rng: random.Random) -> Turn:
+def inject(
+    t: Turn, dtype: str, position: int, gen: ChatClient, rng: random.Random, *, dialogue_id: str | None = None
+) -> Turn:
     """Apply one disfluency event at a word position from choose_position: one
     piece inserted into the unchanged text. Without a usable COR or RST reply
-    (see `ChatClient.ask`) the turn stays fluent."""
+    (see `ChatClient.ask`) the turn stays fluent; the warning names dialogue_id."""
     if dtype in _RULE_TYPES:
         return _inject_rule(t, dtype, position, rng)
-    return (_inject_cor if dtype == "COR" else _inject_rst)(t, position, gen)
+    where = f"turn {t.index}" if dialogue_id is None else f"{dialogue_id} turn {t.index}"
+    return (_inject_cor if dtype == "COR" else _inject_rst)(t, position, gen, where)
 
 
 def apply_disfluency_stage(
@@ -180,6 +183,8 @@ def apply_disfluency_stage(
     cfg: DisfluencyConfig,
     gen: ChatClient,
     rng: random.Random,
+    *,
+    dialogue_id: str | None = None,
 ) -> tuple[Turn, ...]:
     """One pass over a dialogue's turns; at most one event per selected turn."""
     out: list[Turn] = []
@@ -188,6 +193,6 @@ def apply_disfluency_stage(
             drawn = sample_and_type(t, cfg, rng)
             chosen = choose_position(t, drawn, rng) if drawn else None
             if chosen is not None:
-                t = inject(t, *chosen, gen, rng)
+                t = inject(t, *chosen, gen, rng, dialogue_id=dialogue_id)
         out.append(t)
     return tuple(out)

@@ -24,6 +24,7 @@ from .clients import (
     ChatClient,
     ClientConfig,
     ClientError,
+    EmbedClient,
     HTTPASRClient,
     HTTPChatClient,
     HTTPEmbedClient,
@@ -88,10 +89,18 @@ class PipelineConfig:
 
 
 _SECTION_TYPES = {key: t for key, t in get_type_hints(PipelineConfig).items() if dataclasses.is_dataclass(t)}
-# Each client role's config keys: only the chat roles send a temperature.
+# Each client role (a `Clients` field) and its live client, built as cls(config, role);
+# only a chat role's config may set a temperature.
+_LIVE_CLIENTS = {
+    "generator": HTTPChatClient,
+    "judge": HTTPChatClient,
+    "tts": HTTPTTSClient,
+    "asr": HTTPASRClient,
+    "embed": HTTPEmbedClient,
+}
 _CLIENT_KEYS = {
-    role: [k for k in ClientConfig.__dataclass_fields__ if k != "temperature" or role in ("generator", "judge")]
-    for role in ("generator", "judge", "tts", "asr", "embed")
+    role: [k for k in ClientConfig.__dataclass_fields__ if k != "temperature" or issubclass(cls, ChatClient)]
+    for role, cls in _LIVE_CLIENTS.items()
 }
 
 
@@ -133,7 +142,7 @@ class Clients:
     judge: ChatClient
     tts: TTSClient
     asr: ASRClient
-    embed: Any
+    embed: EmbedClient
     directory: StubDirectory | None = None
 
 
@@ -149,18 +158,9 @@ def build_clients(cfg: PipelineConfig) -> Clients:
             embed=StubEmbedClient(directory),
             directory=directory,
         )
-    def cc(role: str) -> ClientConfig:
-        if role not in cfg.clients:
-            raise ConfigError(f"no client config for {role!r} outside stub mode")
-        return cfg.clients[role]
-
-    return Clients(
-        generator=HTTPChatClient(cc("generator"), "generator"),
-        judge=HTTPChatClient(cc("judge"), "judge"),
-        tts=HTTPTTSClient(cc("tts")),
-        asr=HTTPASRClient(cc("asr")),
-        embed=HTTPEmbedClient(cc("embed")),
-    )
+    if missing := [role for role in _LIVE_CLIENTS if role not in cfg.clients]:
+        raise ConfigError(f"no client config for {missing[0]!r} outside stub mode")
+    return Clients(**{role: cls(cfg.clients[role], role) for role, cls in _LIVE_CLIENTS.items()})
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,8 @@ def _bargein(d: Dialogue, ctx: RunContext) -> StageResult:
 
 def _disfluency(d: Dialogue, ctx: RunContext) -> StageResult:
     rng = ctx.rng(d, "disfluency")
-    return d.with_turns(apply_disfluency_stage(d.turns, ctx.cfg.disfluency, ctx.clients.generator, rng)), ()
+    turns = apply_disfluency_stage(d.turns, ctx.cfg.disfluency, ctx.clients.generator, rng, dialogue_id=d.dialogue_id)
+    return d.with_turns(turns), ()
 
 
 def _emotion(d: Dialogue, ctx: RunContext) -> StageResult:

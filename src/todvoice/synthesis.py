@@ -86,7 +86,7 @@ def synthesize_dialogue(
 
 
 def write_manifest(rows: Sequence[ManifestRow], path: str | Path) -> None:
-    ordered = sorted(rows, key=lambda r: (r.dialogue_id, r.turn))
+    """One JSON line per row, in the order given (`run_pipeline` sorts by dialogue id and turn)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for row in ordered:
+        for row in rows:
             fh.write(json.dumps(row.to_dict()) + "\n")

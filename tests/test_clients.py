@@ -42,7 +42,7 @@ from todvoice.clients import (
     with_retries,
 )
 from conftest import RejectingChat, make_dialogue, make_goal, with_states
-from todvoice.bargein import BargeInConfig, apply_bargein_stage
+from todvoice.bargein import BargeInConfig, Candidate, _parse_block, apply_bargein_stage
 from todvoice.corpus import MIN_TURN_S, BargeInStyle, BargeInType, Emotion, Role, Turn, fluent_text, save_corpus
 from todvoice.disfluency import inject
 from todvoice.emotion import annotate_dialogue
@@ -346,14 +346,14 @@ _LIVE = {
         {"model": "m1", "messages": _MESSAGES},
     ),
     "tts": _Live(
-        lambda cfg, audio: HTTPTTSClient(cfg).synthesize("Hi there.", "ref/a.wav", "calm"),
+        lambda cfg, audio: HTTPTTSClient(cfg, "tts").synthesize("Hi there.", "ref/a.wav", "calm"),
         (200, "audio/wav", _WAV),
         (_WAV, 0.5),
         (200, "audio/wav", b"not a wav file"),
         {"model": "m1", "text": "Hi there.", "speaker_ref": "ref/a.wav", "style": "calm", "sample_rate": 24_000},
     ),
     "asr": _Live(
-        lambda cfg, audio: HTTPASRClient(cfg).transcribe(audio),
+        lambda cfg, audio: HTTPASRClient(cfg, "asr").transcribe(audio),
         _json({"text": "book a table"}),
         "book a table",
         _json({"transcript": "book a table"}),
@@ -361,7 +361,7 @@ _LIVE = {
         upload=True,
     ),
     "embed": _Live(
-        lambda cfg, audio: HTTPEmbedClient(cfg).embed(audio),
+        lambda cfg, audio: HTTPEmbedClient(cfg, "embed").embed(audio),
         _json({"embedding": [1, 0.5, -2]}),
         [1.0, 0.5, -2.0],
         _json({"vector": [1, 0.5, -2]}),
@@ -501,6 +501,12 @@ class TestStubChatDispatch:
     def test_complete_wraps_single_message(self):
         assert StubChatClient().complete("just echo me") == "just echo me"
 
+    def test_every_task_tag_has_an_answer(self):
+        tags = {value for name, value in vars(prompts).items() if name.startswith("TASK_")}
+        assert set(StubChatClient._ANSWERS) == tags
+        for method in StubChatClient._ANSWERS.values():
+            assert callable(getattr(StubChatClient(), method))
+
 
 class TestStubEmotionRule:
     def _label(self, utterance, context=""):
@@ -573,6 +579,15 @@ class TestStubGeneration:
     def test_clarification_interpreted_names_a_term(self):
         block = self._block(BargeInType.CLARIFICATION, BargeInStyle.INTERPRETED)
         assert block["turns"][1]["text"].startswith("What's a ")
+
+    @pytest.mark.parametrize("style", list(BargeInStyle))
+    @pytest.mark.parametrize("kind", list(BargeInType))
+    def test_every_cell_gives_an_accepted_block(self, kind, style):
+        state = {"destination": "Paris"} if kind is BargeInType.ERROR_RECOVERY else None
+        block = self._block(kind, style, state)
+        turns = _parse_block(json.dumps(block), Candidate(0, kind, style), state)
+        assert [t.bargein.style for t in turns[:2]] == [style, style]
+        assert not any(c in t.text for t in turns for c in "{}")
 
 
 class TestStubSelfCorrection:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
 
-from conftest import assistant_pool_profiles, make_dialogue, user_pool_profiles, write_speaker_manifest
+from conftest import RejectingChat, assistant_pool_profiles, make_dialogue, user_pool_profiles, write_speaker_manifest
 from todvoice import pipeline, speakers
 from todvoice.corpus import BARGEIN_TOKEN, Dialogue, Role, dumps_dialogue
+from todvoice.disfluency import DisfluencyConfig
 from todvoice.clients import (
     ClientConfig,
     StubASRClient,
@@ -370,6 +373,19 @@ class TestQuarantine:
         assert result.dialogues == []
         assert result.quarantined[0].stage == "validate"
         assert "turns.alternation" in result.quarantined[0].reason
+
+    def test_disfluency_fallback_warning_names_the_dialogue(self, tmp_path, caplog):
+        only = StageToggles(crossturn=False, bargein=False, emotion=False, synthesis=False)
+        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), stages=only, disfluency=DisfluencyConfig(b=0.01))
+        ctx = RunContext.build(cfg)
+        ctx = dataclasses.replace(ctx, clients=dataclasses.replace(ctx.clients, generator=RejectingChat()))
+        with caplog.at_level(logging.WARNING, logger="todvoice"):
+            for d in _pipeline_corpus(4):
+                process_dialogue(d, ctx)
+        fallbacks = [r.getMessage() for r in caplog.records if " generator on " in r.getMessage()]
+        assert fallbacks
+        for message in fallbacks:
+            assert re.match(r"(self-correction|restart) generator on run-\d{4} turn \d+ \(", message), message
 
     def test_validate_reason_is_the_bare_violation_summary(self, tmp_path):
         bad = make_dialogue(

@@ -136,7 +136,7 @@ class TestDurationBound:
         assert found(0.29) == found(30.01) == [("turn.duration", 0)]
 
 
-def test_write_manifest_is_ndjson_sorted(tmp_path):
+def test_write_manifest_is_ndjson_in_given_order(tmp_path):
     rows = [
         ManifestRow(dialogue_id="b", turn=0, status="ok", duration_s=1.0),
         ManifestRow(dialogue_id="a", turn=1, status="failed"),
@@ -145,5 +145,5 @@ def test_write_manifest_is_ndjson_sorted(tmp_path):
     path = tmp_path / "manifest.jsonl"
     write_manifest(rows, path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [(r["dialogue_id"], r["turn"]) for r in lines] == [("a", 0), ("a", 1), ("b", 0)]
+    assert lines == [r.to_dict() for r in rows]
     assert lines[1]["status"] == "failed"
