@@ -57,18 +57,11 @@ def sample_candidates(d: Dialogue, cfg: BargeInConfig, rng: random.Random) -> li
     return out
 
 
-def _current_exchange(d: Dialogue, turn_idx: int) -> str:
-    lines = [f"user: {d.turns[turn_idx].text}"]
-    if turn_idx + 1 < len(d.turns):
-        lines.append(f"assistant: {d.turns[turn_idx + 1].text}")
-    return "\n".join(lines)
-
-
 def judge_validity(d: Dialogue, candidate: Candidate, context: str, judge: ChatClient) -> bool:
     """The judge's yes or no; False when it gives neither (see `ChatClient.ask`)."""
     prompt = prompts.interruption_validity_prompt(
         candidate.type,
-        _current_exchange(d, candidate.turn_idx),
+        prompts.transcript(d.turns[candidate.turn_idx : candidate.turn_idx + 2]),
         context,
         d.state_at(candidate.turn_idx),
     )
@@ -128,7 +121,7 @@ def generate_insertion(d: Dialogue, candidate: Candidate, context: str, gen: Cha
     prompt = prompts.interruption_generation_prompt(
         candidate.type,
         candidate.style,
-        _current_exchange(d, candidate.turn_idx),
+        prompts.transcript(d.turns[candidate.turn_idx : candidate.turn_idx + 2]),
         context,
         state,
     )

@@ -11,6 +11,7 @@ on that turn too, so an edit that moves turns moves their states with them.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
@@ -225,6 +226,11 @@ class Dialogue:
         object.__setattr__(self, "turns", tuple(t if t.index == i else t.with_(index=i) for i, t in enumerate(self.turns)))
 
     def with_turns(self, turns: Iterable[Turn]) -> "Dialogue":
+        """self with turns, or self itself when they are its own turns, object
+        for object: a stage that changes no turn returns its input."""
+        turns = tuple(turns)
+        if len(turns) == len(self.turns) and all(map(operator.is_, turns, self.turns)):
+            return self
         return replace(self, turns=turns)
 
     def user_turns(self) -> list[Turn]:
@@ -253,12 +259,10 @@ class Violation:
 
 def splice_turns(d: Dialogue, edits: Sequence[tuple[int, int, Sequence[Turn]]]) -> Dialogue:
     """Apply every edit (start, stop, block), each replacing d.turns[start:stop]
-    with block, in one pass; no edits return d itself.
+    with block, in one pass.
 
     Edits are in d's coordinates, in order and not overlapping.
     """
-    if not edits:
-        return d
     turns: list[Turn] = []
     at = 0
     for start, stop, block in edits:

@@ -42,10 +42,9 @@ def is_segmentable(slot_value: str) -> bool:
 
 
 def _split_digits(digits: str) -> list[str]:
-    """Split a digit string into 3-chunks; remainders fold into 4-chunks."""
+    """Split a string of 5 or more digits into 3-chunks; remainders fold into
+    4-chunks, and 5 digits split 3 + 2."""
     n = len(digits)
-    if n <= 4:
-        return [digits]
     rem = n % 3
     if rem == 0:
         sizes = [3] * (n // 3)
@@ -201,7 +200,7 @@ def apply_crossturn_stage(
             continue
         name, value = slots[0]
         chunks = segment_value(value)
-        if len(chunks) < 2:
+        if len(chunks) < 2:  # a code whose letters are not ASCII, such as "éé1234"
             continue
         block = dictation_block(t, name, chunks, rng, cfg)
         nxt = d.turns[i + 1] if i + 1 < len(d.turns) else None

@@ -87,8 +87,6 @@ def choose_position(t: Turn, dtype: str, rng: random.Random) -> tuple[str, int] 
     """
     word_spans = _word_char_spans(t.text)
     n = len(word_spans)
-    if n == 0:
-        raise ValueError("cannot position a disfluency in an empty turn")
     slot_words = [i for i, (ws, we) in enumerate(word_spans) if not clear_of(t.slot_spans, ws, we)]
 
     if dtype == "COR":

@@ -45,4 +45,4 @@ def annotate_dialogue(d: Dialogue, judge: ChatClient, skip_labeled: bool = False
             what = f"emotion judge on {d.dialogue_id} turn {i} (falls back to neutral)"
             label = anchor = judge.ask(prompt, parse_label, what) or Emotion.NEUTRAL
         turns.append(t if t.emotion is label else t.with_(emotion=label))
-    return d.with_turns(tuple(turns))
+    return d.with_turns(turns)

@@ -121,11 +121,11 @@ def judge_turn_coverage(
 
 def evaluate_dialogue_coverage(d: Dialogue, judge: ChatClient) -> GoalCoverageState:
     state = GoalCoverageState(items=goal_items(d.goal))
-    history_lines: list[str] = []
-    for t in d.turns:
+    # each turn rendered once: the first i lines joined are transcript(d.turns[:i])
+    lines = [prompts.transcript([t]) for t in d.turns]
+    for i, t in enumerate(d.turns):
         if t.role is Role.USER:
-            state = judge_turn_coverage(state, "\n".join(history_lines), t.text, judge)
-        history_lines.append(f"{t.role.value}: {t.text}")
+            state = judge_turn_coverage(state, "\n".join(lines[:i]), t.text, judge)
     return state
 
 

@@ -357,7 +357,6 @@ def split_corpus(
 @dataclass(frozen=True)
 class WerValidation:
     report: dict[str, WerCell]
-    sampled_dialogues: int
     failed_files: int
 
 
@@ -388,5 +387,5 @@ def wer_validation(
                 failed += 1
                 continue
             rows.append((accent, t.text, hyp))
-    return WerValidation(build_wer_report(rows), len(ordered), failed)
+    return WerValidation(build_wer_report(rows), failed)
 

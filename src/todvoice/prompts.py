@@ -7,7 +7,7 @@ receive the full text.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import COR_CONNECTORS, BargeInStyle, BargeInType, Emotion, Turn
 
@@ -50,9 +50,14 @@ _STYLE_BRIEF = {
 }
 
 
+def transcript(turns: Iterable[Turn]) -> str:
+    """One "role: text" line per turn."""
+    return "\n".join([f"{t.role.value}: {t.text}" for t in turns])
+
+
 def context_string(prior: Sequence[Turn]) -> str:
-    """The last six turns before an utterance, one "role: text" line each."""
-    return "\n".join(f"{t.role.value}: {t.text}" for t in prior[-6:])
+    """The transcript of the last six turns before an utterance."""
+    return transcript(prior[-6:])
 
 
 def _state_block(state: dict[str, str] | None) -> str:

@@ -3,7 +3,9 @@
 User voices come from a three-stage draw: accent pool by configured weights,
 then country uniform within the pool, then a speaker stratified so the four
 age bins land at 25% each and genders at 50/50. Assistant voices come from a
-fixed pool of ten native speakers, disjoint from the user pool.
+fixed pool of ten native speakers, disjoint from the user pool. Both pools are
+read by load_speaker_manifest, which gives every speaker the age bin of its
+age: a missing bin is derived, and a stored one that disagrees is replaced.
 """
 
 from __future__ import annotations
@@ -59,11 +61,8 @@ class PoolWeights:
         for name in ACCENT_POOLS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"weight for {name} must be non-negative")
-        if self.total() <= 0:
+        if sum(getattr(self, name) for name in ACCENT_POOLS) <= 0:
             raise ConfigError("weights must not all be zero")
-
-    def total(self) -> float:
-        return self.native + self.african + self.indian + self.asian
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,6 @@ def build_pool(
             continue
         if sp.accent_pool not in ACCENT_POOLS:
             raise ConfigError(f"unknown accent pool {sp.accent_pool!r} for {sp.speaker_id}")
-        expected = age_bin_of(sp.age)
-        if sp.age_bin != expected:
-            log.warning("speaker %s age_bin %r disagrees with age %d; using %r",
-                        sp.speaker_id, sp.age_bin, sp.age, expected)
-            sp = replace(sp, age_bin=expected)
         key = (sp.accent_pool, sp.country, sp.age_bin, sp.gender)
         strata.setdefault(key, []).append(sp)
         countries.setdefault(sp.accent_pool, set()).add(sp.country)
@@ -156,19 +150,21 @@ def assign_assistant_speaker(
 
 def _profile_from_dict(row: Any, where: str) -> SpeakerProfile:
     """A manifest row, checked field by field; accent pool and gender are
-    lower-cased, and a missing age_bin is derived from the age."""
+    lower-cased, and the age bin is the age's: a missing one is derived, and a
+    stored one that disagrees is warned about and replaced."""
     if isinstance(row, dict):
         age = check(f"{where}.age", row.get("age"), "int", ConfigError)
         if age < _MIN_AGE:
             raise ConfigError(must(f"{where}.age", f"an integer of at least {_MIN_AGE}", age))
         row = {**row, "age_bin": row.get("age_bin") or age_bin_of(age)}
     sp = build(SpeakerProfile, where, row, ConfigError)
-    return replace(sp, accent_pool=sp.accent_pool.lower(), gender=sp.gender.lower())
+    age_bin = age_bin_of(sp.age)
+    if sp.age_bin != age_bin:
+        log.warning("speaker %s age_bin %r disagrees with age %d; using %r", sp.speaker_id, sp.age_bin, sp.age, age_bin)
+    return replace(sp, accent_pool=sp.accent_pool.lower(), gender=sp.gender.lower(), age_bin=age_bin)
 
 
 def load_speaker_manifest(path: str | Path) -> list[SpeakerProfile]:
-    data = parse_json(path, ConfigError)
-    if not isinstance(data, list):
-        raise ConfigError("speaker manifest must be a JSON array of profiles")
+    data = check(str(path), parse_json(path, ConfigError), "list", ConfigError)
     return [_profile_from_dict(row, f"{path}[{i}]") for i, row in enumerate(data)]
 

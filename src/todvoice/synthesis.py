@@ -82,7 +82,7 @@ def synthesize_dialogue(
                 t = t.with_(audio_ref=out_path, duration_s=duration)
         rows.append(row)
         turns.append(t)
-    return d.with_turns(tuple(turns)), rows
+    return d.with_turns(turns), rows
 
 
 def write_manifest(rows: Sequence[ManifestRow], path: str | Path) -> None:

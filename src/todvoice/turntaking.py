@@ -7,10 +7,11 @@ final-W trigger window as correct / early / confused / missed, and a binary
 collapse merges correct with confused. One W, TRIGGER_WINDOW, serves both, and
 the default thresholds are set for it (prob_threshold's 5.0 is a window sum).
 
-StrategyState is the streaming form. evaluate_set and sweep_thresholds score
-each whole stream once (stream_scores): every frame's term is read once, and
-the window ending at each frame folds the same terms in the same order as
-StrategyState, so both fire exactly where the replay does.
+run_stream is the streaming form: it reads frames one at a time, keeps the
+last W, and reads no frame after the fire. evaluate_set and sweep_thresholds
+score each whole stream once (stream_scores): every frame's term is read once,
+and the window ending at each frame folds the same terms in the same order as
+run_stream, so both fire exactly where the replay does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .checked import parse_json
 
@@ -41,10 +42,6 @@ DEFAULT_THRESHOLDS: dict[str, tuple[float, float]] = {
 _SUM_TOL = 1e-6
 
 _FIELD_OF = {"listen": "p_listen", "turnend": "p_turnend", "bargein": "p_bargein"}
-
-
-class ContractViolation(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -164,69 +161,39 @@ _AGGREGATE = {
 }
 
 
-def _aggregate(strategy: str) -> Callable[[Sequence[float | None]], float]:
-    try:
-        return _AGGREGATE[strategy]
-    except KeyError:
-        raise ValueError(f"no window score for strategy {strategy!r}") from None
-
-
 def window_scores(strategy: str, window: Sequence[ProbFrame]) -> tuple[float, float]:
     """Turn-end and barge-in scores over the current window (oldest first)."""
-    return tuple(map(_aggregate(strategy), _terms(strategy, window)))
+    return tuple(map(_AGGREGATE[strategy], _terms(strategy, window)))
 
 
 def stream_scores(frames: Sequence[ProbFrame], strategy: str) -> tuple[list[float], list[float]]:
     """Turn-end and barge-in scores of the window ending at each frame.
 
-    Each equals the window_scores StrategyState computes at that frame: the
+    Each equals the window_scores run_stream computes at that frame: the
     same terms, folded in the same order."""
-    aggregate = _aggregate(strategy)
+    aggregate = _AGGREGATE[strategy]
     te, bi = _terms(strategy, frames)
     starts = [max(0, i - TRIGGER_WINDOW + 1) for i in range(len(frames))]
     return ([aggregate(te[s: i + 1]) for i, s in enumerate(starts)],
             [aggregate(bi[s: i + 1]) for i, s in enumerate(starts)])
 
 
-def _decide(cfg: StrategyConfig, window: Sequence[ProbFrame], frame_index: int) -> FireDecision:
-    if cfg.strategy == "argmax":
-        cls = frame_argmax(window[-1])
-        if cls != "listen":
-            return FireDecision(True, cls, frame_index)
-        return NO_FIRE
-    # turn-end first: its threshold is the higher one, and ties resolve to it
-    for cls, score, threshold in zip(FIRE_CLASSES, window_scores(cfg.strategy, window), (cfg.t_turnend, cfg.t_bargein)):
-        if score > threshold:
-            return FireDecision(True, cls, frame_index)
-    return NO_FIRE
-
-
-class StrategyState:
-    """Single-stream accumulator; step() raises once the stream has fired."""
-
-    def __init__(self, cfg: StrategyConfig) -> None:
-        self.cfg = cfg
-        self._window: deque[ProbFrame] = deque(maxlen=TRIGGER_WINDOW)
-        self._n = 0
-        self.fired: FireDecision | None = None
-
-    def step(self, frame: ProbFrame) -> FireDecision:
-        if self.fired is not None:
-            raise ContractViolation("stream already fired; no further frames accepted")
-        self._window.append(frame)
-        decision = _decide(self.cfg, self._window, self._n)
-        self._n += 1
-        if decision.fired:
-            self.fired = decision
-        return decision
-
-
 def run_stream(frames: Iterable[ProbFrame], cfg: StrategyConfig) -> FireDecision:
-    state = StrategyState(cfg)
-    for frame in frames:
-        decision = state.step(frame)
-        if decision.fired:
-            return decision
+    """The first fire over frames, or NO_FIRE. Frames are read one at a time
+    and none after the fire, so a live caller can pass a generator."""
+    window: deque[ProbFrame] = deque(maxlen=TRIGGER_WINDOW)
+    thresholds = (cfg.t_turnend, cfg.t_bargein)
+    for i, frame in enumerate(frames):
+        if cfg.strategy == "argmax":
+            cls = frame_argmax(frame)
+            if cls != "listen":
+                return FireDecision(True, cls, i)
+            continue
+        window.append(frame)
+        # turn-end first: its threshold is the higher one, and ties resolve to it
+        for cls, score, threshold in zip(FIRE_CLASSES, window_scores(cfg.strategy, window), thresholds):
+            if score > threshold:
+                return FireDecision(True, cls, i)
     return NO_FIRE
 
 
@@ -400,8 +367,9 @@ def read_streams(path: str | Path) -> list[LabeledStream]:
                     raise ValueError(f"t {t!r} is not a finite number")
                 grouped.setdefault(sid, []).append((t, frame))
                 if "truth" in rec:
-                    prev = truths.setdefault(sid, rec["truth"])
-                    if prev != rec["truth"]:
+                    if rec["truth"] not in FIRE_CLASSES:
+                        raise ValueError(f"truth must be 'turnend' or 'bargein', not {rec['truth']!r}")
+                    if truths.setdefault(sid, rec["truth"]) != rec["truth"]:
                         raise ValueError(f"stream {sid} carries conflicting truth labels")
             except KeyError as exc:
                 raise ValueError(f"{path}:{line_no}: missing {exc}") from None

@@ -369,6 +369,8 @@ class TestCleanErrorBoundary:
         '{"crossturn": {"p_error": true}}',
         '{"pool_weights": {"native": "0.7"}}',
         '{"bargein": {"sample_rate": "0.5"}}',
+        '{"bargein": {"sample_rate": 1.5}}',
+        '{"crossturn": {"p_error": -0.1}}',
     ])
     def test_bad_config_shape_is_one_line(self, runner, tmp_path, config):
         src = _corpus_file(tmp_path, n=2)
@@ -410,6 +412,19 @@ class TestCleanErrorBoundary:
         ("turns.2.emotion", "happy", 'turn 2: emotion must be null or {"label": 0-6, "name": its name}, not \'happy\''),
         ("goal.structured.sub_goals.0.constraints", ["ab"],
          "goal.structured.sub_goals[0].constraints must be an object of string values, not ['ab']"),
+        ("goal.structured.sub_goals.0.requests", [""], "goal.structured.sub_goals[0]: empty slot name in sub-goal"),
+        ("turns.1.bargein", {"subtype": "INCOHERENT_RAW"},
+         "turn 1: error-recovery barge-in requires erroneous and corrected slots"),
+        ("turns.3.bargein", {"subtype": "FAIL_RAW", "erroneous_slots": {"a": "b"}, "corrected_slots": {"a": "c"}},
+         "turn 3: clarification barge-in must not carry slot corrections"),
+        ("turns.2.bargein", {"subtype": "NOPE_RAW"}, "turn 2: unknown barge-in subtype: 'NOPE_RAW'"),
+        ("turns.0.disfluency", [{"type": "XX", "position": 0, "inserted_span": "uh,"}],
+         "turn 0: disfluency[0]: unknown disfluency type: 'XX'"),
+        ("turns.2.disfluency", [{"type": "FP", "position": -1, "inserted_span": "uh,"}],
+         "turn 2: disfluency[0]: disfluency position must be non-negative"),
+        ("turns.1.disfluency", [{"type": "COR", "position": 0, "inserted_span": "cheap"}],
+         "turn 1: disfluency[0]: COR must record the corrected value"),
+        ("turns.0", 5, "turn 0 must be an object, not 5"),
     ]])
     @pytest.mark.parametrize("command", ["validate", "stats", "augment"])
     def test_bad_corpus_value_is_one_line(self, runner, tmp_path, path, value, message, command):
@@ -424,6 +439,15 @@ class TestCleanErrorBoundary:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"Error: {src}[0]: dialogue 'bad': {message}"]
+
+    def test_truncation_token_inside_an_assistant_turn_is_a_violation(self, runner, tmp_path):
+        doc = dialogue_to_dict(make_dialogue(dialogue_id="bad"))
+        doc["turns"][1]["text"] = "Sure, <bargein> which part of town?"
+        src = tmp_path / "bad.jsonl"
+        src.write_text(json.dumps(doc) + "\n")
+        result = runner.invoke(main, ["validate", str(src)])
+        assert result.exit_code == 1
+        assert result.stdout == "bad\tturn 1\tturn.truncation\ttruncation token not at end of turn\n"
 
     @pytest.mark.parametrize("changes,message", [
         pytest.param({"age": None}, "age must be an integer, not None", id="age"),
@@ -459,6 +483,28 @@ class TestCleanErrorBoundary:
         assert result.output.splitlines() == [
             f"Error: {assistants}: assistant pool must hold exactly 10 speakers, got 9"
         ]
+
+    def test_assistant_pool_with_a_repeated_id_is_one_line(self, runner, tmp_path):
+        users, assistants = tmp_path / "speakers.json", tmp_path / "assistants.json"
+        write_speaker_manifest(user_pool_profiles(), users)
+        pool = assistant_pool_profiles()
+        write_speaker_manifest([*pool[:9], dataclasses.replace(pool[9], speaker_id=pool[8].speaker_id)], assistants)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_manifest": str(users), "assistant_manifest": str(assistants)}))
+        result = runner.invoke(main, ["--config", str(cfg), "augment", str(_corpus_file(tmp_path)),
+                                      str(tmp_path / "out.jsonl"), "--out-dir", str(tmp_path / "o"), "--no-synthesis"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {assistants}: assistant pool speaker ids must be unique\n"
+
+    def test_speaker_manifest_that_is_not_an_array_is_one_line(self, runner, tmp_path):
+        manifest = tmp_path / "speakers.json"
+        manifest.write_text('{"speaker_id": "s1"}')
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"speaker_manifest": str(manifest)}))
+        result = runner.invoke(main, ["--config", str(cfg), "augment", str(_corpus_file(tmp_path)),
+                                      str(tmp_path / "out.jsonl"), "--out-dir", str(tmp_path / "o"), "--no-synthesis"])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {manifest} must be an array, not {{'speaker_id': 's1'}}\n"
 
     @pytest.mark.parametrize("preds,message", [
         pytest.param([1, 2], " must be an object, not [1, 2]", id="array"),
@@ -558,6 +604,7 @@ class TestEvalTurnTaking:
         '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 1.0, "p_turnend": "x", "p_bargein": 0.0}',
         '{"stream_id": "s1", "t": 1, "truth": "turnend", "p_listen": 2.0, "p_turnend": 0.0, "p_bargein": 0.0}',
         '{"stream_id": "s1" "t": 1}',
+        '{"stream_id": "s1", "t": 1, "truth": "listen", "p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0}',
     ])
     def test_bad_stream_record_is_one_line(self, runner, tmp_path, record):
         src = tmp_path / "streams.jsonl"
@@ -572,6 +619,13 @@ class TestEvalTurnTaking:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"Error: {src}:2: "), result.output
         assert lines[0].count(":2:") == 1, result.output
+
+    def test_negative_threshold_is_one_line(self, runner, tmp_path):
+        src = tmp_path / "streams.jsonl"
+        src.write_text('{"stream_id": "s1", "t": 0, "truth": "turnend", "p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0}\n')
+        result = runner.invoke(main, ["eval-turn-taking", str(src), "--t-turnend", "-1"])
+        assert result.exit_code == 1
+        assert result.output == "Error: thresholds must be positive\n"
 
     def test_stream_line_that_is_not_json_names_file_line_and_column(self, runner, tmp_path):
         src = tmp_path / "streams.jsonl"

@@ -93,6 +93,14 @@ class TestModel:
         d = Dialogue(dialogue_id="n", source="generic", goal=make_goal(), turns=list(turns))
         assert all(a is b for a, b in zip(d.turns, turns, strict=True))
 
+    def test_with_turns_returns_the_dialogue_itself_when_no_turn_changed(self):
+        d = make_dialogue()
+        assert d.with_turns(list(d.turns)) is d
+        assert splice_turns(d, []) is d
+        changed = d.with_turns([d.turns[0].with_(text="other"), *d.turns[1:]])
+        assert changed is not d and changed.turns[1:] == d.turns[1:]
+        assert d.with_turns(d.turns[:-1]) is not d
+
     def test_loading_copies_no_turn(self, monkeypatch):
         # turn_from_dict builds each turn at its position, so the Dialogue keeps it as it is.
         copies = []

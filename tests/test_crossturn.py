@@ -163,6 +163,28 @@ def test_reconstruction_property(value, seed):
     assert reconstruct_value(out, "phone") == [value]
 
 
+_SEGMENTABLE_SHAPES = st.one_of(
+    st.from_regex(r"\+?\(?\d{3}\)?[ -]?\d{3}[ -]?\d{1,6}", fullmatch=True),  # phone numbers
+    st.from_regex(r"[a-z0-9.]{1,12}@[a-z0-9]{1,10}(\.[a-z]{2,4}){1,2}", fullmatch=True),  # email addresses
+    st.from_regex(r"[A-Za-z0-9]{5,14}", fullmatch=True).filter(is_segmentable),  # booking codes
+)
+
+
+@given(_SEGMENTABLE_SHAPES)
+def test_every_segmentable_phone_email_and_code_gives_two_chunks_or_more(value):
+    assert is_segmentable(value)
+    assert len(segment_value(value)) >= 2
+
+
+def test_a_code_whose_letters_are_not_ascii_gives_one_chunk_and_is_left_as_it_is():
+    """segment_value reads a code's letters as ASCII runs, so "éé1234" is one
+    digit chunk, and the stage leaves its turn alone."""
+    assert segment_value("éé1234") == ["1234"]
+    d = make_dialogue(texts=[(Role.USER, "My code is éé1234."), (Role.ASSISTANT, "Thanks.")],
+                      spans={0: (("code", 11, 17),)})
+    assert apply_crossturn_stage(d, CrossTurnConfig(), rng_for(0, "ascii")) is d
+
+
 def test_corrupt_chunk_stays_in_class():
     rng = random.Random(5)
     for chunk in ("012", "ABC", "A1B2"):

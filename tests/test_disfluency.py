@@ -376,6 +376,17 @@ class TestStage:
             assert out == d.turns
             assert validate_dialogue(d.with_turns(out)) == []
 
+    def test_a_dialogue_with_no_selected_turn_comes_back_as_itself(self, monkeypatch):
+        d = make_dialogue()
+        monkeypatch.setattr(disfluency, "sample_and_type", lambda t, cfg, rng: None)
+        out = apply_disfluency_stage(d.turns, DisfluencyConfig(), _stub(), rng_for(0, "none", "df"))
+        assert d.with_turns(out) is d
+
+    def test_an_empty_turn_has_no_landing_point(self):
+        t = Turn(role=Role.USER, text="")
+        for dtype in DISFLUENCY_TYPES:
+            assert choose_position(t, dtype, rng_for(0, "empty", dtype)) is None
+
     def test_slot_spans_still_valid_after_injection(self):
         rng = random.Random(21)
         for _ in range(500):

@@ -151,6 +151,10 @@ class TestAnnotateDialogue:
         out = annotate_dialogue(d, StubChatClient(), skip_labeled=True)
         assert out.turns[0].emotion is Emotion.FEARFUL
 
+    def test_a_dialogue_whose_labels_are_right_comes_back_as_itself(self):
+        labeled = annotate_dialogue(make_dialogue(), StubChatClient())
+        assert annotate_dialogue(labeled, StubChatClient()) is labeled
+
     def test_unlabeled_turns_still_judged_when_skipping(self):
         d = make_dialogue(texts=[
             (Role.USER, "Thank you so much, that was great!"),

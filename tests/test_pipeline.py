@@ -555,7 +555,6 @@ class TestWerValidation:
         dialogues, directory, root = _asr_corpus(n_dialogues=10)
         asr = StubASRClient(directory, corruption_rate=0.0)
         out = wer_validation(dialogues, sample_n=10, asr=asr, audio_root=root)
-        assert out.sampled_dialogues == 10
         assert out.failed_files == 0
         assert set(out.report) == {"african", "native", "overall"}
         assert all(cell.wer == 0.0 for cell in out.report.values())
@@ -573,7 +572,6 @@ class TestWerValidation:
         dialogues, directory, root = _asr_corpus(n_dialogues=30)
         asr = StubASRClient(directory, corruption_rate=0.0)
         out = wer_validation(dialogues, sample_n=10, asr=asr, audio_root=root)
-        assert out.sampled_dialogues == 10
         assert out.report["overall"].utterances == 20
 
     def test_sampling_is_seed_deterministic(self):

@@ -183,6 +183,24 @@ def test_manifest_round_trip(tmp_path, user_pool):
     assert back == user_pool
 
 
+def test_a_stored_age_bin_that_disagrees_with_the_age_is_warned_about_and_replaced(tmp_path, caplog):
+    path = tmp_path / "speakers.json"
+    path.write_text(json.dumps([{"speaker_id": "s1", "accent_pool": "native", "country": "US",
+                                 "age": 45, "age_bin": "10s", "gender": "female"}]))
+    (sp,) = load_speaker_manifest(path)
+    assert sp.age_bin == "40-50s"
+    assert caplog.messages == ["speaker s1 age_bin '10s' disagrees with age 45; using '40-50s'"]
+
+
+def test_weights_zero_for_every_pool_the_manifest_fills_is_a_sampling_error(tmp_path, user_pool):
+    path = tmp_path / "speakers.json"
+    write_speaker_manifest([sp for sp in user_pool if sp.accent_pool in ("native", "african")], path)
+    pool = build_pool(load_speaker_manifest(path))
+    weights = PoolWeights(native=0.0, african=0.0, indian=1.0, asian=1.0)
+    with pytest.raises(SamplingError, match="^no accent pool has both weight and speakers$"):
+        sample_user_speaker(pool, weights, rng_for(0, "zero"))
+
+
 def test_manifest_rows_are_lower_cased_and_a_missing_age_bin_is_derived(tmp_path):
     path = tmp_path / "speakers.json"
     path.write_text(json.dumps([{"speaker_id": "s1", "accent_pool": "Native", "country": "US",

@@ -15,13 +15,11 @@ from todvoice.turntaking import (
     OUTCOME_CLASSES,
     STRATEGY_NAMES,
     TRIGGER_WINDOW,
-    ContractViolation,
     FireDecision,
     OutcomeCounts,
     OutcomeReport,
     ProbFrame,
     StrategyConfig,
-    StrategyState,
     classify_outcome,
     evaluate_set,
     format_report,
@@ -150,11 +148,13 @@ class TestFrozenExamples:
 
 
 class TestSingleFire:
-    def test_state_rejects_frames_after_fire(self):
-        state = StrategyState(StrategyConfig("argmax"))
-        assert state.step(F(0.0, 1.0, 0.0)).fired
-        with pytest.raises(ContractViolation):
-            state.step(LISTEN)
+    @pytest.mark.parametrize("name", ["argmax", *DEFAULT_THRESHOLDS])
+    def test_run_stream_reads_no_frame_after_the_fire(self, name):
+        stream = [LISTEN, *[F(0.0, 1.0, 0.0)] * TRIGGER_WINDOW, LISTEN, LISTEN]
+        frames = iter(stream)
+        fire = run_stream(frames, StrategyConfig(name))
+        assert fire.fired
+        assert len(list(frames)) == len(stream) - fire.frame_index - 1
 
     def test_pure_listen_never_fires_any_strategy(self):
         frames = [LISTEN] * 40
@@ -441,6 +441,8 @@ class TestStreamIO:
         ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": float("nan")}, "t nan is not"),
         ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "t": True}, "t True is not"),
         ({"p_listen": True, "p_turnend": 0.0, "p_bargein": 0.0}, "probability True is not a number"),
+        ({"p_listen": 1.0, "p_turnend": 0.0, "p_bargein": 0.0, "truth": "listen"},
+         "truth must be 'turnend' or 'bargein', not 'listen'"),
     ])
     def test_bad_record_names_file_and_line(self, tmp_path, bad, message):
         p = tmp_path / "bad.jsonl"
